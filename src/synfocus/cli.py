@@ -11,6 +11,7 @@ import argparse
 import sys
 import time
 from dataclasses import dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from .core import (
     make_transducer_array,
 )
 from .forward_eit import (
+    _interior_map,
     kernel_adjoint,
     kernel_bruteforce,
     left_right_current_pattern,
@@ -36,6 +38,15 @@ MODES = ("phantom", "forward", "kernel", "measure", "focus", "endtoend", "valida
 FAMILIES = ("plane", "xray", "spherical", "monochromatic")
 # families whose inversion runs in 3d; they use the synthetic kernel path
 VOLUMETRIC = ("spherical", "monochromatic")
+# stages of each chain mode, in run order (validate has its own runner)
+CHAINS = {
+    "phantom": ("phantom",),
+    "forward": ("phantom", "forward"),
+    "kernel": ("phantom", "kernel", "kernel_adjoint"),
+    "measure": ("kernel", "measure"),
+    "focus": ("kernel", "measure", "focus"),
+    "endtoend": ("phantom", "forward", "kernel", "measure", "focus"),
+}
 
 DEFAULTS = {
     "mode": "endtoend",
@@ -48,12 +59,11 @@ DEFAULTS = {
     "family": "plane",
     "noise": 0.0,
     "seed": 0,
-    "threads": 1,
     "out": ".",
 }
 
-_INT_KEYS = ("pixels", "transducers", "radii", "frequencies", "angles", "seed", "threads")
-_POSITIVE = ("pixels", "transducers", "radii", "frequencies", "angles", "threads")
+_INT_KEYS = ("pixels", "transducers", "radii", "frequencies", "angles", "seed")
+_POSITIVE = ("pixels", "transducers", "radii", "frequencies", "angles")
 
 
 @dataclass(frozen=True)
@@ -68,7 +78,6 @@ class ExperimentConfig:
     family: str = DEFAULTS["family"]
     noise: float = DEFAULTS["noise"]
     seed: int = DEFAULTS["seed"]
-    threads: int = DEFAULTS["threads"]
     out: str = DEFAULTS["out"]
 
     def __post_init__(self):
@@ -93,6 +102,19 @@ class ExperimentConfig:
                 "and cannot drive the 2d conduction chain; use mode 'measure' or "
                 "'focus', or family 'plane'/'xray'"
             )
+        if self.family == "spherical" and self.radii < 3:
+            raise ValueError("invalid value for 'radii': the spherical family "
+                             "needs at least 3 for its gradient filter")
+
+
+def _check_interior(cfg):
+    """Reject, before any stage runs, a 'pixels' value too fine for 'grid'
+    in chains that build the conduction kernel."""
+    if "kernel" in CHAINS.get(cfg.mode, ()) and not _uses_synthetic_kernel(cfg):
+        try:
+            _interior_map(_conduction_grid(cfg), _interior_grid(cfg))
+        except ValueError as e:
+            raise ValueError(f"invalid value for 'pixels': {e}") from None
 
 
 def parse_config(text):
@@ -175,18 +197,10 @@ def _synthetic_kernel_3d(cfg):
     return KernelMatrix(grid=grid, values=col[None, :])
 
 
-def _reference_kernel(cfg, log):
-    """(kernel, phantom-or-None): EIT brute force for the planar families,
-    synthetic Gaussian column for the volumetric ones."""
-    if cfg.family in VOLUMETRIC:
-        return _synthetic_kernel_3d(cfg), None
-    grid = _conduction_grid(cfg)
-    phantom = default_phantom(grid)
-    electrodes = left_right_current_pattern(grid)
-    log("building brute-force kernel "
-        f"({cfg.pixels}x{cfg.pixels} interior, {electrodes.n} electrodes)")
-    kernel = kernel_bruteforce(phantom, electrodes, _interior_grid(cfg), threads=cfg.threads)
-    return kernel, phantom
+def _uses_synthetic_kernel(cfg):
+    """Whether the chain measures the synthetic 3d kernel instead of the
+    EIT brute-force kernel (kernel mode always builds the latter)."""
+    return cfg.family in VOLUMETRIC and cfg.mode in ("measure", "focus")
 
 
 def _measure(cfg, kernel):
@@ -197,9 +211,7 @@ def _measure(cfg, kernel):
         # offsets at a quarter of the pixel spacing: the ramp filter's band
         # limit then clears the sharp near-electrode kernel peaks
         h = float(np.min(kernel.grid.spacing))
-        lo, hi = kernel.grid.bounds()
-        reach = max(np.linalg.norm(lo), np.linalg.norm(hi))
-        n_off = 8 * int(np.ceil(reach / h)) + 3
+        n_off = 8 * int(np.ceil(kernel.grid.circumradius / h)) + 3
         offsets = wavegen.default_offsets(kernel.grid, n_off)
         return wavegen.measure_line_integrals(kernel, angles, offsets)
     array = make_transducer_array(cfg.transducers, radius=1.0, dim=3)
@@ -210,28 +222,6 @@ def _measure(cfg, kernel):
     return wavegen.measure_monochromatic(kernel, array, freqs)
 
 
-def _focus(cfg, data, out_grid):
-    method = {"plane": "plane", "xray": "xray", "spherical": "spherical",
-              "monochromatic": "monochromatic"}[cfg.family]
-    return focusing.focus_kernel(data, method, out_grid)
-
-
-def _save_data_csv(path, cfg, data):
-    if cfg.family == "plane":
-        axes = [(f"k{d}", ax) for d, ax in enumerate(data.kgrid.axes())]
-        io.save_table_csv(path, [f"family: plane"], axes, data.values)
-    elif cfg.family == "xray":
-        io.save_table_csv(path, ["family: xray"],
-                          [("angle", data.angles), ("offset", data.offsets)],
-                          data.values)
-    elif cfg.family == "spherical":
-        io.save_table_csv(path, ["family: spherical"],
-                          [("radius", data.radii)], data.values)
-    else:
-        io.save_table_csv(path, ["family: monochromatic"],
-                          [("frequency", data.frequencies)], data.values)
-
-
 def _save_kernel_images(out_dir, name, kernel):
     n_el = kernel.n_electrodes
     picks = sorted(set(int(round(i)) for i in np.linspace(0, n_el - 1, min(n_el, 4))))
@@ -239,12 +229,17 @@ def _save_kernel_images(out_dir, name, kernel):
         io.save_pgm(out_dir / f"{name}_e{j:03d}.pgm", kernel.column_field(j))
 
 
+def _save_field(out_dir, name, field):
+    io.save_field_csv(out_dir / f"{name}.csv", field)
+    io.save_pgm(out_dir / f"{name}.pgm", field)
+
+
 def _rel_frobenius(a, b):
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
 
 
 # ---------------------------------------------------------------------------
-# mode runners: each returns an ordered metrics dict and writes its files
+# runners: each returns an ordered metrics dict and writes its files
 
 
 class _Stage:
@@ -279,121 +274,92 @@ def _config_echo(cfg):
     return out
 
 
-def run_phantom(cfg, out_dir, log):
-    metrics = _config_echo(cfg)
-    with _Stage("phantom", metrics, log):
-        phantom = default_phantom(_conduction_grid(cfg))
-        io.save_field_csv(out_dir / "phantom.csv", phantom.field)
-        io.save_pgm(out_dir / "phantom.pgm", phantom.field)
-    return metrics
+class _Run:
+    """State shared by the stages of one chain.  Each piece is built on
+    first use, inside the stage that first needs it."""
+
+    def __init__(self, cfg, out_dir, log):
+        self.cfg = cfg
+        self.out_dir = out_dir
+        self.log = log
+        self.metrics = _config_echo(cfg)
+        self.data = None
+
+    @cached_property
+    def phantom(self):
+        return default_phantom(_conduction_grid(self.cfg))
+
+    @cached_property
+    def electrodes(self):
+        return left_right_current_pattern(self.phantom.grid)
+
+    @cached_property
+    def kernel(self):
+        """EIT brute force, or the synthetic 3d column (see _uses_synthetic_kernel)."""
+        if _uses_synthetic_kernel(self.cfg):
+            return _synthetic_kernel_3d(self.cfg)
+        self.log(f"building brute-force kernel ({self.cfg.pixels}x{self.cfg.pixels} "
+                 f"interior, {self.electrodes.n} electrodes)")
+        return kernel_bruteforce(self.phantom, self.electrodes, _interior_grid(self.cfg))
 
 
-def run_forward(cfg, out_dir, log):
-    metrics = _config_echo(cfg)
-    with _Stage("phantom", metrics, log):
-        grid = _conduction_grid(cfg)
-        phantom = default_phantom(grid)
-        io.save_field_csv(out_dir / "phantom.csv", phantom.field)
-        io.save_pgm(out_dir / "phantom.pgm", phantom.field)
-    with _Stage("forward", metrics, log):
-        electrodes = left_right_current_pattern(grid)
-        sol = solve_conduction(phantom, electrodes)
-        io.save_field_csv(out_dir / "potential.csv",
-                          ScalarField(grid=grid, values=sol.potential))
-        io.save_pgm(out_dir / "potential.pgm",
-                    ScalarField(grid=grid, values=sol.potential))
-        io.save_table_csv(out_dir / "trace.csv", ["boundary trace per electrode"],
-                          [("electrode", np.arange(electrodes.n))],
-                          sol.boundary_trace)
-        metrics["residual"] = float(sol.residual)
-        metrics["net_current"] = float(np.sum(electrodes.current * electrodes.segment_length))
-    return metrics
+def _stage_phantom(run):
+    _save_field(run.out_dir, "phantom", run.phantom.field)
 
 
-def run_kernel(cfg, out_dir, log):
-    metrics = _config_echo(cfg)
-    with _Stage("phantom", metrics, log):
-        grid = _conduction_grid(cfg)
-        phantom = default_phantom(grid)
-        electrodes = left_right_current_pattern(grid)
-        interior = _interior_grid(cfg)
-    with _Stage("kernel", metrics, log):
-        kernel = kernel_bruteforce(phantom, electrodes, interior, threads=cfg.threads)
-        io.save_kernel_csv(out_dir / "kernel.csv", kernel)
-        _save_kernel_images(out_dir, "kernel", kernel)
-    with _Stage("kernel_adjoint", metrics, log):
-        adj = kernel_adjoint(phantom, electrodes, interior)
-        io.save_kernel_csv(out_dir / "kernel_adjoint.csv", adj)
-        metrics["adjoint_vs_bruteforce"] = _rel_frobenius(adj.values, kernel.values)
-    return metrics
+def _stage_forward(run):
+    sol = solve_conduction(run.phantom, run.electrodes)
+    _save_field(run.out_dir, "potential", sol.potential)
+    io.save_table_csv(run.out_dir / "trace.csv", ["boundary trace per electrode"],
+                      [("electrode", np.arange(run.electrodes.n))],
+                      sol.boundary_trace)
+    run.metrics["residual"] = float(sol.residual)
 
 
-def run_measure(cfg, out_dir, log):
-    metrics = _config_echo(cfg)
-    with _Stage("kernel", metrics, log):
-        kernel, _ = _reference_kernel(cfg, log)
-        io.save_kernel_csv(out_dir / "kernel.csv", kernel)
-    with _Stage("measure", metrics, log):
-        data = _measure(cfg, kernel)
-        if cfg.noise > 0.0:
-            data = wavegen.add_noise(data, cfg.noise, cfg.seed)
-        _save_data_csv(out_dir / "data.csv", cfg, data)
-    return metrics
+def _stage_kernel(run):
+    io.save_kernel_csv(run.out_dir / "kernel.csv", run.kernel)
+    _save_kernel_images(run.out_dir, "kernel", run.kernel)
 
 
-def run_focus(cfg, out_dir, log):
-    metrics = _config_echo(cfg)
-    with _Stage("kernel", metrics, log):
-        kernel, _ = _reference_kernel(cfg, log)
-        io.save_kernel_csv(out_dir / "kernel.csv", kernel)
-        _save_kernel_images(out_dir, "kernel", kernel)
-    with _Stage("measure", metrics, log):
-        data = _measure(cfg, kernel)
-        if cfg.noise > 0.0:
-            data = wavegen.add_noise(data, cfg.noise, cfg.seed)
-        _save_data_csv(out_dir / "data.csv", cfg, data)
-    with _Stage("focus", metrics, log):
-        recon = _focus(cfg, data, kernel.grid)
-        io.save_kernel_csv(out_dir / "recon.csv", recon)
-        _save_kernel_images(out_dir, "recon", recon)
-        metrics["kernel_error"] = _rel_frobenius(recon.values, kernel.values)
-    return metrics
+def _stage_kernel_adjoint(run):
+    adj = kernel_adjoint(run.phantom, run.electrodes, run.kernel.grid)
+    io.save_kernel_csv(run.out_dir / "kernel_adjoint.csv", adj)
+    run.metrics["adjoint_vs_bruteforce"] = _rel_frobenius(adj.values, run.kernel.values)
 
 
-def run_endtoend(cfg, out_dir, log):
-    """Full chain: phantom -> conduction -> brute-force kernel -> wave
-    measurement (+ noise) -> synthetic focusing -> error metrics."""
-    metrics = _config_echo(cfg)
-    with _Stage("phantom", metrics, log):
-        grid = _conduction_grid(cfg)
-        phantom = default_phantom(grid)
-        io.save_field_csv(out_dir / "phantom.csv", phantom.field)
-        io.save_pgm(out_dir / "phantom.pgm", phantom.field)
-    with _Stage("forward", metrics, log):
-        electrodes = left_right_current_pattern(grid)
-        sol = solve_conduction(phantom, electrodes)
-        io.save_table_csv(out_dir / "trace.csv", ["boundary trace per electrode"],
-                          [("electrode", np.arange(electrodes.n))],
-                          sol.boundary_trace)
-        metrics["residual"] = float(sol.residual)
-    with _Stage("kernel", metrics, log):
-        interior = _interior_grid(cfg)
-        log(f"building brute-force kernel ({cfg.pixels}x{cfg.pixels} interior, "
-            f"{electrodes.n} electrodes)")
-        kernel = kernel_bruteforce(phantom, electrodes, interior, threads=cfg.threads)
-        io.save_kernel_csv(out_dir / "kernel.csv", kernel)
-        _save_kernel_images(out_dir, "kernel", kernel)
-    with _Stage("measure", metrics, log):
-        data = _measure(cfg, kernel)
-        if cfg.noise > 0.0:
-            data = wavegen.add_noise(data, cfg.noise, cfg.seed)
-        _save_data_csv(out_dir / "data.csv", cfg, data)
-    with _Stage("focus", metrics, log):
-        recon = _focus(cfg, data, interior)
-        io.save_kernel_csv(out_dir / "recon.csv", recon)
-        _save_kernel_images(out_dir, "recon", recon)
-        metrics["kernel_error"] = _rel_frobenius(recon.values, kernel.values)
-    return metrics
+def _stage_measure(run):
+    cfg = run.cfg
+    run.data = _measure(cfg, run.kernel)
+    if cfg.noise > 0.0:
+        run.data = wavegen.add_noise(run.data, cfg.noise, cfg.seed)
+    io.save_table_csv(run.out_dir / "data.csv", [f"family: {cfg.family}"],
+                      run.data.axes(), run.data.values)
+
+
+def _stage_focus(run):
+    recon = focusing.focus_kernel(run.data, run.cfg.family, run.kernel.grid)
+    io.save_kernel_csv(run.out_dir / "recon.csv", recon)
+    _save_kernel_images(run.out_dir, "recon", recon)
+    run.metrics["kernel_error"] = _rel_frobenius(recon.values, run.kernel.values)
+
+
+STAGES = {
+    "phantom": _stage_phantom,
+    "forward": _stage_forward,
+    "kernel": _stage_kernel,
+    "kernel_adjoint": _stage_kernel_adjoint,
+    "measure": _stage_measure,
+    "focus": _stage_focus,
+}
+
+
+def run_chain(cfg, out_dir, log):
+    """Run the stages CHAINS lists for cfg.mode."""
+    run = _Run(cfg, out_dir, log)
+    for name in CHAINS[cfg.mode]:
+        with _Stage(name, run.metrics, log):
+            STAGES[name](run)
+    return run.metrics
 
 
 def run_validate(cfg, out_dir, log):
@@ -440,17 +406,6 @@ def run_validate(cfg, out_dir, log):
     return metrics
 
 
-_RUNNERS = {
-    "phantom": run_phantom,
-    "forward": run_forward,
-    "kernel": run_kernel,
-    "measure": run_measure,
-    "focus": run_focus,
-    "endtoend": run_endtoend,
-    "validate": run_validate,
-}
-
-
 class _UsageError(Exception):
     pass
 
@@ -466,7 +421,6 @@ def main(argv=None):
     parser.add_argument("--config", help="path to a key = value config file")
     parser.add_argument("--out", help="output directory (default from config)")
     parser.add_argument("--seed", type=int, help="RNG seed override")
-    parser.add_argument("--threads", type=int, help="worker cap override")
     parser.add_argument("--quiet", action="store_true", help="suppress progress lines")
 
     try:
@@ -478,9 +432,8 @@ def main(argv=None):
             items["out"] = args.out
         if args.seed is not None:
             items["seed"] = args.seed
-        if args.threads is not None:
-            items["threads"] = args.threads
         cfg = ExperimentConfig(**items)
+        _check_interior(cfg)
     except (_UsageError, ValueError, OSError) as e:
         print(f"synfocus: config error: {e}", file=sys.stderr)
         return 1
@@ -489,7 +442,8 @@ def main(argv=None):
     out_dir = Path(cfg.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        metrics = _RUNNERS[cfg.mode](cfg, out_dir, log)
+        runner = run_validate if cfg.mode == "validate" else run_chain
+        metrics = runner(cfg, out_dir, log)
         io.save_metrics(out_dir / "metrics.txt", metrics)
     except Exception as e:
         print(f"synfocus: {e}", file=sys.stderr)

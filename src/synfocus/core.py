@@ -91,6 +91,12 @@ class Grid:
         lo, hi = self.bounds()
         return float(np.linalg.norm(hi - lo))
 
+    @property
+    def circumradius(self):
+        """Distance from the origin to the farthest corner of the domain box."""
+        lo, hi = self.bounds()
+        return float(np.sqrt(np.sum(np.maximum(np.abs(lo), np.abs(hi)) ** 2)))
+
 
 @dataclass(frozen=True)
 class ScalarField:
@@ -223,25 +229,29 @@ class TransducerArray:
         return self.positions.shape[1]
 
 
-def make_transducer_array(n, radius, dim=3, sound_speed=1.0):
-    """Equal-weight transducer layout: uniform angles on the circle in 2d,
+def _unit_lattice(n, dim):
+    """n equally weighted unit vectors: uniform angles on the circle in 2d,
     a Fibonacci lattice on the sphere in 3d."""
+    k = np.arange(n)
+    if dim == 2:
+        ang = 2.0 * np.pi * k / n
+        return np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    z = 1.0 - (2.0 * k + 1.0) / n
+    rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    phi = GOLDEN_ANGLE * k
+    return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
+
+
+def make_transducer_array(n, radius, dim=3, sound_speed=1.0):
+    """Equal-weight transducer layout on the unit lattice (see _unit_lattice)."""
     if n < 4:
         raise ValueError("need at least 4 transducers")
     if not radius > 0:
         raise ValueError("aperture radius must be positive")
-    if dim == 2:
-        ang = 2 * np.pi * np.arange(n) / n
-        unit = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        measure = 2 * np.pi * radius
-    elif dim == 3:
-        z = 1.0 - (2 * np.arange(n) + 1.0) / n
-        rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        phi = GOLDEN_ANGLE * np.arange(n)
-        unit = np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
-        measure = 4 * np.pi * radius ** 2
-    else:
+    if dim not in (2, 3):
         raise ValueError("transducer arrays are 2d or 3d")
+    unit = _unit_lattice(n, dim)
+    measure = 2 * np.pi * radius if dim == 2 else 4 * np.pi * radius ** 2
     weights = np.full(n, measure / n)
     return TransducerArray(positions=radius * unit, normals=unit,
                            weights=weights, radius=radius,
@@ -357,6 +367,40 @@ class KernelMatrix:
         return ScalarField(self.grid, self.values[j])
 
 
+def _interp(grid, columns, points):
+    """Multilinear interpolation of every row of ``columns`` (n_cols,
+    n_pixels) at ``points`` (n_points, dim); returns (n_points, n_cols).
+
+    Points beyond the pixel-center hull roll off linearly to zero within
+    one spacing and are zero farther out.
+    """
+    u = (points - grid.origin[None, :]) / grid.spacing[None, :]
+    n_cols = columns.shape[0]
+    out = np.zeros((points.shape[0], n_cols))
+    near = np.all((u > -1.0) & (u < grid.counts[None, :]), axis=1)
+    if not np.any(near):
+        return out
+    u = u[near]
+    i0 = np.floor(u).astype(np.int64)
+    frac = u - i0
+    arr = columns.reshape((n_cols,) + tuple(grid.counts[::-1]))
+    sub = np.zeros((u.shape[0], n_cols))
+    for corner in itertools.product((0, 1), repeat=grid.dim):
+        idx = i0 + np.array(corner, dtype=np.int64)[None, :]
+        ok = np.all((idx >= 0) & (idx < grid.counts[None, :]), axis=1)
+        if not np.any(ok):
+            continue
+        w = np.ones(u.shape[0])
+        for d in range(grid.dim):
+            w *= frac[:, d] if corner[d] else (1.0 - frac[:, d])
+        sel = idx[ok]
+        # storage is arr[col, ?z, y, x], so index with reversed coordinates
+        gathered = arr[(slice(None),) + tuple(sel[:, ::-1].T)]   # (n_cols, n_ok)
+        sub[ok] += w[ok, None] * gathered.T
+    out[near] = sub
+    return out
+
+
 def interp_field(field, points):
     """Multilinear interpolation of a ScalarField at arbitrary points.
 
@@ -370,20 +414,5 @@ def interp_field(field, points):
     pts = np.atleast_2d(pts)
     if pts.shape[1] != g.dim:
         raise ValueError(f"points have dimension {pts.shape[1]}, grid has {g.dim}")
-    u = (pts - g.origin[None, :]) / g.spacing[None, :]
-    i0 = np.floor(u).astype(np.int64)
-    frac = u - i0
-    arr = field.reshape()
-    out = np.zeros(pts.shape[0])
-    for corner in itertools.product((0, 1), repeat=g.dim):
-        idx = i0 + np.array(corner, dtype=np.int64)[None, :]
-        ok = np.all((idx >= 0) & (idx < g.counts[None, :]), axis=1)
-        if not np.any(ok):
-            continue
-        w = np.ones(pts.shape[0])
-        for d in range(g.dim):
-            w *= frac[:, d] if corner[d] else (1.0 - frac[:, d])
-        sel = idx[ok]
-        # storage is arr[?z, y, x], so index with reversed coordinates
-        out[ok] += w[ok] * arr[tuple(sel[:, ::-1].T)]
+    out = _interp(g, field.values[None, :], pts)[:, 0]
     return out[0] if squeeze else out

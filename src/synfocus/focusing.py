@@ -2,10 +2,11 @@
 
 Each inversion consumes the responses of one unfocused wave family and
 produces, per electrode, the measurement kernel sampled on a requested
-output grid.  Three routes are exact-inversion formulas (Fourier, x-ray)
-or filtered backprojections (spherical means, monochromatic); all reduce
-to linear post-processing of the measured data, so they commute with
-noise and superposition.
+output grid; every route processes all electrodes in one batch.  Three
+routes are exact-inversion formulas (Fourier, x-ray) or filtered
+backprojections (spherical means, monochromatic); all reduce to linear
+post-processing of the measured data, so they commute with noise and
+superposition.
 """
 
 import warnings
@@ -59,44 +60,53 @@ class FilteredDetectorData:
         object.__setattr__(self, "values", v)
 
 
-def _backproject_divergence(filtered, out, constant):
+def _lerp(f, x, xp):
+    """Linear interpolation of every row of f (n_rows, n_samples), sampled
+    on the uniform lattice xp, at the points x; zero outside [xp[0], xp[-1]]
+    as np.interp with left=right=0.  The weights are computed once for all
+    rows."""
+    u = (x - xp[0]) / (xp[1] - xp[0])
+    # truncation is floor where u >= 0; outside points get zero weights, so
+    # their indices only need clipping into range
+    j = np.minimum(u.astype(np.intp), xp.size - 2)
+    inside = (u >= 0.0) & (u <= xp.size - 1)
+    wr = (u - j) * inside
+    return (np.take(f, j, axis=1, mode="clip") * (inside - wr)
+            + np.take(f[:, 1:], j, axis=1, mode="clip") * wr)
+
+
+def _backproject_divergence(array, t_samples, profiles, out, constant):
     """Backproject filtered profiles and take the divergence.
 
-    Builds the vector field sum_i w_i n_i q_i(|z_i - x|) on the output
-    grid (linear interpolation in t, zero outside the sampled interval),
-    then returns constant * div of it, computed with central differences
-    (one-sided at the grid faces).  Flat, x-fastest ordering.
+    ``profiles[j, i, k]`` is the filtered trace of electrode j at
+    transducer i and time t_samples[k].  Builds, per electrode, the vector
+    field sum_i w_i n_i q_i(|z_i - x|) on the output grid (linear
+    interpolation in t, zero outside the sampled interval), then returns
+    constant * div of it, computed with central differences (one-sided at
+    the grid faces).  Result shape (n_electrodes, n_pixels), x-fastest.
     """
     if out.dim != 3:
         raise ValueError("backprojection output grid must be 3D")
-    mesh = out.mesh()
-    shape = mesh[0].shape
-    pos = filtered.array.positions
-    wn = filtered.array.weights[:, None] * filtered.array.normals
-    field = np.zeros((3,) + shape)
-    for i in range(pos.shape[0]):
-        t = np.sqrt(
-            (mesh[0] - pos[i, 0]) ** 2
-            + (mesh[1] - pos[i, 1]) ** 2
-            + (mesh[2] - pos[i, 2]) ** 2
-        )
-        q = np.interp(
-            t.ravel(), filtered.t_samples, filtered.values[i], left=0.0, right=0.0
-        ).reshape(shape)
+    x, y, z = (m.ravel() for m in out.mesh())
+    wn = array.weights[:, None] * array.normals
+    field = np.zeros((3, profiles.shape[0], out.n_pixels))
+    for i, p in enumerate(array.positions):
+        t = np.sqrt((x - p[0]) ** 2 + (y - p[1]) ** 2 + (z - p[2]) ** 2)
+        q = _lerp(profiles[:, i], t, t_samples)
         for c in range(3):
             field[c] += wn[i, c] * q
+    shape = (profiles.shape[0],) + tuple(out.counts[::-1])
     div = np.zeros(shape)
     for c in range(3):
-        # coordinate c varies along storage axis 2 - c (arrays are z,y,x)
-        div += np.gradient(field[c], out.spacing[c], axis=2 - c, edge_order=2)
-    return constant * div.ravel()
+        # coordinate c varies along storage axis 3 - c (arrays are el,z,y,x)
+        div += np.gradient(field[c].reshape(shape), out.spacing[c], axis=3 - c,
+                           edge_order=2)
+    return constant * div.reshape(profiles.shape[0], -1)
 
 
 def _check_inside_sphere(out, array):
     """Reject output grids not strictly inside the transducer sphere."""
-    lo, hi = out.bounds()
-    corners = np.array(np.meshgrid(*zip(lo, hi), indexing="ij")).reshape(out.dim, -1).T
-    reach = np.max(np.linalg.norm(corners, axis=1))
+    reach = out.circumradius
     radius = np.min(np.linalg.norm(array.positions, axis=1))
     if reach >= radius:
         raise ValueError(
@@ -128,15 +138,12 @@ def invert_spherical_means_3d(data, out):
             RuntimeWarning,
             stacklevel=2,
         )
-    t = data.radii
-    fields = []
-    for j in range(data.values.shape[2]):
-        g = data.values[:, :, j]
-        prof = np.gradient(g / t[None, :], t, axis=1, edge_order=2) / t[None, :]
-        filtered = FilteredDetectorData(data.array, t, prof)
-        rec = _backproject_divergence(filtered, out, PULSE_CONSTANT)
-        fields.append(ScalarField(out, rec))
-    return fields
+    t = data.radii[:, None]
+    g = data.values / t
+    prof = np.gradient(g, data.radii, axis=1, edge_order=2) / t
+    recs = _backproject_divergence(data.array, data.radii, prof.transpose(2, 0, 1),
+                                   out, PULSE_CONSTANT)
+    return [ScalarField(out, rec) for rec in recs]
 
 
 def synthesize_detector_profiles(data, electrode, t_samples):
@@ -150,6 +157,13 @@ def synthesize_detector_profiles(data, electrode, t_samples):
     """
     if not isinstance(data, MonochromaticData):
         raise TypeError("expected MonochromaticData")
+    t = np.asarray(t_samples, dtype=float)
+    return FilteredDetectorData(data.array, t, _detector_profiles(data, [electrode], t)[0])
+
+
+def _detector_profiles(data, electrodes, t):
+    """Filtered profiles (n_selected, n_transducers, n_t) of the selected
+    electrodes; see synthesize_detector_profiles."""
     lam = data.frequencies
     if lam.size == 0:
         raise ValueError("empty frequency list")
@@ -167,14 +181,15 @@ def synthesize_detector_profiles(data, electrode, t_samples):
         wq[-1] *= 0.5
     else:
         wq = np.array([0.5 * lam[0]])
-    w = data.values[:, :, electrode]  # (n_transducers, n_freq)
-    t = np.asarray(t_samples, dtype=float)
+    w = data.values[:, :, electrodes].transpose(2, 1, 0)  # (n_el, n_freq, n_trans)
     ct = np.cos(lam[None, :] * t[:, None])  # (n_t, n_freq)
     st = np.sin(lam[None, :] * t[:, None])
     coef = (wq * taper * lam)[None, :]
-    prof = -(ct * coef) @ w.imag.T + (st * coef) @ w.real.T  # (n_t, n_trans)
+    # contiguous operands keep the stacked products on BLAS
+    prof = (-(ct * coef) @ np.ascontiguousarray(w.imag)
+            + (st * coef) @ np.ascontiguousarray(w.real))  # (n_el, n_t, n_trans)
     prof /= t[:, None]
-    return FilteredDetectorData(data.array, t, np.ascontiguousarray(prof.T))
+    return prof.transpose(0, 2, 1)
 
 
 def invert_monochromatic_3d(data, out, n_times=None):
@@ -197,12 +212,9 @@ def invert_monochromatic_3d(data, out, n_times=None):
         # sample the fastest oscillation cos(lam_max t) at 4 points/period
         n_times = max(int(np.ceil(t_max * data.frequencies[-1] * 2.0 / np.pi)), 64)
     t = np.linspace(0.0, t_max, n_times + 1)[1:]
-    fields = []
-    for j in range(data.values.shape[2]):
-        filtered = synthesize_detector_profiles(data, j, t)
-        rec = _backproject_divergence(filtered, out, MONO_CONSTANT)
-        fields.append(ScalarField(out, rec))
-    return fields
+    profiles = _detector_profiles(data, slice(None), t)
+    recs = _backproject_divergence(data.array, t, profiles, out, MONO_CONSTANT)
+    return [ScalarField(out, rec) for rec in recs]
 
 
 def invert_fourier(data, out, return_residue=False):
@@ -229,19 +241,18 @@ def invert_fourier(data, out, return_residue=False):
             "output grid (counts, spacing, or origin differ)"
         )
     phase = _kgrid_phase(data.kgrid, out.origin).ravel()
-    n_total = out.n_pixels
-    shape = tuple(out.counts[::-1])
-    measure = out.pixel_measure
-    fields = []
-    residues = []
-    for j in range(data.values.shape[1]):
-        spectrum = (data.values[:, j] / (phase * measure)).reshape(shape)
-        col = scipy.fft.fftn(scipy.fft.ifftshift(spectrum)) / n_total
-        scale = np.linalg.norm(col)
-        residues.append(np.linalg.norm(col.imag) / scale if scale > 0.0 else 0.0)
-        fields.append(ScalarField(out, col.real.ravel()))
+    n_el = data.values.shape[1]
+    spectra = (data.values.T / (phase * out.pixel_measure)).reshape(
+        (n_el,) + tuple(out.counts[::-1]))
+    axes = tuple(range(1, out.dim + 1))
+    cols = scipy.fft.fftn(scipy.fft.ifftshift(spectra, axes=axes), axes=axes)
+    cols = cols.reshape(n_el, -1) / out.n_pixels
+    fields = [ScalarField(out, col.real) for col in cols]
     if return_residue:
-        return fields, np.array(residues)
+        scale = np.linalg.norm(cols, axis=1)
+        imag = np.linalg.norm(cols.imag, axis=1)
+        residues = np.divide(imag, scale, out=np.zeros(n_el), where=scale > 0.0)
+        return fields, residues
     return fields
 
 
@@ -265,9 +276,7 @@ def invert_xray_2d(data, out):
             RuntimeWarning,
             stacklevel=2,
         )
-    lo, hi = out.bounds()
-    corners = np.array(np.meshgrid(*zip(lo, hi), indexing="ij")).reshape(2, -1).T
-    reach = np.max(np.linalg.norm(corners, axis=1))
+    reach = out.circumradius
     if data.offsets[0] > -reach or data.offsets[-1] < reach:
         raise ValueError(
             f"offset range [{data.offsets[0]:.6g}, {data.offsets[-1]:.6g}] does "
@@ -277,19 +286,15 @@ def invert_xray_2d(data, out):
     n_off = data.offsets.size
     n_pad = scipy.fft.next_fast_len(2 * n_off)
     ramp = np.abs(scipy.fft.fftfreq(n_pad, d=ds))
-    mesh = out.mesh()
-    n_el = data.values.shape[2]
-    recs = np.zeros((n_el,) + mesh[0].shape)
-    for a in range(n_angles):
-        omega = np.array([np.cos(data.angles[a]), np.sin(data.angles[a])])
-        s = omega[0] * mesh[0] + omega[1] * mesh[1]
-        for j in range(n_el):
-            p = np.zeros(n_pad)
-            p[:n_off] = data.values[a, :, j]
-            q = scipy.fft.ifft(scipy.fft.fft(p) * ramp).real[:n_off]
-            recs[j] += np.interp(s.ravel(), data.offsets, q, left=0.0, right=0.0).reshape(s.shape)
+    x, y = (m.ravel() for m in out.mesh())
+    recs = np.zeros((data.values.shape[2], out.n_pixels))
+    for a, ang in enumerate(data.angles):
+        # ramp-filter every electrode's projection in one zero-padded FFT
+        q = scipy.fft.ifft(scipy.fft.fft(data.values[a].T, n=n_pad, axis=1) * ramp,
+                           axis=1).real[:, :n_off]
+        recs += _lerp(q, np.cos(ang) * x + np.sin(ang) * y, data.offsets)
     recs *= np.pi / n_angles
-    return [ScalarField(out, recs[j].ravel()) for j in range(n_el)]
+    return [ScalarField(out, rec) for rec in recs]
 
 
 _METHODS = {

@@ -21,7 +21,6 @@ with one extra solve per electrode.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,12 +92,14 @@ def _faces(grid, sigma):
 
 
 def _assemble(grid, sigma):
-    a, b, c, _, _ = _faces(grid, sigma)
+    """Conduction matrix and the face lists it was built from (see _faces)."""
+    faces = _faces(grid, sigma)
+    a, b, c = faces[:3]
     n = grid.n_pixels
     rows = np.concatenate([a, b, a, b])
     cols = np.concatenate([a, b, b, a])
     vals = np.concatenate([c, c, -c, -c])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr(), faces
 
 
 def _electrode_faces(grid, electrodes):
@@ -169,7 +170,7 @@ def _solve_conduction_arrays(grid, sigma, electrodes, tol, x0=None):
         raise ValueError("the conduction solver is 2d only")
     _check_compatible(electrodes)
     faces = _electrode_faces(grid, electrodes)
-    A = _assemble(grid, sigma)
+    A, _ = _assemble(grid, sigma)
     b = np.zeros(grid.n_pixels)
     np.add.at(b, faces[0], electrodes.current * faces[2])
     u, res = _solve_spd(A, b, tol, x0=x0)
@@ -211,7 +212,7 @@ def _interior_map(phantom_grid, interior):
 
 
 def kernel_bruteforce(phantom, electrodes, interior, eps=DEFAULT_EPS,
-                      tol=DEFAULT_TOL, threads=1):
+                      tol=DEFAULT_TOL):
     """Measurement kernel by finite perturbation, one solve per pixel.
 
     Entry (j, i) is [h_perturbed(y_j) - h(y_j)] / (eps * pixel_area) where
@@ -226,20 +227,12 @@ def kernel_bruteforce(phantom, electrodes, interior, eps=DEFAULT_EPS,
     log_sigma = phantom.field.values
     area = interior.pixel_measure
 
-    def column(i):
+    values = np.empty((electrodes.n, interior.n_pixels))
+    for i in range(interior.n_pixels):
         pert = log_sigma + eps * (cell2pix == i)
         sol = _solve_conduction_arrays(grid, np.exp(pert), electrodes, tol,
                                        x0=base_u.copy())
-        return (sol.boundary_trace - base.boundary_trace) / (eps * area)
-
-    values = np.empty((electrodes.n, interior.n_pixels))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            for i, col in enumerate(ex.map(column, range(interior.n_pixels))):
-                values[:, i] = col
-    else:
-        for i in range(interior.n_pixels):
-            values[:, i] = column(i)
+        values[:, i] = (sol.boundary_trace - base.boundary_trace) / (eps * area)
     return KernelMatrix(grid=interior, values=values, electrodes=electrodes)
 
 
@@ -261,11 +254,8 @@ def kernel_adjoint(phantom, electrodes, interior, tol=DEFAULT_TOL):
     sigma = phantom.conductivity()
     faces = _electrode_faces(grid, electrodes)
     cells, axes_, _ = faces
-    a, b, c, da, db = _faces(grid, sigma)
+    A, (a, b, _, da, db) = _assemble(grid, sigma)
     n = grid.n_pixels
-    A = sp.coo_matrix((np.concatenate([c, c, -c, -c]),
-                       (np.concatenate([a, b, a, b]),
-                        np.concatenate([a, b, b, a]))), shape=(n, n)).tocsr()
 
     rhs = np.zeros(n)
     np.add.at(rhs, cells, electrodes.current * faces[2])

@@ -11,12 +11,11 @@ so time samples and radii are interchangeable.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import GOLDEN_ANGLE, Grid, _frozen_array
+from .core import Grid, _frozen_array, _interp, _unit_lattice
 
 
 def _uniform_spacing(x, name):
@@ -55,6 +54,9 @@ class SphericalMeanData:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("values must be finite")
 
+    def axes(self):
+        return [("radius", self.radii)]
+
 
 @dataclass(frozen=True)
 class MonochromaticData:
@@ -80,6 +82,9 @@ class MonochromaticData:
         if not np.all(np.isfinite(self.values.view(float))):
             raise ValueError("values must be finite")
 
+    def axes(self):
+        return [("frequency", self.frequencies)]
+
 
 @dataclass(frozen=True)
 class FourierData:
@@ -104,6 +109,9 @@ class FourierData:
             raise ValueError("origin dimension must match the k-lattice")
         if not np.all(np.isfinite(self.values.view(float))):
             raise ValueError("values must be finite")
+
+    def axes(self):
+        return [(f"k{d}", ax) for d, ax in enumerate(self.kgrid.axes())]
 
 
 @dataclass(frozen=True)
@@ -132,6 +140,9 @@ class Sinogram:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("values must be finite")
 
+    def axes(self):
+        return [("angle", self.angles), ("offset", self.offsets)]
+
 
 def default_radii(array, grid, n):
     """n uniform radii spanning (0, R + domain diameter]."""
@@ -155,54 +166,8 @@ def default_angles(n):
 
 def default_offsets(grid, n):
     """Symmetric uniform offsets covering the grid's circumscribed disk."""
-    lo, hi = grid.bounds()
-    corners = np.array([[lo[0], lo[1]], [lo[0], hi[1]], [hi[0], lo[1]], [hi[0], hi[1]]])
-    rho = float(np.max(np.linalg.norm(corners, axis=1)))
+    rho = grid.circumradius
     return np.linspace(-rho, rho, n)
-
-
-def _interp_columns(kernel, points):
-    """Multilinear interpolation of every kernel column at once; returns
-    (n_points, n_electrodes).  Same scheme as core.interp_field: points
-    beyond the pixel-center hull roll off to zero."""
-    g = kernel.grid
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    u = (pts - g.origin[None, :]) / g.spacing[None, :]
-    out = np.zeros((pts.shape[0], kernel.n_electrodes))
-    near = np.all((u > -1.0) & (u < g.counts[None, :]), axis=1)
-    if not np.any(near):
-        return out
-    u = u[near]
-    i0 = np.floor(u).astype(np.int64)
-    frac = u - i0
-    arr = kernel.values.reshape((kernel.n_electrodes,) + tuple(g.counts[::-1]))
-    sub = np.zeros((u.shape[0], kernel.n_electrodes))
-    for corner in itertools.product((0, 1), repeat=g.dim):
-        idx = i0 + np.array(corner, dtype=np.int64)[None, :]
-        ok = np.all((idx >= 0) & (idx < g.counts[None, :]), axis=1)
-        if not np.any(ok):
-            continue
-        w = np.ones(u.shape[0])
-        for d in range(g.dim):
-            w *= frac[:, d] if corner[d] else (1.0 - frac[:, d])
-        sel = idx[ok]
-        gathered = arr[(slice(None),) + tuple(sel[:, ::-1].T)]   # (n_el, n_ok)
-        sub[ok] += w[ok, None] * gathered.T
-    out[near] = sub
-    return out
-
-
-def _circle_points(n):
-    ang = 2.0 * np.pi * np.arange(n) / n
-    return np.stack([np.cos(ang), np.sin(ang)], axis=1)
-
-
-def _sphere_points(n):
-    k = np.arange(n)
-    z = 1.0 - (2.0 * k + 1.0) / n
-    rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    phi = GOLDEN_ANGLE * k
-    return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
 
 
 def measure_spherical_pulse(kernel, array, radii, oversample=2):
@@ -237,10 +202,6 @@ def measure_spherical_pulse(kernel, array, radii, oversample=2):
             meas = 4.0 * np.pi * t * t
         weights[k] = meas / n_points[k]
 
-    def sphere(k):
-        if grid.dim == 2:
-            return radii[k] * _circle_points(int(n_points[k]))
-        return radii[k] * _sphere_points(int(n_points[k]))
     values = np.zeros((array.n, radii.size, kernel.n_electrodes))
     # interpolation support: pixel-center hull padded by one spacing
     box_lo = grid.origin - grid.spacing
@@ -266,11 +227,12 @@ def measure_spherical_pulse(kernel, array, radii, oversample=2):
                 n_pts += n_points[active[stop]]
                 stop += 1
             ks = active[start:stop]
-            block = np.concatenate([sphere(k) for k in ks], axis=0)
+            block = np.concatenate(
+                [radii[k] * _unit_lattice(int(n_points[k]), grid.dim) for k in ks], axis=0)
             offsets = np.concatenate(
                 [[0], np.cumsum(n_points[ks])[:-1]]
             )
-            cols = _interp_columns(kernel, z[None, :] + block)
+            cols = _interp(grid, kernel.values, z[None, :] + block)
             sums = np.add.reduceat(cols, offsets, axis=0)
             values[i, ks, :] = weights[ks, None] * sums
             start = stop
@@ -360,9 +322,7 @@ def measure_line_integrals(kernel, angles, offsets):
         raise ValueError("line integrals support 2d kernels only")
     angles = np.asarray(angles, dtype=float)
     offsets = np.asarray(offsets, dtype=float)
-    lo, hi = grid.bounds()
-    corners = np.array([[lo[0], lo[1]], [lo[0], hi[1]], [hi[0], lo[1]], [hi[0], hi[1]]])
-    rho = float(np.max(np.linalg.norm(corners, axis=1)))
+    rho = grid.circumradius
     if np.max(np.abs(offsets)) < rho * (1 - 1e-12):
         raise ValueError("offsets must cover the grid's circumscribed disk")
     step = 0.5 * float(np.min(grid.spacing))
@@ -371,12 +331,13 @@ def measure_line_integrals(kernel, angles, offsets):
     dtau = 2.0 * half / n_tau
     tau = -half + (np.arange(n_tau) + 0.5) * dtau
     values = np.zeros((angles.size, offsets.size, kernel.n_electrodes))
+    # one interpolation call per angle covers the whole offset x tau lattice
     for a, ang in enumerate(angles):
         w = np.array([np.cos(ang), np.sin(ang)])
         d = np.array([-np.sin(ang), np.cos(ang)])
-        for s, off in enumerate(offsets):
-            pts = off * w[None, :] + tau[:, None] * d[None, :]
-            values[a, s, :] = dtau * np.sum(_interp_columns(kernel, pts), axis=0)
+        pts = offsets[:, None, None] * w + tau[None, :, None] * d
+        cols = _interp(grid, kernel.values, pts.reshape(-1, 2))
+        values[a] = dtau * np.sum(cols.reshape(offsets.size, n_tau, -1), axis=1)
     return Sinogram(angles=angles, offsets=offsets, values=values)
 
 
@@ -395,30 +356,21 @@ def add_noise(data, level, seed):
         return data
     rng = np.random.default_rng(seed)
     v = data.values
-    if isinstance(data, SphericalMeanData):
-        rms = float(np.sqrt(np.mean(v * v)))
-        return SphericalMeanData(data.array, data.radii,
-                                 v + level * rms * rng.standard_normal(v.shape))
-    if isinstance(data, Sinogram):
-        rms = float(np.sqrt(np.mean(v * v)))
-        return Sinogram(data.angles, data.offsets,
-                        v + level * rms * rng.standard_normal(v.shape))
-    if isinstance(data, MonochromaticData):
-        rms = float(np.sqrt(np.mean(np.abs(v) ** 2)))
-        noise = (rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape))
-        return MonochromaticData(data.array, data.frequencies,
-                                 v + level * rms * noise / np.sqrt(2.0))
+    rms = float(np.sqrt(np.mean(np.abs(v) ** 2)))
     if isinstance(data, FourierData):
-        rms = float(np.sqrt(np.mean(np.abs(v) ** 2)))
-        kgrid = data.kgrid
         # white noise on the source lattice, pushed through the same
         # transform as the measurement
-        n_el = v.shape[1]
+        kgrid = data.kgrid
         source = Grid(origin=data.origin,
                       spacing=2.0 * np.pi / (kgrid.counts * kgrid.spacing),
                       counts=kgrid.counts)
-        w = rng.standard_normal((n_el, source.n_pixels))
+        w = rng.standard_normal((v.shape[1], source.n_pixels))
         eta, _ = _forward_dft(w, source)
         scale = level * rms / (source.pixel_measure * np.sqrt(source.n_pixels))
-        return FourierData(kgrid=kgrid, values=v + scale * eta, origin=data.origin)
-    raise TypeError(f"unsupported wave data type {type(data).__name__}")
+        noisy = v + scale * eta
+    elif np.iscomplexobj(v):
+        noise = (rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape))
+        noisy = v + level * rms * noise / np.sqrt(2.0)
+    else:
+        noisy = v + level * rms * rng.standard_normal(v.shape)
+    return replace(data, values=noisy)

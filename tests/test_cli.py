@@ -1,11 +1,14 @@
 """Configuration parsing and the pipeline runner: config validation,
 end-to-end chains, metrics schema, determinism, and exit codes."""
 
+import os
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import synfocus
 from synfocus.cli import DEFAULTS, ExperimentConfig, main, parse_config
 
 
@@ -38,7 +41,6 @@ class TestParseConfig:
         assert cfg.family == "plane"
         assert cfg.noise == 0.0
         assert cfg.seed == 0
-        assert cfg.threads == 1
 
     def test_comments_blanks_and_lists(self):
         cfg = parse_config(
@@ -100,6 +102,37 @@ class TestExitCodes:
         assert run_cli(["validate", "--seed", "5"], tmp_path) == 0
         assert read_metrics(tmp_path)["config_seed"] == "5"
 
+    def test_spherical_with_too_few_radii_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("family = spherical\nradii = 2\npixels = 8\n")
+        assert run_cli(["focus", "--config", str(cfg)], tmp_path) == 1
+        assert "'radii'" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.txt").exists()
+
+    @pytest.mark.parametrize("mode", ["kernel", "measure", "focus", "endtoend"])
+    def test_pixels_too_fine_for_grid_exits_one(self, mode, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("grid = 8\npixels = 32\n")
+        assert run_cli([mode, "--config", str(cfg)], tmp_path) == 1
+        assert "'pixels'" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.txt").exists()
+
+    def test_pixels_are_not_checked_without_a_conduction_kernel(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("grid = 8\npixels = 32\n")
+        assert run_cli(["forward", "--config", str(cfg)], tmp_path) == 0
+
+    def test_python_dash_m_runs(self, tmp_path):
+        src = str(Path(synfocus.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "synfocus", "validate", "--out", str(tmp_path), "--quiet"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "metrics.txt").exists()
+
     def test_console_script_runs(self, tmp_path):
         proc = subprocess.run(
             ["synfocus", "validate", "--out", str(tmp_path), "--quiet"],
@@ -121,7 +154,6 @@ ENDTOEND_METRIC_KEYS = [
     "config_family",
     "config_noise",
     "config_seed",
-    "config_threads",
     "config_out",
     "time_phantom",
     "residual",
@@ -131,6 +163,36 @@ ENDTOEND_METRIC_KEYS = [
     "kernel_error",
     "time_focus",
 ]
+
+
+CONFIG_KEYS = [k for k in ENDTOEND_METRIC_KEYS if k.startswith("config_")]
+
+SMALL_CHAIN = "grid = 12\npixels = 6\n"
+CHAIN_MODES = {
+    # mode: (files written besides metrics.txt, metric keys after the config echo)
+    "phantom": (["phantom.csv", "phantom.pgm"], ["time_phantom"]),
+    "forward": (["phantom.csv", "phantom.pgm", "potential.csv", "potential.pgm", "trace.csv"],
+                ["time_phantom", "residual", "time_forward"]),
+    "kernel": (["phantom.csv", "phantom.pgm", "kernel.csv", "kernel_e000.pgm",
+                "kernel_adjoint.csv"],
+               ["time_phantom", "time_kernel", "adjoint_vs_bruteforce", "time_kernel_adjoint"]),
+    "measure": (["kernel.csv", "kernel_e000.pgm", "data.csv"], ["time_kernel", "time_measure"]),
+    "focus": (["kernel.csv", "kernel_e000.pgm", "data.csv", "recon.csv", "recon_e000.pgm"],
+              ["time_kernel", "time_measure", "kernel_error", "time_focus"]),
+}
+
+
+class TestChainModes:
+    @pytest.mark.parametrize("mode", sorted(CHAIN_MODES))
+    def test_mode_writes_its_files_and_metrics(self, mode, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(SMALL_CHAIN)
+        out = tmp_path / "out"
+        assert run_cli([mode, "--config", str(cfg)], out) == 0
+        files, keys = CHAIN_MODES[mode]
+        for name in files + ["metrics.txt"]:
+            assert (out / name).stat().st_size > 0, name
+        assert list(read_metrics(out)) == CONFIG_KEYS + keys
 
 
 class TestEndToEnd:

@@ -2,6 +2,8 @@
 unfocused-wave responses via backprojection, frequency-domain
 backprojection, inverse DFT, and filtered backprojection."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,9 +25,12 @@ from synfocus.wavegen import (
     conjugate_lattice,
     default_angles,
     default_frequencies,
+    default_offsets,
     default_radii,
+    measure_line_integrals,
     measure_monochromatic,
     measure_plane_waves,
+    measure_spherical_pulse,
 )
 
 from conftest import centered_grid, gaussian_column, random_smooth_column, rel_l2
@@ -524,3 +529,44 @@ class TestFocusingInvariants:
         x1 = invert_xray_2d(sino, out2)[0].values
         x2 = invert_xray_2d(sino, out2)[0].values
         assert x1.tobytes() == x2.tobytes()
+
+
+def _family_operators(family):
+    """(grid, measure, invert) for one wave family at a small size."""
+    if family == "plane":
+        grid = centered_grid(8, 2)
+        return grid, measure_plane_waves, lambda d: invert_fourier(d, grid)
+    if family == "xray":
+        grid = centered_grid(8, 2)
+        angles, offsets = default_angles(12), default_offsets(grid, 33)
+        return (grid, lambda k: measure_line_integrals(k, angles, offsets),
+                lambda d: invert_xray_2d(d, grid))
+    grid = centered_grid(6, 3, half=0.4)
+    arr = make_transducer_array(8, radius=1.0)
+    if family == "spherical":
+        radii = default_radii(arr, grid, 24)
+        return (grid, lambda k: measure_spherical_pulse(k, arr, radii, oversample=1),
+                lambda d: invert_spherical_means_3d(d, grid))
+    freqs = default_frequencies(grid, 8)
+    return (grid, lambda k: measure_monochromatic(k, arr, freqs),
+            lambda d: invert_monochromatic_3d(d, grid))
+
+
+class TestElectrodeIndependence:
+    """Each family's operators act on all electrodes at once; the result
+    must equal stacking the single-electrode results."""
+
+    @pytest.mark.parametrize("family", ["plane", "xray", "spherical", "monochromatic"])
+    def test_batched_equals_stacked_single_electrodes(self, family, rng):
+        grid, measure, invert = _family_operators(family)
+        values = np.stack([gaussian_column(grid, 0.15, center=rng.uniform(-0.1, 0.1, grid.dim))
+                           for _ in range(3)])
+        data = measure(KernelMatrix(grid=grid, values=values))
+        singles = [measure(KernelMatrix(grid=grid, values=values[[j]])) for j in range(3)]
+        stacked = np.concatenate([d.values for d in singles], axis=-1)
+        assert rel_l2(data.values, stacked) <= 1e-12
+
+        recs = np.stack([f.values for f in invert(data)])
+        single_recs = np.stack([invert(replace(data, values=data.values[..., [j]]))[0].values
+                                for j in range(3)])
+        assert rel_l2(recs, single_recs) <= 1e-12

@@ -196,12 +196,3 @@ class TestKernels:
         el = left_right_current_pattern(phantom_grid)
         with pytest.raises(ValueError, match="interior pixel"):
             kernel_bruteforce(_flat(phantom_grid), el, toofine)
-
-    def test_threads_do_not_change_result(self):
-        phantom_grid = centered_grid(12, 2)
-        interior = centered_grid(6, 2)
-        ph = default_phantom(phantom_grid)
-        el = left_right_current_pattern(phantom_grid)
-        a = kernel_bruteforce(ph, el, interior, threads=1)
-        b = kernel_bruteforce(ph, el, interior, threads=4)
-        assert np.array_equal(a.values, b.values)
