@@ -8,8 +8,10 @@ the full key set and default values.
 """
 
 import argparse
+import logging
 import sys
 import time
+import warnings
 from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
@@ -21,8 +23,6 @@ from .core import (
     Disk,
     Grid,
     KernelMatrix,
-    Phantom,
-    ScalarField,
     build_phantom_disks,
     make_transducer_array,
 )
@@ -33,6 +33,8 @@ from .forward_eit import (
     left_right_current_pattern,
     solve_conduction,
 )
+
+logger = logging.getLogger("synfocus")
 
 MODES = ("phantom", "forward", "kernel", "measure", "focus", "endtoend", "validate")
 FAMILIES = ("plane", "xray", "spherical", "monochromatic")
@@ -112,7 +114,7 @@ def _check_interior(cfg):
     in chains that build the conduction kernel."""
     if "kernel" in CHAINS.get(cfg.mode, ()) and not _uses_synthetic_kernel(cfg):
         try:
-            _interior_map(_conduction_grid(cfg), _interior_grid(cfg))
+            _interior_map(_centered_grid(cfg.grid), _interior_grid(cfg))
         except ValueError as e:
             raise ValueError(f"invalid value for 'pixels': {e}") from None
 
@@ -158,10 +160,10 @@ def _parse_items(text):
 # pipeline pieces (centered unit square / cube domain)
 
 
-def _conduction_grid(cfg):
-    nx, ny = cfg.grid
-    hx, hy = 1.0 / nx, 1.0 / ny
-    return Grid(origin=(-0.5 + hx / 2, -0.5 + hy / 2), spacing=(hx, hy), counts=(nx, ny))
+def _centered_grid(counts, width=1.0):
+    """Cell-centered grid on the centered square or cube of side `width`."""
+    h = width / np.asarray(counts, dtype=float)
+    return Grid(origin=h / 2 - width / 2, spacing=h, counts=counts)
 
 
 # the interior pixel grid stays away from the electrode boundary, where the
@@ -170,10 +172,7 @@ INTERIOR_MARGIN = 1.0 / 16.0
 
 
 def _interior_grid(cfg):
-    n = cfg.pixels
-    h = (1.0 - 2.0 * INTERIOR_MARGIN) / n
-    lo = -0.5 + INTERIOR_MARGIN
-    return Grid(origin=(lo + h / 2,) * 2, spacing=(h,) * 2, counts=(n, n))
+    return _centered_grid((cfg.pixels,) * 2, 1.0 - 2.0 * INTERIOR_MARGIN)
 
 
 def default_phantom(grid):
@@ -188,9 +187,7 @@ def default_phantom(grid):
 def _synthetic_kernel_3d(cfg):
     """Single-column 3d kernel (off-center Gaussian) for the volumetric
     families, which have no 2d conduction counterpart."""
-    n = cfg.pixels
-    h = 1.0 / n
-    grid = Grid(origin=(-0.5 + h / 2,) * 3, spacing=(h,) * 3, counts=(n, n, n))
+    grid = _centered_grid((cfg.pixels,) * 3)
     center = np.array([0.08, -0.05, 0.03])
     pts = grid.centers()
     col = np.exp(-np.sum((pts - center) ** 2, axis=1) / (2.0 * 0.12**2))
@@ -239,19 +236,18 @@ def _rel_frobenius(a, b):
 
 
 # ---------------------------------------------------------------------------
-# runners: each returns an ordered metrics dict and writes its files
+# runners: each adds to an ordered metrics dict and writes its files
 
 
 class _Stage:
     """Context that times a stage and renames failures after it."""
 
-    def __init__(self, name, metrics, log):
+    def __init__(self, name, metrics):
         self.name = name
         self.metrics = metrics
-        self.log = log
 
     def __enter__(self):
-        self.log(f"stage {self.name}")
+        logger.info("stage %s", self.name)
         self.t0 = time.perf_counter()
         return self
 
@@ -278,16 +274,15 @@ class _Run:
     """State shared by the stages of one chain.  Each piece is built on
     first use, inside the stage that first needs it."""
 
-    def __init__(self, cfg, out_dir, log):
+    def __init__(self, cfg, out_dir, metrics):
         self.cfg = cfg
         self.out_dir = out_dir
-        self.log = log
-        self.metrics = _config_echo(cfg)
+        self.metrics = metrics
         self.data = None
 
     @cached_property
     def phantom(self):
-        return default_phantom(_conduction_grid(self.cfg))
+        return default_phantom(_centered_grid(self.cfg.grid))
 
     @cached_property
     def electrodes(self):
@@ -298,8 +293,8 @@ class _Run:
         """EIT brute force, or the synthetic 3d column (see _uses_synthetic_kernel)."""
         if _uses_synthetic_kernel(self.cfg):
             return _synthetic_kernel_3d(self.cfg)
-        self.log(f"building brute-force kernel ({self.cfg.pixels}x{self.cfg.pixels} "
-                 f"interior, {self.electrodes.n} electrodes)")
+        logger.info("building brute-force kernel (%dx%d interior, %d electrodes)",
+                    self.cfg.pixels, self.cfg.pixels, self.electrodes.n)
         return kernel_bruteforce(self.phantom, self.electrodes, _interior_grid(self.cfg))
 
 
@@ -353,25 +348,28 @@ STAGES = {
 }
 
 
-def run_chain(cfg, out_dir, log):
-    """Run the stages CHAINS lists for cfg.mode."""
-    run = _Run(cfg, out_dir, log)
-    for name in CHAINS[cfg.mode]:
-        with _Stage(name, run.metrics, log):
-            STAGES[name](run)
-    return run.metrics
+def run_chain(cfg, out_dir, metrics):
+    """Run the stages CHAINS lists for cfg.mode, adding their metrics to
+    `metrics`.  Warnings the stages raise are logged and, if any, recorded
+    under a single 'warnings' key, also when a stage fails."""
+    run = _Run(cfg, out_dir, metrics)
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            for name in CHAINS[cfg.mode]:
+                with _Stage(name, metrics):
+                    STAGES[name](run)
+        finally:
+            if caught:
+                metrics["warnings"] = "; ".join(str(w.message) for w in caught)
+                logger.warning("%s", metrics["warnings"])
 
 
-def run_validate(cfg, out_dir, log):
-    """Quick numerical self-checks; any failure flips the exit code to 2."""
-    metrics = _config_echo(cfg)
-    rng = np.random.default_rng(cfg.seed)
-
-    with _Stage("validate_forward", metrics, log):
-        n = 24
-        h = 1.0 / n
-        grid = Grid(origin=(-0.5 + h / 2,) * 2, spacing=(h,) * 2, counts=(n, n))
-        phantom = Phantom(field=ScalarField(grid=grid, values=np.zeros(n * n)), disks=())
+def run_validate(cfg, out_dir, metrics):
+    """Quick numerical self-checks, added to `metrics`; any failure flips
+    the exit code to 2."""
+    with _Stage("validate_forward", metrics):
+        grid = _centered_grid((24, 24))
+        phantom = build_phantom_disks(grid, ())
         electrodes = left_right_current_pattern(grid)
         sol = solve_conduction(phantom, electrodes)
         trace_exact = -electrodes.points[:, 0]
@@ -380,18 +378,16 @@ def run_validate(cfg, out_dir, log):
         metrics["forward_linear_error"] = float(err)
         metrics["check_forward"] = "pass" if err <= 1e-6 else "fail"
 
-    with _Stage("validate_fourier", metrics, log):
-        m = 16
-        h = 1.0 / m
-        grid = Grid(origin=(-0.5 + h / 2,) * 2, spacing=(h,) * 2, counts=(m, m))
-        cols = rng.standard_normal((3, m * m))
+    with _Stage("validate_fourier", metrics):
+        grid = _centered_grid((16, 16))
+        cols = np.random.default_rng(cfg.seed).standard_normal((3, grid.n_pixels))
         kernel = KernelMatrix(grid=grid, values=cols)
         rec = focusing.focus_kernel(wavegen.measure_plane_waves(kernel), "plane", grid)
         err = _rel_frobenius(rec.values, kernel.values)
         metrics["fourier_roundtrip_error"] = err
         metrics["check_fourier"] = "pass" if err <= 1e-8 else "fail"
 
-    with _Stage("validate_oracle", metrics, log):
+    with _Stage("validate_oracle", metrics):
         ph = oracles.AnalyticPhantom(kind="gaussian", center=(0.0, 0.0, 0.0),
                                      scale=0.2, amplitude=1.0)
         z = np.array([2.0, 0.0, 0.0])
@@ -403,7 +399,6 @@ def run_validate(cfg, out_dir, log):
 
     failed = [k for k, v in metrics.items() if k.startswith("check_") and v != "pass"]
     metrics["status"] = "fail" if failed else "ok"
-    return metrics
 
 
 class _UsageError(Exception):
@@ -421,7 +416,7 @@ def main(argv=None):
     parser.add_argument("--config", help="path to a key = value config file")
     parser.add_argument("--out", help="output directory (default from config)")
     parser.add_argument("--seed", type=int, help="RNG seed override")
-    parser.add_argument("--quiet", action="store_true", help="suppress progress lines")
+    parser.add_argument("--quiet", action="store_true", help="log warnings only, no progress lines")
 
     try:
         args = parser.parse_args(argv)
@@ -438,17 +433,26 @@ def main(argv=None):
         print(f"synfocus: config error: {e}", file=sys.stderr)
         return 1
 
-    log = (lambda msg: None) if args.quiet else (lambda msg: print(f"[synfocus] {msg}"))
+    logger.setLevel(logging.WARNING if args.quiet else logging.INFO)
+    handler = logging.StreamHandler()
+    handler.setFormatter(logging.Formatter("[synfocus] %(message)s"))
+    logger.addHandler(handler)
     out_dir = Path(cfg.out)
+    metrics = _config_echo(cfg)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         runner = run_validate if cfg.mode == "validate" else run_chain
-        metrics = runner(cfg, out_dir, log)
-        io.save_metrics(out_dir / "metrics.txt", metrics)
+        try:
+            runner(cfg, out_dir, metrics)
+        finally:
+            # a failed stage still leaves the timings recorded up to it
+            io.save_metrics(out_dir / "metrics.txt", metrics)
+        logger.info("metrics written to %s", out_dir / "metrics.txt")
     except Exception as e:
         print(f"synfocus: {e}", file=sys.stderr)
         return 2
-    log(f"metrics written to {out_dir / 'metrics.txt'}")
+    finally:
+        logger.removeHandler(handler)
     if metrics.get("status") == "fail":
         print("synfocus: validation checks failed", file=sys.stderr)
         return 2

@@ -9,14 +9,17 @@ face of length L the discrete balance for each cell reads
     sum_faces c_f (u_a - u_b) = sum_boundary_faces g * L
 
 which is a symmetric positive-semidefinite system with the constants as
-null space.  Solutions are gauged by subtracting the mean of the
-boundary trace.
+null space.  Pinning cell 0 to zero removes the null space; the reduced
+SPD system is factored once per conductivity with a sparse LU, and for
+compatible data its solution, extended by the pinned zero, satisfies the
+full system.  Every result is then gauged by subtracting the mean of the
+boundary trace, or is a difference of potentials, so the pin never shows.
 
 The measurement kernel is the linearization of the boundary trace with
 respect to local log-conductivity changes.  ``kernel_bruteforce``
 measures it column by column with finite perturbations and is the ground
 truth; ``kernel_adjoint`` evaluates the same discrete derivative exactly
-with one extra solve per electrode.
+with a block of adjoint solves against the forward factorization.
 """
 
 from __future__ import annotations
@@ -25,14 +28,16 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import cg
+from scipy.sparse.linalg import splu
 
 from .core import (Grid, KernelMatrix, Phantom, ScalarField,
                    square_boundary_electrodes, _frozen_array)
 
-DEFAULT_TOL = 1e-10
 DEFAULT_EPS = 1e-3
-_MAXITER = 50_000
+# relative residual above which a conduction solve is reported as failed
+_MAX_RESIDUAL = 1e-9
+# adjoint right-hand sides per block solve; bounds the dense blocks' memory
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -69,16 +74,15 @@ def _faces(grid, sigma):
     nx, ny = int(grid.counts[0]), int(grid.counts[1])
     hx, hy = float(grid.spacing[0]), float(grid.spacing[1])
     s = sigma.reshape(ny, nx)
+    idx = np.arange(nx * ny).reshape(ny, nx)
 
     ia, ib, cond, da, db = [], [], [], [], []
     for axis, geom in ((0, hy / hx), (1, hx / hy)):
         if axis == 0:
             sa, sb = s[:, :-1], s[:, 1:]
-            idx = np.arange(nx * ny).reshape(ny, nx)
             a, b = idx[:, :-1], idx[:, 1:]
         else:
             sa, sb = s[:-1, :], s[1:, :]
-            idx = np.arange(nx * ny).reshape(ny, nx)
             a, b = idx[:-1, :], idx[1:, :]
         sa, sb = sa.ravel(), sb.ravel()
         den = sa + sb
@@ -103,16 +107,22 @@ def _assemble(grid, sigma):
 
 
 def _electrode_faces(grid, electrodes):
-    """Match electrode points to boundary cell faces.
+    """Match electrode points to boundary cell faces, after checking that
+    the grid is 2d and the current pattern is compatible.
 
-    Returns (cell index, normal axis, face length) per electrode.
+    Returns (cell index, normal spacing, face length) per electrode.
     """
+    if grid.dim != 2:
+        raise ValueError("the conduction solver is 2d only")
+    total = electrodes.total_current()
+    if abs(total) > 1e-10 * float(np.sum(np.abs(electrodes.current) * electrodes.segment_length)):
+        raise ValueError(f"incompatible Neumann data: net injected current {total:g} != 0")
     lo, hi = grid.bounds()
     nx, ny = int(grid.counts[0]), int(grid.counts[1])
     hx, hy = float(grid.spacing[0]), float(grid.spacing[1])
     scale = float(np.max(hi - lo))
     cells = np.empty(electrodes.n, dtype=np.int64)
-    axes = np.empty(electrodes.n, dtype=np.int64)
+    normals = np.empty(electrodes.n)
     lengths = np.empty(electrodes.n)
     for j, p in enumerate(electrodes.points):
         if abs(p[0] - lo[0]) <= 1e-9 * scale or abs(p[0] - hi[0]) <= 1e-9 * scale:
@@ -120,73 +130,71 @@ def _electrode_faces(grid, electrodes):
             if not (0 <= iy < ny) or abs(grid.origin[1] + iy * hy - p[1]) > 1e-9 * scale:
                 raise ValueError(f"electrode {j} is not aligned with a boundary face")
             ix = 0 if abs(p[0] - lo[0]) <= 1e-9 * scale else nx - 1
-            cells[j], axes[j], lengths[j] = ix + nx * iy, 0, hy
+            cells[j], normals[j], lengths[j] = ix + nx * iy, hx, hy
         elif abs(p[1] - lo[1]) <= 1e-9 * scale or abs(p[1] - hi[1]) <= 1e-9 * scale:
             ix = int(round((p[0] - grid.origin[0]) / hx))
             if not (0 <= ix < nx) or abs(grid.origin[0] + ix * hx - p[0]) > 1e-9 * scale:
                 raise ValueError(f"electrode {j} is not aligned with a boundary face")
             iy = 0 if abs(p[1] - lo[1]) <= 1e-9 * scale else ny - 1
-            cells[j], axes[j], lengths[j] = ix + nx * iy, 1, hx
+            cells[j], normals[j], lengths[j] = ix + nx * iy, hy, hx
         else:
             raise ValueError(f"electrode {j} does not lie on the domain boundary")
-    return cells, axes, lengths
+    return cells, normals, lengths
 
 
-def _check_compatible(electrodes):
-    total = electrodes.total_current()
-    scale = float(np.sum(np.abs(electrodes.current) * electrodes.segment_length))
-    if scale > 0 and abs(total) > 1e-10 * scale:
-        raise ValueError(
-            f"incompatible Neumann data: net injected current {total:g} != 0")
+def _factor(A):
+    """Factor the conduction matrix once, with cell 0 pinned to zero.
+
+    Returns ``solve(b) -> (x, residual)`` for one compatible right-hand
+    side or a column block; ``residual`` is the worst relative residual
+    of the full system A x = b over the columns.
+    """
+    lu = splu(A[1:, 1:].tocsc(), permc_spec="MMD_AT_PLUS_A",
+              diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+
+    def solve(b):
+        x = np.zeros_like(b)
+        x[1:] = lu.solve(b[1:])
+        bnorm = np.linalg.norm(b, axis=0)
+        rnorm = np.linalg.norm(A @ x - b, axis=0)
+        res = float(np.max(rnorm / np.where(bnorm > 0, bnorm, 1.0)))
+        if not np.isfinite(res) or res > _MAX_RESIDUAL:
+            raise RuntimeError(
+                f"conduction solve failed: relative residual {res:g} "
+                f"(limit {_MAX_RESIDUAL:g})")
+        return x, res
+
+    return solve
 
 
-def _solve_spd(A, b, tol, x0=None):
-    """Conjugate gradients on the singular compatible system; returns the
-    solution and its relative residual."""
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return np.zeros_like(b), 0.0
-    x, info = cg(A, b, x0=x0, rtol=tol, atol=0.0, maxiter=_MAXITER)
-    res = float(np.linalg.norm(A @ x - b)) / bnorm
-    if info != 0 or not np.isfinite(res) or res > 10 * tol:
-        raise RuntimeError(
-            f"conduction solver did not converge: relative residual {res:g} "
-            f"(target {tol:g})")
-    return x, res
+def _forward(grid, sigma, electrodes, efaces):
+    """Factor the conduction matrix of sigma and solve for the injected
+    current.  Returns the gauged solution, the factored solve and the face
+    lists of the matrix (see _faces)."""
+    A, faces = _assemble(grid, sigma)
+    solve = _factor(A)
+    b = np.zeros(grid.n_pixels)
+    np.add.at(b, efaces[0], electrodes.current * efaces[2])
+    u, res = solve(b)
+    # one-sided reconstruction of u at the boundary, u_cell + (h/2) g/sigma;
+    # second order for the prescribed-flux boundary
+    cells, normals, _ = efaces
+    trace = u[cells] + 0.5 * normals * electrodes.current / sigma[cells]
+    shift = trace.mean()
+    sol = ConductionSolution(potential=ScalarField(grid, u - shift),
+                             boundary_trace=trace - shift, residual=res)
+    return sol, solve, faces
 
 
-def solve_conduction(phantom, electrodes, tol=DEFAULT_TOL):
+def solve_conduction(phantom, electrodes):
     """Solve the Neumann conduction problem for one current pattern.
 
     Returns the cell-centered potential and the boundary trace at the
     electrode points, both gauged so the trace has zero mean.
     """
-    return _solve_conduction_arrays(phantom.grid, phantom.conductivity(),
-                                    electrodes, tol)
-
-
-def _solve_conduction_arrays(grid, sigma, electrodes, tol, x0=None):
-    if grid.dim != 2:
-        raise ValueError("the conduction solver is 2d only")
-    _check_compatible(electrodes)
-    faces = _electrode_faces(grid, electrodes)
-    A, _ = _assemble(grid, sigma)
-    b = np.zeros(grid.n_pixels)
-    np.add.at(b, faces[0], electrodes.current * faces[2])
-    u, res = _solve_spd(A, b, tol, x0=x0)
-    trace = _boundary_trace(grid, u, sigma, electrodes, faces)
-    shift = trace.mean()
-    return ConductionSolution(potential=ScalarField(grid, u - shift),
-                              boundary_trace=trace - shift,
-                              residual=res)
-
-
-def _boundary_trace(grid, u, sigma, electrodes, faces):
-    """One-sided reconstruction of u at the boundary, u_cell + (h/2) g/sigma;
-    second order for the prescribed-flux boundary."""
-    cells, axes_, _ = faces
-    normal_h = np.where(axes_ == 0, float(grid.spacing[0]), float(grid.spacing[1]))
-    return u[cells] + 0.5 * normal_h * electrodes.current / sigma[cells]
+    grid = phantom.grid
+    return _forward(grid, phantom.conductivity(), electrodes,
+                    _electrode_faces(grid, electrodes))[0]
 
 
 def _interior_map(phantom_grid, interior):
@@ -198,11 +206,7 @@ def _interior_map(phantom_grid, interior):
     lo = interior.origin - 0.5 * interior.spacing
     idx = np.floor((centers - lo[None, :]) / interior.spacing[None, :]).astype(np.int64)
     ok = np.all((idx >= 0) & (idx < interior.counts[None, :]), axis=1)
-    flat = idx[:, 0].copy()
-    mult = 1
-    for d in range(1, interior.dim):
-        mult *= int(interior.counts[d - 1])
-        flat += idx[:, d] * mult
+    flat = np.ravel_multi_index(idx.T, interior.counts, mode="clip", order="F")
     flat[~ok] = -1
     counts = np.bincount(flat[ok], minlength=interior.n_pixels)
     if np.any(counts == 0):
@@ -211,9 +215,8 @@ def _interior_map(phantom_grid, interior):
     return flat
 
 
-def kernel_bruteforce(phantom, electrodes, interior, eps=DEFAULT_EPS,
-                      tol=DEFAULT_TOL):
-    """Measurement kernel by finite perturbation, one solve per pixel.
+def kernel_bruteforce(phantom, electrodes, interior, eps=DEFAULT_EPS):
+    """Measurement kernel by finite perturbation, one factorization per pixel.
 
     Entry (j, i) is [h_perturbed(y_j) - h(y_j)] / (eps * pixel_area) where
     the perturbation adds eps to log sigma on interior pixel i.
@@ -222,73 +225,65 @@ def kernel_bruteforce(phantom, electrodes, interior, eps=DEFAULT_EPS,
         raise ValueError("perturbation size eps must be positive")
     grid = phantom.grid
     cell2pix = _interior_map(grid, interior)
-    base = solve_conduction(phantom, electrodes, tol)
-    base_u = base.potential.values
+    base = solve_conduction(phantom, electrodes).boundary_trace
+    efaces = _electrode_faces(grid, electrodes)
     log_sigma = phantom.field.values
     area = interior.pixel_measure
 
     values = np.empty((electrodes.n, interior.n_pixels))
     for i in range(interior.n_pixels):
-        pert = log_sigma + eps * (cell2pix == i)
-        sol = _solve_conduction_arrays(grid, np.exp(pert), electrodes, tol,
-                                       x0=base_u.copy())
-        values[:, i] = (sol.boundary_trace - base.boundary_trace) / (eps * area)
+        sigma = np.exp(log_sigma + eps * (cell2pix == i))
+        trace = _forward(grid, sigma, electrodes, efaces)[0].boundary_trace
+        values[:, i] = (trace - base) / (eps * area)
     return KernelMatrix(grid=interior, values=values, electrodes=electrodes)
 
 
-def kernel_adjoint(phantom, electrodes, interior, tol=DEFAULT_TOL):
-    """Measurement kernel via adjoint solves, one per electrode.
+def kernel_adjoint(phantom, electrodes, interior):
+    """Measurement kernel via block adjoint solves.
 
     Computes the exact derivative of the gauged boundary trace with
-    respect to per-pixel log-conductivity: the trace functional for each
-    electrode is solved back through the same conduction operator, and the
-    derivative of every face conductance is accumulated against the
-    forward/adjoint gradients.  Matches kernel_bruteforce up to the
-    brute-force linearization error.
+    respect to per-pixel log-conductivity: the trace functionals of all
+    electrodes are solved back through the factored forward operator in
+    column blocks, and one sparse operator accumulates the derivative of
+    every face conductance against the forward/adjoint gradients.  Matches
+    kernel_bruteforce up to the brute-force linearization error.
     """
     grid = phantom.grid
-    if grid.dim != 2:
-        raise ValueError("the conduction solver is 2d only")
-    _check_compatible(electrodes)
+    efaces = _electrode_faces(grid, electrodes)
+    cells, normals, _ = efaces
     cell2pix = _interior_map(grid, interior)
     sigma = phantom.conductivity()
-    faces = _electrode_faces(grid, electrodes)
-    cells, axes_, _ = faces
-    A, (a, b, _, da, db) = _assemble(grid, sigma)
-    n = grid.n_pixels
-
-    rhs = np.zeros(n)
-    np.add.at(rhs, cells, electrodes.current * faces[2])
-    u, _ = _solve_spd(A, rhs, tol)
+    sol, solve, (a, b, _, da, db) = _forward(grid, sigma, electrodes, efaces)
+    u = sol.potential.values
     du = u[a] - u[b]
 
-    n_el = electrodes.n
-    area = interior.pixel_measure
-    inside = cell2pix >= 0
-    values = np.zeros((n_el, interior.n_pixels))
+    # adjoint solution w -> per pixel, the sum over its cells of
+    # -(d cond / d eps) (w_a - w_b) (u_a - u_b) for each side of every face
+    wa, wb = -da * du, -db * du
+    rows = cell2pix[np.concatenate([a, a, b, b])]
+    cols = np.concatenate([a, b, a, b])
+    vals = np.concatenate([wa, -wa, wb, -wb])
+    keep = rows >= 0
+    sens = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
+                         shape=(interior.n_pixels, grid.n_pixels))
 
     # mean-adjusted trace functionals keep each adjoint system compatible
-    mean_vec = np.zeros(n)
+    n_el = electrodes.n
+    mean_vec = np.zeros(grid.n_pixels)
     np.add.at(mean_vec, cells, 1.0 / n_el)
-    for j in range(n_el):
-        t = -mean_vec.copy()
-        t[cells[j]] += 1.0
-        w, _ = _solve_spd(A, t, tol)
-        dw = w[a] - w[b]
-        sens = np.zeros(n)
-        np.add.at(sens, a, -da * dw * du)
-        np.add.at(sens, b, -db * dw * du)
-        np.add.at(values[j], cell2pix[inside], sens[inside])
+    values = np.empty((n_el, interior.n_pixels))
+    for j0 in range(0, n_el, _BLOCK):
+        js = np.arange(j0, min(j0 + _BLOCK, n_el))
+        t = np.repeat(-mean_vec[:, None], js.size, axis=1)
+        t[cells[js], js - j0] += 1.0
+        values[js] = (sens @ solve(t)[0]).T
 
     # direct term: the trace reconstruction (h/2) g / sigma_cell depends on
     # sigma of the electrode's own boundary cell
-    normal_h = np.where(axes_ == 0, float(grid.spacing[0]), float(grid.spacing[1]))
-    direct = np.zeros((n_el, interior.n_pixels))
-    for j in range(n_el):
-        pix = cell2pix[cells[j]]
-        if pix >= 0:
-            direct[j, pix] = -0.5 * normal_h[j] * electrodes.current[j] / sigma[cells[j]]
-    direct -= direct.mean(axis=0, keepdims=True)
-    values += direct
-    values /= area
+    pix = cell2pix[cells]
+    on = np.flatnonzero(pix >= 0)
+    direct = np.zeros_like(values)
+    direct[on, pix[on]] = -0.5 * normals[on] * electrodes.current[on] / sigma[cells[on]]
+    values += direct - direct.mean(axis=0, keepdims=True)
+    values /= interior.pixel_measure
     return KernelMatrix(grid=interior, values=values, electrodes=electrodes)

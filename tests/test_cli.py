@@ -97,6 +97,15 @@ class TestExitCodes:
         cfg.write_text("family = spherical\ntransducers = 3\npixels = 8\n")
         assert run_cli(["focus", "--config", str(cfg)], tmp_path) == 2
         assert "stage 'measure' failed" in capsys.readouterr().err
+        # the timings up to and including the failed stage are kept
+        metrics = read_metrics(tmp_path)
+        assert "time_kernel" in metrics and "time_measure" in metrics
+
+    def test_run_warnings_land_in_metrics(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("family = xray\nangles = 4\ngrid = 16\npixels = 8\n")
+        assert run_cli(["focus", "--config", str(cfg)], tmp_path) == 0
+        assert "4 projection angles" in read_metrics(tmp_path)["warnings"]
 
     def test_seed_override_lands_in_config_echo(self, tmp_path):
         assert run_cli(["validate", "--seed", "5"], tmp_path) == 0

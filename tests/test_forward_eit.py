@@ -86,6 +86,21 @@ class TestSolveConduction:
         with pytest.raises(ValueError, match="incompatible Neumann data"):
             solve_conduction(_flat(g), el)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_overflowed_conductivity_raises(self):
+        # exp(800) is inf, so the faces of that cell carry NaN conductances;
+        # the solvers must fail instead of returning NaNs
+        g = centered_grid(16, 2)
+        el = left_right_current_pattern(g)
+        log_sigma = np.zeros(g.n_pixels)
+        log_sigma[100] = 800.0
+        ph = Phantom(field=ScalarField(grid=g, values=log_sigma), disks=())
+        with pytest.raises(RuntimeError):
+            solve_conduction(ph, el)
+        with pytest.raises(RuntimeError):
+            kernel_adjoint(ph, el, centered_grid(8, 2))
+
     def test_disk_phantom_vs_fine_grid(self, fine_oracle):
         gf, elf, fine_disk, fine_flat = fine_oracle
         g = centered_grid(64, 2)
