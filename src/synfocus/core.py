@@ -229,10 +229,10 @@ class TransducerArray:
         return self.positions.shape[1]
 
 
-def _unit_lattice(n, dim):
+def _unit_lattice(n, dim, k=None):
     """n equally weighted unit vectors: uniform angles on the circle in 2d,
-    a Fibonacci lattice on the sphere in 3d."""
-    k = np.arange(n)
+    a Fibonacci lattice on the sphere in 3d; ``k`` picks indices (2d: any int)."""
+    k = np.arange(n) if k is None else k
     if dim == 2:
         ang = 2.0 * np.pi * k / n
         return np.stack([np.cos(ang), np.sin(ang)], axis=1)
@@ -383,20 +383,17 @@ def _interp(grid, columns, points):
     u = u[near]
     i0 = np.floor(u).astype(np.int64)
     frac = u - i0
-    arr = columns.reshape((n_cols,) + tuple(grid.counts[::-1]))
+    # a zero layer on every side keeps all 2^dim corners valid (rows: pixels)
+    padded = np.pad(columns.reshape((n_cols,) + tuple(grid.counts[::-1])),
+                    [(0, 0)] + [(1, 1)] * grid.dim).reshape(n_cols, -1).T.copy()
+    strides = np.cumprod(np.concatenate([[1], grid.counts[:-1] + 2]))
+    base = (i0 + 1) @ strides
     sub = np.zeros((u.shape[0], n_cols))
     for corner in itertools.product((0, 1), repeat=grid.dim):
-        idx = i0 + np.array(corner, dtype=np.int64)[None, :]
-        ok = np.all((idx >= 0) & (idx < grid.counts[None, :]), axis=1)
-        if not np.any(ok):
-            continue
         w = np.ones(u.shape[0])
         for d in range(grid.dim):
             w *= frac[:, d] if corner[d] else (1.0 - frac[:, d])
-        sel = idx[ok]
-        # storage is arr[col, ?z, y, x], so index with reversed coordinates
-        gathered = arr[(slice(None),) + tuple(sel[:, ::-1].T)]   # (n_cols, n_ok)
-        sub[ok] += w[ok, None] * gathered.T
+        sub += w[:, None] * np.take(padded, base + np.dot(corner, strides), axis=0)
     out[near] = sub
     return out
 

@@ -27,7 +27,7 @@ def _uniform_spacing(x, name):
         raise ValueError(f"{name} must be strictly increasing")
     if np.max(np.abs(d - d[0])) > 1e-9 * abs(d[0]):
         raise ValueError(f"{name} must be uniformly spaced")
-    return float(d[0])
+    return float((x[-1] - x[0]) / (x.size - 1))   # x[0] + k * mean stays near x[k]
 
 
 @dataclass(frozen=True)
@@ -170,13 +170,44 @@ def default_offsets(grid, n):
     return np.linspace(-rho, rho, n)
 
 
+def _cap_frame(z, c):
+    """Orthonormal rows turning the unit lattice's pole (3d: +z, 2d: angle
+    0) from z toward c, and the distance |c - z|; z = c keeps the lattice."""
+    dist = float(np.linalg.norm(c - z))
+    if dist == 0.0:
+        return np.eye(z.size), dist
+    a = (c - z) / dist
+    if z.size == 2:
+        return np.array([a, [-a[1], a[0]]]), dist
+    e1 = np.cross(a, np.eye(3)[np.argmin(np.abs(a))])
+    e1 /= np.linalg.norm(e1)
+    return np.array([e1, np.cross(a, e1), a]), dist
+
+
+def _cap_indices(n, dim, t, dist, rho):
+    """Indices of the n-point lattice turned by _cap_frame whose points at
+    radius t can lie within rho of c (see measure_spherical_pulse), plus one."""
+    if dist == 0.0:
+        return np.arange(n)
+    b = (dist * dist + t * t - rho * rho) / (2.0 * dist * t)
+    if dim == 2:
+        m = int(n * np.arccos(np.clip(b, -1.0, 1.0)) / (2.0 * np.pi)) + 1
+        return np.arange(-m, m + 1) if 2 * m + 1 < n else np.arange(n)
+    # Fibonacci heights 1 - (2k + 1) / n fall with k, so the cap is k < k_max
+    return np.arange(min(n, max(0, int(np.ceil(0.5 * n * (1.0 - b)))) + 1))
+
+
 def measure_spherical_pulse(kernel, array, radii, oversample=2):
     """Surface (2d: arc) integrals of each kernel column over the spheres
     |x - z_i| = t_k.
 
     Uniform angular quadrature with ceil(2 pi t / dx) * oversample points
     per great circle and multilinear interpolation; samples outside the
-    grid contribute zero.
+    grid contribute zero.  Each lattice is turned so that its pole (2d:
+    angle 0) points from z_i at the centre c of the support box (half-diagonal
+    rho).  By the law of cosines only points with cos(theta) >= (D^2 + t^2 -
+    rho^2) / (2 D t), D = |c - z_i|, can reach the box; only that cap (one
+    Fibonacci index range; 2d: an arc) is generated.
     """
     grid = kernel.grid
     radii = np.asarray(radii, dtype=float)
@@ -190,49 +221,42 @@ def measure_spherical_pulse(kernel, array, radii, oversample=2):
     dx = float(np.min(grid.spacing))
     # per radius: quadrature point count and weight; the points themselves
     # are generated chunk by chunk to keep memory bounded
-    n_points = np.empty(radii.size, dtype=np.int64)
-    weights = np.empty(radii.size)
-    for k, t in enumerate(radii):
-        m = int(np.ceil(2.0 * np.pi * t / dx)) * oversample
-        if grid.dim == 2:
-            n_points[k] = max(m, 8)
-            meas = 2.0 * np.pi * t
-        else:
-            n_points[k] = max(int(np.ceil(m * m / np.pi)), 32)
-            meas = 4.0 * np.pi * t * t
-        weights[k] = meas / n_points[k]
+    m = np.ceil(2.0 * np.pi * radii / dx).astype(np.int64) * oversample
+    if grid.dim == 2:
+        n_points, meas = np.maximum(m, 8), 2.0 * np.pi * radii
+    else:
+        n_points = np.maximum(np.ceil(m * m / np.pi).astype(np.int64), 32)
+        meas = 4.0 * np.pi * radii * radii
+    weights = meas / n_points
 
     values = np.zeros((array.n, radii.size, kernel.n_electrodes))
     # interpolation support: pixel-center hull padded by one spacing
     box_lo = grid.origin - grid.spacing
     box_hi = grid.origin + grid.counts * grid.spacing
-    corners = np.array(np.meshgrid(*zip(box_lo, box_hi), indexing="ij"))
-    corners = corners.reshape(grid.dim, -1).T
+    center = 0.5 * (box_lo + box_hi)
+    rho = 0.5 * float(np.linalg.norm(box_hi - box_lo))
     budget = 2_000_000
     for i in range(array.n):
         z = array.positions[i]
-        # spheres entirely inside the support hole or enclosing it integrate
-        # to zero; skip them
+        # spheres that miss the support box or enclose it integrate to zero
         d_min = np.linalg.norm(z - np.clip(z, box_lo, box_hi))
-        d_max = np.max(np.linalg.norm(corners - z[None, :], axis=1))
+        d_max = np.linalg.norm(np.maximum(np.abs(z - box_lo), np.abs(z - box_hi)))
         active = np.nonzero((radii >= d_min) & (radii <= d_max))[0]
+        frame, dist = _cap_frame(z, center)
+        caps = [_cap_indices(int(n_points[k]), grid.dim, radii[k], dist, rho)
+                for k in active]
+        begins = np.concatenate([[0], np.cumsum([c.size for c in caps])])
         start = 0
         while start < active.size:
-            stop = start + 1
-            n_pts = n_points[active[start]]
-            while (
-                stop < active.size
-                and n_pts + n_points[active[stop]] <= budget
-            ):
-                n_pts += n_points[active[stop]]
-                stop += 1
+            # greedy chunks of at most budget points (at least one sphere)
+            stop = max(start + 1, int(np.searchsorted(
+                begins, begins[start] + budget, side="right")) - 1)
             ks = active[start:stop]
             block = np.concatenate(
-                [radii[k] * _unit_lattice(int(n_points[k]), grid.dim) for k in ks], axis=0)
-            offsets = np.concatenate(
-                [[0], np.cumsum(n_points[ks])[:-1]]
-            )
-            cols = _interp(grid, kernel.values, z[None, :] + block)
+                [radii[k] * _unit_lattice(int(n_points[k]), grid.dim, caps[start + j])
+                 for j, k in enumerate(ks)], axis=0)
+            offsets = begins[start:stop] - begins[start]
+            cols = _interp(grid, kernel.values, z[None, :] + block @ frame)
             sums = np.add.reduceat(cols, offsets, axis=0)
             values[i, ks, :] = weights[ks, None] * sums
             start = stop
@@ -256,18 +280,22 @@ def measure_monochromatic(kernel, array, frequencies):
     if not np.all(outside):
         raise ValueError("singular kernel: transducers must lie strictly outside "
                          "the interior grid support")
+    dlam = _uniform_spacing(freqs, "frequencies")
     centers = grid.centers()
-    area = grid.pixel_measure
-    K = kernel.values
     values = np.empty((array.n, freqs.size, kernel.n_electrodes), dtype=complex)
     block = max(1, int(4e6 // max(centers.shape[0], 1)))
+    green = np.empty((min(block, freqs.size), centers.shape[0]), dtype=complex)
     for i in range(array.n):
         r = np.linalg.norm(centers - array.positions[i][None, :], axis=1)
-        inv = area / (4.0 * np.pi * r)
+        # exp(i lam_m r) on the uniform lattice: one complex multiply per step
+        phase = np.exp(1j * freqs[0] * r) * (grid.pixel_measure / (4.0 * np.pi * r))
+        step = np.exp(1j * dlam * r)
         for m0 in range(0, freqs.size, block):
-            lam = freqs[m0:m0 + block]
-            green = np.exp(1j * np.outer(r, lam)) * inv[:, None]
-            values[i, m0:m0 + block, :] = (K @ green).T
+            n_m = min(block, freqs.size - m0)
+            for m in range(n_m):
+                green[m] = phase
+                phase *= step
+            values[i, m0:m0 + n_m, :] = green[:n_m] @ kernel.values.T
     return MonochromaticData(array=array, frequencies=freqs, values=values)
 
 

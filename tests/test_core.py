@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from synfocus.core import (
+    _interp,
     Disk,
     Grid,
     KernelMatrix,
@@ -201,3 +204,63 @@ class TestInterpField:
         # rolls off linearly: half a spacing beyond the last center -> 1/2
         edge = np.array([[0.375 + 0.125, 0.0]])
         assert interp_field(f, edge)[0] == pytest.approx(0.5)
+
+
+def _multilinear_loop(grid, columns, points):
+    """Per-point multilinear interpolation with zero outside the pixel
+    centers, written out corner by corner."""
+    counts = [int(c) for c in grid.counts]
+    out = np.zeros((points.shape[0], columns.shape[0]))
+    for p, x in enumerate(points):
+        u = (x - grid.origin) / grid.spacing
+        if np.any(u <= -1.0) or np.any(u >= grid.counts):
+            continue
+        i0 = np.floor(u).astype(int)
+        for corner in itertools.product((0, 1), repeat=grid.dim):
+            idx = i0 + np.array(corner)
+            if np.any(idx < 0) or np.any(idx >= grid.counts):
+                continue
+            w = 1.0
+            for d in range(grid.dim):
+                f = u[d] - i0[d]
+                w *= f if corner[d] else 1.0 - f
+            flat = 0
+            for d in reversed(range(grid.dim)):
+                flat = flat * counts[d] + int(idx[d])
+            out[p] += w * columns[:, flat]
+    return out
+
+
+class TestInterpRollOff:
+    """Points in the one-spacing shell beyond the pixel centers, at box
+    corners and along edges, where some interpolation corners fall outside
+    the grid."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_corners_and_edges_match_explicit_loop(self, dim):
+        rng = np.random.default_rng(11 + dim)
+        counts = (5, 4, 3)[:dim]
+        spacing = np.array((0.3, 0.2, 0.25)[:dim])
+        g = Grid(origin=(-0.4, 0.1, -0.2)[:dim], spacing=spacing, counts=counts)
+        lo = g.origin
+        hi = g.origin + (g.counts - 1) * spacing
+        columns = rng.standard_normal((3, g.n_pixels))
+        pts = []
+        # every box corner: each coordinate in its roll-off shell
+        for side in itertools.product((0, 1), repeat=dim):
+            shell = rng.uniform(0.0, 1.0, (8, dim)) * spacing
+            pts.append(np.where(side, hi + shell, lo - shell))
+        # edges (3d) and sides (2d): one coordinate free inside the hull
+        for free in range(dim):
+            for side in itertools.product((0, 1), repeat=dim - 1):
+                shell = rng.uniform(0.0, 1.0, (8, dim)) * spacing
+                p = np.where(np.insert(side, free, 0), hi + shell, lo - shell)
+                p[:, free] = rng.uniform(lo[free], hi[free], 8)
+                pts.append(p)
+        pts = np.concatenate(pts)
+        expect = _multilinear_loop(g, columns, pts)
+        assert np.count_nonzero(expect) == expect.size
+        assert np.max(np.abs(_interp(g, columns, pts) - expect)) <= 1e-13
+        for j in range(columns.shape[0]):
+            got = interp_field(ScalarField(grid=g, values=columns[j]), pts)
+            assert np.max(np.abs(got - expect[:, j])) <= 1e-13

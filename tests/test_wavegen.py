@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
 
-from synfocus.core import Grid, KernelMatrix, make_transducer_array
+from synfocus.core import (
+    Grid,
+    KernelMatrix,
+    TransducerArray,
+    _interp,
+    _unit_lattice,
+    make_transducer_array,
+)
 from synfocus.oracles import AnalyticPhantom, spherical_mean_quadrature
 from synfocus.wavegen import (
+    _cap_frame,
+    _cap_indices,
     add_noise,
     conjugate_lattice,
     default_frequencies,
@@ -60,6 +69,24 @@ class TestSphericalPulse:
             ref = spherical_mean_quadrature(phantom, z, float(t), n_quad=4096)
             assert data.values[0, k, 0] == pytest.approx(ref, rel=1e-3)
 
+    def test_gaussian_against_quadrature_oracle_3d(self):
+        # off-axis transducer outside the support's bounding sphere, so each
+        # sphere is measured on a cap of its turned lattice
+        g = centered_grid(128, 3, half=1.0)
+        kern = _kernel(g, gaussian_column(g, s=0.2))
+        phantom = AnalyticPhantom(kind="gaussian", center=(0.0, 0.0, 0.0),
+                                  scale=0.2, amplitude=1.0)
+        z = np.array([1.2, -0.9, 1.1])
+        R = float(np.linalg.norm(z))
+        one = TransducerArray(positions=z[None, :], normals=z[None, :] / R,
+                              weights=np.array([4.0 * np.pi * R * R]), radius=R,
+                              sound_speed=1.0)
+        radii = R + np.array([-0.2, -0.1, 0.0, 0.1, 0.2])
+        data = measure_spherical_pulse(kern, one, radii)
+        for k, t in enumerate(radii):
+            ref = spherical_mean_quadrature(phantom, z, float(t), n_quad=4096)
+            assert data.values[0, k, 0] == pytest.approx(ref, rel=1e-3)
+
     def test_radius_validation(self):
         g = centered_grid(8, 3)
         arr = make_transducer_array(4, radius=2.0)
@@ -78,6 +105,81 @@ class TestSphericalPulse:
         assert np.max(np.abs(data.values)) <= 1e-12
 
 
+class TestSphericalCap:
+    """The cap of a turned lattice keeps every point that can reach the
+    open interpolation support box (pixel-center hull padded by one
+    spacing)."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_dropped_points_lie_outside_the_support(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        g = Grid(origin=(-0.4, 0.1, -0.3)[:dim], spacing=(0.1, 0.08, 0.12)[:dim],
+                 counts=(9, 12, 7)[:dim])
+        lo, hi = g.origin - g.spacing, g.origin + g.counts * g.spacing
+        c, rho = 0.5 * (lo + hi), 0.5 * float(np.linalg.norm(hi - lo))
+        dirs = rng.standard_normal((6, dim))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        pole = np.eye(dim)[-1 if dim == 3 else 0]
+        cases = {
+            "center": [c],
+            "inside": [c + 0.6 * rho * d for d in dirs[:3]],
+            "outside": [c + 1.8 * rho * d for d in dirs[3:]]
+                       + [c - 1.5 * rho * pole, c + 1.5 * rho * pole],
+        }
+        kept_total = {name: [0, 0] for name in cases}
+        for name, zs in cases.items():
+            for z in zs:
+                frame, dist = _cap_frame(z, c)
+                for t in rng.uniform(0.02, dist + rho, 6):
+                    n = int(rng.integers(40, 4000))
+                    full = z + t * _unit_lattice(n, dim) @ frame
+                    cap = _cap_indices(n, dim, t, dist, rho)
+                    kept = cap % n
+                    assert np.unique(kept).size == kept.size
+                    dropped = np.setdiff1d(np.arange(n), kept)
+                    reach = np.all((full[dropped] > lo) & (full[dropped] < hi), axis=1)
+                    assert not np.any(reach)
+                    pts = z + t * _unit_lattice(n, dim, cap) @ frame
+                    assert np.max(np.abs(pts - full[kept])) <= 1e-12
+                    kept_total[name][0] += kept.size
+                    kept_total[name][1] += n
+        assert kept_total["center"][0] == kept_total["center"][1]
+        assert kept_total["outside"][0] < 0.5 * kept_total["outside"][1]
+
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_measure_equals_full_turned_lattice(self, dim, rng):
+        # the full turned lattice at the documented point count and weight
+        # measure / n; the points the cap leaves out add exact zeros
+        half = 0.5
+        g = Grid(origin=(0.4 + half / 8,) + (-half + half / 8,) * (dim - 1),
+                 spacing=(half / 4,) * dim, counts=(8,) * dim)
+        kern = _kernel(g, rng.standard_normal((2, g.n_pixels)))
+        lo, hi = g.origin - g.spacing, g.origin + g.counts * g.spacing
+        c = 0.5 * (lo + hi)
+        R = float(np.linalg.norm(c))
+        base = make_transducer_array(6, radius=R, dim=dim)
+        pos = np.array(base.positions)
+        pos[0] = c  # D = 0; the others lie inside or outside the bounding sphere
+        arr = TransducerArray(positions=pos, normals=pos / R, weights=base.weights,
+                              radius=R)
+        radii = np.linspace(0.1, 2.2, 12)
+        data = measure_spherical_pulse(kern, arr, radii)
+        dx = float(np.min(g.spacing))
+        expect = np.zeros_like(data.values)
+        for i, z in enumerate(arr.positions):
+            frame, _ = _cap_frame(z, c)
+            for k, t in enumerate(radii):
+                m = int(np.ceil(2.0 * np.pi * t / dx)) * 2
+                if dim == 2:
+                    n, meas = max(m, 8), 2.0 * np.pi * t
+                else:
+                    n, meas = max(int(np.ceil(m * m / np.pi)), 32), 4.0 * np.pi * t * t
+                pts = z + t * _unit_lattice(n, dim) @ frame
+                expect[i, k] = meas / n * np.sum(_interp(g, kern.values, pts), axis=0)
+        assert np.max(np.abs(data.values - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
 class TestMonochromatic:
     def test_single_pixel_green_function(self):
         g = centered_grid(9, 3)
@@ -94,6 +196,20 @@ class TestMonochromatic:
             for m, lam in enumerate(freqs):
                 exact = np.exp(1j * lam * r) / (4.0 * np.pi * r) * area
                 assert data.values[i, m, 0] == pytest.approx(exact, rel=1e-12)
+
+    def test_phase_recurrence_drift(self, rng):
+        # the Green's phases advance by one complex multiply per frequency;
+        # over 500 steps they must stay on exp(i lam r) / (4 pi r) * area
+        g = centered_grid(6, 3)
+        cols = rng.standard_normal((2, g.n_pixels))
+        arr = make_transducer_array(5, radius=2.0)
+        freqs = np.linspace(37.3, 97.3, 500)
+        data = measure_monochromatic(_kernel(g, cols), arr, freqs)
+        r = np.linalg.norm(g.centers()[None, :, :] - arr.positions[:, None, :], axis=2)
+        green = (np.exp(1j * freqs[None, :, None] * r[:, None, :])
+                 / (4.0 * np.pi * r[:, None, :]) * g.pixel_measure)
+        expect = green @ cols.T
+        assert np.max(np.abs(data.values - expect)) <= 1e-12 * np.max(np.abs(expect))
 
     def test_transducer_inside_support_rejected(self):
         from synfocus.core import TransducerArray
