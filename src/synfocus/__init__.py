@@ -50,13 +50,13 @@ from .focusing import (
     invert_monochromatic_3d,
     invert_spherical_means_3d,
     invert_xray_2d,
-    synthesize_detector_profiles,
 )
 from .oracles import (
     AnalyticPhantom,
     disk_sinogram,
     eval_phantom,
     line_integral,
+    spherical_mean_exact,
     spherical_mean_profile,
     spherical_mean_quadrature,
 )
@@ -106,8 +106,8 @@ __all__ = [
     "measure_spherical_pulse",
     "parse_config",
     "solve_conduction",
+    "spherical_mean_exact",
     "spherical_mean_profile",
     "spherical_mean_quadrature",
     "square_boundary_electrodes",
-    "synthesize_detector_profiles",
 ]

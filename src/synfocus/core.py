@@ -12,6 +12,7 @@ Conventions shared by every module in the package:
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 
@@ -260,77 +261,65 @@ def make_transducer_array(n, radius, dim=3, sound_speed=1.0):
 
 @dataclass(frozen=True)
 class BoundaryElectrodes:
-    """Point electrodes at boundary-segment midpoints of a square domain.
+    """One electrode per boundary cell face of a 2d grid.
 
-    ``current`` is the prescribed current density per node and
-    ``segment_length`` the length of boundary each node represents, so
-    the injected current is sum(current * segment_length).  Balance is
-    not enforced here; the conduction solver rejects incompatible data.
+    Electrodes are ordered left edge (increasing y), right edge, bottom
+    edge (increasing x), top edge.  ``current`` is the prescribed current
+    density per electrode; the face layout is computed from the grid:
+    ``cells`` (flat index of the boundary cell), ``points`` (face
+    midpoints), ``normal_spacing`` (cell spacing across the face) and
+    ``segment_length`` (face length), so the injected current is
+    sum(current * segment_length).  Balance is not enforced here; the
+    conduction solver rejects incompatible data.
     """
 
-    points: np.ndarray
+    grid: Grid
     current: np.ndarray
-    segment_length: np.ndarray
-    box_lo: np.ndarray
-    box_hi: np.ndarray
+    cells: np.ndarray = dataclasses.field(init=False, repr=False)
+    points: np.ndarray = dataclasses.field(init=False, repr=False)
+    normal_spacing: np.ndarray = dataclasses.field(init=False, repr=False)
+    segment_length: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "points", _frozen_array(self.points, ndim=2))
+        grid = self.grid
+        if grid.dim != 2:
+            raise ValueError("boundary electrodes require a 2d grid")
+        nx, ny = int(grid.counts[0]), int(grid.counts[1])
         object.__setattr__(self, "current", _frozen_array(self.current, ndim=1))
-        object.__setattr__(self, "segment_length", _frozen_array(self.segment_length, ndim=1))
-        object.__setattr__(self, "box_lo", _frozen_array(self.box_lo, ndim=1))
-        object.__setattr__(self, "box_hi", _frozen_array(self.box_hi, ndim=1))
-        n, dim = self.points.shape
-        if dim != 2:
-            raise ValueError("boundary electrodes live on a 2d square boundary")
-        if self.current.size != n or self.segment_length.size != n:
-            raise ValueError("points, current and segment_length must agree in length")
-        if np.any(self.segment_length <= 0):
-            raise ValueError("segment lengths must be positive")
-        scale = float(np.max(self.box_hi - self.box_lo))
-        on_edge = np.zeros(n, dtype=bool)
-        for d in range(2):
-            on_edge |= np.abs(self.points[:, d] - self.box_lo[d]) <= 1e-12 * scale
-            on_edge |= np.abs(self.points[:, d] - self.box_hi[d]) <= 1e-12 * scale
-        inside = np.all((self.points >= self.box_lo[None, :] - 1e-12 * scale)
-                        & (self.points <= self.box_hi[None, :] + 1e-12 * scale), axis=1)
-        if not np.all(on_edge & inside):
-            raise ValueError("electrode points must lie on the domain boundary")
+        if self.current.size != 2 * (nx + ny):
+            raise ValueError(f"{self.current.size} currents for the "
+                             f"{2 * (nx + ny)} boundary faces of the grid")
+        hx, hy = float(grid.spacing[0]), float(grid.spacing[1])
+        lo, hi = grid.bounds()
+        ax, ay = grid.axes()
+        ix = np.concatenate([np.zeros(ny, np.int64), np.full(ny, nx - 1),
+                             np.arange(nx), np.arange(nx)])
+        iy = np.concatenate([np.arange(ny), np.arange(ny),
+                             np.zeros(nx, np.int64), np.full(nx, ny - 1)])
+        points = np.stack([
+            np.concatenate([np.full(ny, lo[0]), np.full(ny, hi[0]), ax, ax]),
+            np.concatenate([ay, ay, np.full(nx, lo[1]), np.full(nx, hi[1])])], axis=1)
+        across = np.repeat([hx, hy], [2 * ny, 2 * nx])
+        along = np.repeat([hy, hx], [2 * ny, 2 * nx])
+        object.__setattr__(self, "cells", _frozen_array(ix + nx * iy, dtype=np.int64))
+        object.__setattr__(self, "points", _frozen_array(points))
+        object.__setattr__(self, "normal_spacing", _frozen_array(across))
+        object.__setattr__(self, "segment_length", _frozen_array(along))
 
     @property
     def n(self):
-        return self.points.shape[0]
+        return self.current.size
 
     def total_current(self):
         return float(np.sum(self.current * self.segment_length))
 
 
 def square_boundary_electrodes(grid, left=0.0, right=0.0, bottom=0.0, top=0.0):
-    """One electrode per boundary cell face of a 2d grid, with a constant
-    current density on each edge.
-
-    Nodes are ordered left edge (increasing y), right edge, bottom edge
-    (increasing x), top edge.
-    """
-    if grid.dim != 2:
-        raise ValueError("square electrodes require a 2d grid")
-    lo, hi = grid.bounds()
-    ax, ay = grid.axes()
-    nx, ny = int(grid.counts[0]), int(grid.counts[1])
-    hx, hy = float(grid.spacing[0]), float(grid.spacing[1])
-
-    pts, cur, seg = [], [], []
-    for y in ay:
-        pts.append((lo[0], y)); cur.append(left); seg.append(hy)
-    for y in ay:
-        pts.append((hi[0], y)); cur.append(right); seg.append(hy)
-    for x in ax:
-        pts.append((x, lo[1])); cur.append(bottom); seg.append(hx)
-    for x in ax:
-        pts.append((x, hi[1])); cur.append(top); seg.append(hx)
-    return BoundaryElectrodes(points=np.array(pts), current=np.array(cur),
-                              segment_length=np.array(seg),
-                              box_lo=lo, box_hi=hi)
+    """Electrodes on every boundary face of a 2d grid, with a constant
+    current density on each edge (ordered as in BoundaryElectrodes)."""
+    nx, ny = (int(c) for c in grid.counts[:2])
+    current = np.repeat([left, right, bottom, top], [ny, ny, nx, nx])
+    return BoundaryElectrodes(grid=grid, current=current)
 
 
 @dataclass(frozen=True)

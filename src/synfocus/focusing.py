@@ -146,8 +146,9 @@ def invert_spherical_means_3d(data, out):
     return [ScalarField(out, rec) for rec in recs]
 
 
-def synthesize_detector_profiles(data, electrode, t_samples):
-    """Convert monochromatic responses into filtered time profiles.
+def _detector_profiles(data, electrodes, t):
+    """Filtered time profiles (n_selected, n_transducers, n_t) of the
+    selected electrodes from their monochromatic responses.
 
     Evaluates h(z, t) = -(1/t) * integral over the frequency band of
     [cos(lt) Im W - sin(lt) Re W] l dl by trapezoid quadrature on the
@@ -155,15 +156,6 @@ def synthesize_detector_profiles(data, electrode, t_samples):
     the band to suppress ringing from the hard cutoff.  The band is
     extended down to zero frequency where the integrand vanishes.
     """
-    if not isinstance(data, MonochromaticData):
-        raise TypeError("expected MonochromaticData")
-    t = np.asarray(t_samples, dtype=float)
-    return FilteredDetectorData(data.array, t, _detector_profiles(data, [electrode], t)[0])
-
-
-def _detector_profiles(data, electrodes, t):
-    """Filtered profiles (n_selected, n_transducers, n_t) of the selected
-    electrodes; see synthesize_detector_profiles."""
     lam = data.frequencies
     if lam.size == 0:
         raise ValueError("empty frequency list")

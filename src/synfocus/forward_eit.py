@@ -106,40 +106,15 @@ def _assemble(grid, sigma):
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr(), faces
 
 
-def _electrode_faces(grid, electrodes):
-    """Match electrode points to boundary cell faces, after checking that
-    the grid is 2d and the current pattern is compatible.
-
-    Returns (cell index, normal spacing, face length) per electrode.
-    """
-    if grid.dim != 2:
-        raise ValueError("the conduction solver is 2d only")
+def _check_electrodes(grid, electrodes):
+    """Check that the electrodes sit on the faces of ``grid`` and that
+    their current pattern is compatible."""
+    if not all(np.array_equal(getattr(electrodes.grid, k), getattr(grid, k))
+               for k in ("origin", "spacing", "counts")):
+        raise ValueError("the electrodes belong to another grid than the phantom")
     total = electrodes.total_current()
     if abs(total) > 1e-10 * float(np.sum(np.abs(electrodes.current) * electrodes.segment_length)):
         raise ValueError(f"incompatible Neumann data: net injected current {total:g} != 0")
-    lo, hi = grid.bounds()
-    nx, ny = int(grid.counts[0]), int(grid.counts[1])
-    hx, hy = float(grid.spacing[0]), float(grid.spacing[1])
-    scale = float(np.max(hi - lo))
-    cells = np.empty(electrodes.n, dtype=np.int64)
-    normals = np.empty(electrodes.n)
-    lengths = np.empty(electrodes.n)
-    for j, p in enumerate(electrodes.points):
-        if abs(p[0] - lo[0]) <= 1e-9 * scale or abs(p[0] - hi[0]) <= 1e-9 * scale:
-            iy = int(round((p[1] - grid.origin[1]) / hy))
-            if not (0 <= iy < ny) or abs(grid.origin[1] + iy * hy - p[1]) > 1e-9 * scale:
-                raise ValueError(f"electrode {j} is not aligned with a boundary face")
-            ix = 0 if abs(p[0] - lo[0]) <= 1e-9 * scale else nx - 1
-            cells[j], normals[j], lengths[j] = ix + nx * iy, hx, hy
-        elif abs(p[1] - lo[1]) <= 1e-9 * scale or abs(p[1] - hi[1]) <= 1e-9 * scale:
-            ix = int(round((p[0] - grid.origin[0]) / hx))
-            if not (0 <= ix < nx) or abs(grid.origin[0] + ix * hx - p[0]) > 1e-9 * scale:
-                raise ValueError(f"electrode {j} is not aligned with a boundary face")
-            iy = 0 if abs(p[1] - lo[1]) <= 1e-9 * scale else ny - 1
-            cells[j], normals[j], lengths[j] = ix + nx * iy, hy, hx
-        else:
-            raise ValueError(f"electrode {j} does not lie on the domain boundary")
-    return cells, normals, lengths
 
 
 def _factor(A):
@@ -167,19 +142,19 @@ def _factor(A):
     return solve
 
 
-def _forward(grid, sigma, electrodes, efaces):
+def _forward(grid, sigma, electrodes):
     """Factor the conduction matrix of sigma and solve for the injected
     current.  Returns the gauged solution, the factored solve and the face
     lists of the matrix (see _faces)."""
     A, faces = _assemble(grid, sigma)
     solve = _factor(A)
+    cells = electrodes.cells
     b = np.zeros(grid.n_pixels)
-    np.add.at(b, efaces[0], electrodes.current * efaces[2])
+    np.add.at(b, cells, electrodes.current * electrodes.segment_length)
     u, res = solve(b)
     # one-sided reconstruction of u at the boundary, u_cell + (h/2) g/sigma;
     # second order for the prescribed-flux boundary
-    cells, normals, _ = efaces
-    trace = u[cells] + 0.5 * normals * electrodes.current / sigma[cells]
+    trace = u[cells] + 0.5 * electrodes.normal_spacing * electrodes.current / sigma[cells]
     shift = trace.mean()
     sol = ConductionSolution(potential=ScalarField(grid, u - shift),
                              boundary_trace=trace - shift, residual=res)
@@ -192,9 +167,8 @@ def solve_conduction(phantom, electrodes):
     Returns the cell-centered potential and the boundary trace at the
     electrode points, both gauged so the trace has zero mean.
     """
-    grid = phantom.grid
-    return _forward(grid, phantom.conductivity(), electrodes,
-                    _electrode_faces(grid, electrodes))[0]
+    _check_electrodes(phantom.grid, electrodes)
+    return _forward(phantom.grid, phantom.conductivity(), electrodes)[0]
 
 
 def _interior_map(phantom_grid, interior):
@@ -226,14 +200,13 @@ def kernel_bruteforce(phantom, electrodes, interior, eps=DEFAULT_EPS):
     grid = phantom.grid
     cell2pix = _interior_map(grid, interior)
     base = solve_conduction(phantom, electrodes).boundary_trace
-    efaces = _electrode_faces(grid, electrodes)
     log_sigma = phantom.field.values
     area = interior.pixel_measure
 
     values = np.empty((electrodes.n, interior.n_pixels))
     for i in range(interior.n_pixels):
         sigma = np.exp(log_sigma + eps * (cell2pix == i))
-        trace = _forward(grid, sigma, electrodes, efaces)[0].boundary_trace
+        trace = _forward(grid, sigma, electrodes)[0].boundary_trace
         values[:, i] = (trace - base) / (eps * area)
     return KernelMatrix(grid=interior, values=values, electrodes=electrodes)
 
@@ -249,11 +222,11 @@ def kernel_adjoint(phantom, electrodes, interior):
     kernel_bruteforce up to the brute-force linearization error.
     """
     grid = phantom.grid
-    efaces = _electrode_faces(grid, electrodes)
-    cells, normals, _ = efaces
+    _check_electrodes(grid, electrodes)
+    cells = electrodes.cells
     cell2pix = _interior_map(grid, interior)
     sigma = phantom.conductivity()
-    sol, solve, (a, b, _, da, db) = _forward(grid, sigma, electrodes, efaces)
+    sol, solve, (a, b, _, da, db) = _forward(grid, sigma, electrodes)
     u = sol.potential.values
     du = u[a] - u[b]
 
@@ -283,7 +256,8 @@ def kernel_adjoint(phantom, electrodes, interior):
     pix = cell2pix[cells]
     on = np.flatnonzero(pix >= 0)
     direct = np.zeros_like(values)
-    direct[on, pix[on]] = -0.5 * normals[on] * electrodes.current[on] / sigma[cells[on]]
+    direct[on, pix[on]] = (-0.5 * electrodes.normal_spacing[on]
+                          * electrodes.current[on] / sigma[cells[on]])
     values += direct - direct.mean(axis=0, keepdims=True)
     values /= interior.pixel_measure
     return KernelMatrix(grid=interior, values=values, electrodes=electrodes)

@@ -30,13 +30,20 @@ def _parse_grid_header(line):
     return Grid(origin=origin, spacing=spacing, counts=counts)
 
 
+def _write_rows(f, block):
+    """One comma-separated line of reprs per row of a 2-d float block.
+    Rows become Python floats one at a time: a whole-table ``tolist`` would
+    hold ~32 bytes per value and raise the peak memory of large tables."""
+    for row in np.asarray(block, dtype=float):
+        f.write(",".join(map(repr, row.tolist())) + "\n")
+
+
 def save_field_csv(path, field):
     """One value per line, x-fastest flat order, grid in the header."""
     with open(path, "w") as f:
         f.write(_grid_header(field.grid))
         f.write("# layout: flat, x-fastest\n")
-        for v in field.values:
-            f.write(repr(float(v)) + "\n")
+        _write_rows(f, field.values[:, None])
 
 
 def load_field_csv(path):
@@ -54,8 +61,7 @@ def save_kernel_csv(path, kernel):
         f.write("# layout: one row per electrode, pixels x-fastest\n")
         f.write("# units: boundary-voltage change per unit log-conductivity "
                 "perturbation, per pixel\n")
-        for row in kernel.values:
-            f.write(",".join(repr(float(v)) for v in row) + "\n")
+        _write_rows(f, kernel.values)
 
 
 def load_kernel_csv(path):
@@ -86,12 +92,10 @@ def save_table_csv(path, header_lines, axes, values):
         f.write(f"# shape: {','.join(str(n) for n in arr.shape)}\n")
         if np.iscomplexobj(arr):
             f.write("# dtype: complex\n")
-            for row in flat:
-                f.write(",".join(f"{repr(float(v.real))},{repr(float(v.imag))}" for v in row) + "\n")
+            flat = np.ascontiguousarray(flat, dtype=complex).view(float)
         else:
             f.write("# dtype: real\n")
-            for row in flat:
-                f.write(",".join(repr(float(v)) for v in row) + "\n")
+        _write_rows(f, flat)
 
 
 def load_table_csv(path):

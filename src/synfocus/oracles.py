@@ -119,6 +119,42 @@ def spherical_mean_profile(phantom, z, radii, n_quad=4096):
     return out
 
 
+def spherical_mean_exact(phantom, z, radii):
+    """Closed-form spherical integrals of a 3d phantom, shape (n_z, n_t)
+    for centers z (n_z, 3), or (n_t,) for one center.
+
+    Same quantity as spherical_mean_quadrature.  With d = |z - c|, a
+    gaussian gives 2 pi t s^2/d [e^{-(t-d)^2/2s^2} - e^{-(t+d)^2/2s^2}]
+    (4 pi t^2 e^{-t^2/2s^2} at d = 0), written with expm1 so it stays
+    accurate as d -> 0; a ball of radius rho gives 4 pi t^2 when the
+    sphere lies inside it (t + d <= rho), the cap area
+    pi t (rho^2 - (d - t)^2)/d when the two surfaces cross, else 0.
+    """
+    if phantom.dim != 3:
+        raise ValueError("closed-form spherical integrals are 3d only")
+    z = np.asarray(z, dtype=float)
+    if z.shape[-1] != 3:
+        raise ValueError("center dimension does not match the phantom")
+    t = np.asarray(radii, dtype=float)[None, :]
+    if np.any(t <= 0):
+        raise ValueError("sphere radii must be positive")
+    d = np.linalg.norm(np.atleast_2d(z) - phantom.center[None, :], axis=1)[:, None]
+    area = 4.0 * np.pi * t * t
+    if phantom.kind == "gaussian":
+        s2 = phantom.scale ** 2
+        x = t * d / s2
+        # (1 - e^{-2x}) / 2x, the d -> 0 limit being 1
+        ratio = np.ones_like(x)
+        np.divide(-np.expm1(-2.0 * x), 2.0 * x, out=ratio, where=x > 0)
+        out = area * np.exp(-((t - d) ** 2) / (2.0 * s2)) * ratio
+    else:
+        rho = phantom.scale
+        cap = np.pi * t * (rho * rho - (d - t) ** 2) / np.where(d > 0, d, 1.0)
+        out = np.where(t + d <= rho, area, np.where(np.abs(d - t) < rho, cap, 0.0))
+    out = phantom.amplitude * out
+    return out[0] if z.ndim == 1 else out
+
+
 def line_integral(phantom, angle, offset):
     """Closed-form integral of a 2d phantom along the line
     { offset * w + tau * w_perp } with w = (cos angle, sin angle).

@@ -54,17 +54,13 @@ def gauss48():
 
 @pytest.fixture(scope="session")
 def pulse_data48(gauss48):
-    """Spherical-integral profiles of the gaussian from the quadrature oracle."""
-    from synfocus.oracles import spherical_mean_profile
+    """Spherical-integral profiles of the gaussian from the closed-form oracle."""
+    from synfocus.oracles import spherical_mean_exact
     from synfocus.wavegen import SphericalMeanData
 
     arr = gauss48["array"]
     radii = gauss48["radii"]
-    vals = np.empty((arr.n, radii.size, 1))
-    for i in range(arr.n):
-        vals[i, :, 0] = spherical_mean_profile(
-            gauss48["phantom"], arr.positions[i], radii, n_quad=2048
-        )
+    vals = spherical_mean_exact(gauss48["phantom"], arr.positions, radii)[:, :, None]
     return SphericalMeanData(array=arr, radii=radii, values=vals)
 
 

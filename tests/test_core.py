@@ -5,6 +5,7 @@ import pytest
 
 from synfocus.core import (
     _interp,
+    BoundaryElectrodes,
     Disk,
     Grid,
     KernelMatrix,
@@ -157,6 +158,25 @@ class TestBoundaryElectrodes:
         # bottom edge at y = 0, increasing x
         assert np.allclose(el.points[4], [0.5, 0.0])
         assert el.current[0] == 1.0 and el.current[2] == -1.0
+        # boundary cells, x-fastest: left column, right column, bottom row, top row
+        assert el.cells.tolist() == [0, 3, 2, 5, 0, 1, 2, 3, 4, 5]
+        # left/right faces lie hx across and hy along, bottom/top the reverse
+        g2 = Grid(origin=(0.5, 1.0), spacing=(1.0, 2.0), counts=(3, 2))
+        el2 = square_boundary_electrodes(g2)
+        assert el2.cells.tolist() == el.cells.tolist()
+        assert el2.normal_spacing.tolist() == [1.0] * 4 + [2.0] * 6
+        assert el2.segment_length.tolist() == [2.0] * 4 + [1.0] * 6
+        assert np.allclose(el2.points[[0, 2, 4, 7]], [[0.0, 1.0], [3.0, 1.0],
+                                                      [0.5, 0.0], [0.5, 4.0]])
+
+    def test_current_length_must_match_faces(self):
+        g = Grid(origin=(0.5, 0.5), spacing=(1.0, 1.0), counts=(3, 2))
+        BoundaryElectrodes(grid=g, current=np.zeros(10))
+        for n in (9, 11):
+            with pytest.raises(ValueError, match="boundary faces"):
+                BoundaryElectrodes(grid=g, current=np.zeros(n))
+        with pytest.raises(ValueError, match="2d grid"):
+            square_boundary_electrodes(centered_grid(4, 3))
 
     def test_left_right_pattern_balances(self):
         g = centered_grid(6, 2)

@@ -16,7 +16,7 @@ from synfocus.focusing import (
     invert_spherical_means_3d,
     invert_xray_2d,
 )
-from synfocus.oracles import AnalyticPhantom, spherical_mean_profile
+from synfocus.oracles import AnalyticPhantom, spherical_mean_exact
 from synfocus.wavegen import (
     FourierData,
     MonochromaticData,
@@ -102,11 +102,7 @@ class TestSphericalMeansRoute:
         arr = make_transducer_array(10242, radius=1.0)
         out = centered_grid(24, 3)
         radii = default_radii(arr, out, 256)
-        vals = np.empty((arr.n, radii.size, 1))
-        for i in range(arr.n):
-            vals[i, :, 0] = spherical_mean_profile(
-                ball, arr.positions[i], radii, n_quad=512
-            )
+        vals = spherical_mean_exact(ball, arr.positions, radii)[:, :, None]
         data = SphericalMeanData(array=arr, radii=radii, values=vals)
         rec = invert_spherical_means_3d(data, out)[0].values
         r = np.linalg.norm(out.centers() - np.array([0.2, 0.0, 0.0]), axis=1)

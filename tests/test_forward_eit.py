@@ -3,6 +3,7 @@ import pytest
 
 from synfocus.cli import default_phantom
 from synfocus.core import (
+    Grid,
     Phantom,
     ScalarField,
     build_phantom_disks,
@@ -57,13 +58,17 @@ def fine_oracle():
 
 class TestSolveConduction:
     def test_uniform_conductivity_linear_exact(self):
-        g = centered_grid(32, 2)
-        el = left_right_current_pattern(g)
-        sol = solve_conduction(_flat(g), el)
-        exact = -el.points[:, 0]
-        exact = exact - exact.mean()
-        err = np.max(np.abs(sol.boundary_trace - exact)) / np.max(np.abs(exact))
-        assert err <= 1e-6
+        # the non-square grid with hx != hy fails if the face layout swaps
+        # nx/ny or the normal and tangential spacings
+        for g in (centered_grid(32, 2),
+                  Grid(origin=(-0.5 + 1 / 48, -0.5 + 1 / 32), spacing=(1 / 24, 1 / 16),
+                       counts=(24, 16))):
+            el = left_right_current_pattern(g)
+            sol = solve_conduction(_flat(g), el)
+            exact = -el.points[:, 0]
+            exact = exact - exact.mean()
+            err = np.max(np.abs(sol.boundary_trace - exact)) / np.max(np.abs(exact))
+            assert err <= 1e-6
 
     def test_zero_current_zero_solution(self):
         g = centered_grid(16, 2)
@@ -204,6 +209,25 @@ class TestKernels:
         el = square_boundary_electrodes(phantom_grid)
         k = kernel_adjoint(_flat(phantom_grid), el, interior)
         assert np.max(np.abs(k.values)) <= 1e-12
+
+    def test_electrodes_of_another_grid_rejected(self):
+        phantom_grid = centered_grid(16, 2)
+        interior = centered_grid(8, 2)
+        ph = _flat(phantom_grid)
+        others = [centered_grid(12, 2), centered_grid(16, 2, half=0.6),
+                  Grid(origin=phantom_grid.origin + 0.01, spacing=phantom_grid.spacing,
+                       counts=phantom_grid.counts)]
+        for other in others:
+            el = left_right_current_pattern(other)
+            with pytest.raises(ValueError, match="another grid"):
+                solve_conduction(ph, el)
+            with pytest.raises(ValueError, match="another grid"):
+                kernel_bruteforce(ph, el, interior)
+            with pytest.raises(ValueError, match="another grid"):
+                kernel_adjoint(ph, el, interior)
+        # an equal grid built separately is the same grid
+        same = centered_grid(16, 2)
+        assert solve_conduction(ph, left_right_current_pattern(same)).residual <= 1e-10
 
     def test_interior_must_be_covered(self):
         phantom_grid = centered_grid(8, 2)

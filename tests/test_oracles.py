@@ -8,6 +8,7 @@ from synfocus.oracles import (
     line_integral,
     load_fixture_csv,
     save_fixture_csv,
+    spherical_mean_exact,
     spherical_mean_profile,
     spherical_mean_quadrature,
 )
@@ -114,6 +115,56 @@ class TestSphericalMeanQuadrature:
         prof = spherical_mean_profile(GAUSS3, z, radii, n_quad=1024)
         single = [spherical_mean_quadrature(GAUSS3, z, t, n_quad=1024) for t in radii]
         assert np.array_equal(prof, np.array(single))
+
+
+class TestSphericalMeanExact:
+    def test_gaussian_matches_quadrature(self):
+        # off-center gaussian seen from its own center, a point 1e-9 away
+        # (the d -> 0 limit) and points near the unit sphere
+        g = AnalyticPhantom(kind="gaussian", center=(0.1, -0.05, 0.02), scale=0.2)
+        zs = np.array([[0.1, -0.05, 0.02], [0.1 + 1e-9, -0.05, 0.02],
+                       [1.0, 0.0, 0.0], [-0.6, 0.7, 0.3]])
+        radii = np.linspace(0.05, 1.8, 37)
+        exact = spherical_mean_exact(g, zs, radii)
+        assert exact.shape == (4, 37)
+        for z, row in zip(zs, exact):
+            quad = spherical_mean_profile(g, z, radii, n_quad=2048)
+            assert np.max(np.abs(row - quad)) <= 1e-6 * np.max(np.abs(row))
+
+    def test_ball_converges_as_n_quad_doubles(self):
+        ball = AnalyticPhantom(kind="ball", center=(0.2, 0.0, 0.0), scale=0.3, amplitude=0.7)
+        zs = np.array([[1.0, 0.0, 0.0], [0.25, 0.1, 0.0], [-0.5, 0.6, 0.2],
+                       [0.0, 0.0, 1.0], [0.3, -0.8, 0.1]])
+        radii = np.linspace(0.02, 1.6, 80)
+        exact = spherical_mean_exact(ball, zs, radii)
+        errs = []
+        for n in (4096, 8192, 16384, 32768, 65536):
+            quad = np.array([spherical_mean_profile(ball, z, radii, n_quad=n) for z in zs])
+            errs.append(np.linalg.norm(quad - exact) / np.linalg.norm(exact))
+        assert all(b < a for a, b in zip(errs, errs[1:]))
+        assert errs[-1] <= 0.25 * errs[0]
+
+    def test_ball_limits_and_single_center(self):
+        ball = AnalyticPhantom(kind="ball", center=(0.0, 0.0, 0.0), scale=0.5, amplitude=2.0)
+        z = np.array([1.0, 0.0, 0.0])
+        t = np.array([0.3, 0.8, 1.6])  # disjoint, cap, enclosing
+        v = spherical_mean_exact(ball, z, t)
+        assert v.shape == (3,)
+        cos_a = (1.0 + 0.64 - 0.25) / 1.6
+        assert v[1] == pytest.approx(2.0 * 2.0 * np.pi * 0.64 * (1.0 - cos_a), rel=1e-12)
+        assert v[0] == 0.0 and v[2] == 0.0
+        # sphere inside the ball, then touching its rim from inside
+        t = np.array([0.2, 0.4])
+        inside = spherical_mean_exact(ball, np.array([0.1, 0.0, 0.0]), t)
+        assert inside == pytest.approx(2.0 * 4.0 * np.pi * t * t, rel=1e-12)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            spherical_mean_exact(GAUSS2, np.zeros(2), np.array([1.0]))
+        with pytest.raises(ValueError):
+            spherical_mean_exact(GAUSS3, np.zeros(3), np.array([0.0, 1.0]))
+        with pytest.raises(ValueError):
+            spherical_mean_exact(GAUSS3, np.zeros((4, 2)), np.array([1.0]))
 
 
 class TestLineIntegral:
