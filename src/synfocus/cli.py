@@ -3,8 +3,8 @@
 Reproduces the experiment shapes end-to-end: disk phantom on a centered
 unit square, finite-difference conduction solve, brute-force measurement
 kernel, unfocused wave-family measurement, synthetic focusing, and image
-/ metrics export.  Configs are flat `key = value` text; see DEFAULTS for
-the full key set and default values.
+/ metrics export.  Configs are flat `key = value` text; ExperimentConfig
+declares the full key set and the default values.
 """
 
 import argparse
@@ -50,37 +50,22 @@ CHAINS = {
     "endtoend": ("phantom", "forward", "kernel", "measure", "focus"),
 }
 
-DEFAULTS = {
-    "mode": "endtoend",
-    "grid": (64, 64),
-    "pixels": 32,
-    "transducers": 128,
-    "radii": 256,
-    "frequencies": 64,
-    "angles": 180,
-    "family": "plane",
-    "noise": 0.0,
-    "seed": 0,
-    "out": ".",
-}
-
-_INT_KEYS = ("pixels", "transducers", "radii", "frequencies", "angles", "seed")
 _POSITIVE = ("pixels", "transducers", "radii", "frequencies", "angles")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    mode: str = DEFAULTS["mode"]
-    grid: tuple = DEFAULTS["grid"]
-    pixels: int = DEFAULTS["pixels"]
-    transducers: int = DEFAULTS["transducers"]
-    radii: int = DEFAULTS["radii"]
-    frequencies: int = DEFAULTS["frequencies"]
-    angles: int = DEFAULTS["angles"]
-    family: str = DEFAULTS["family"]
-    noise: float = DEFAULTS["noise"]
-    seed: int = DEFAULTS["seed"]
-    out: str = DEFAULTS["out"]
+    mode: str = "endtoend"
+    grid: tuple = (64, 64)
+    pixels: int = 32
+    transducers: int = 128
+    radii: int = 256
+    frequencies: int = 64
+    angles: int = 180
+    family: str = "plane"
+    noise: float = 0.0
+    seed: int = 0
+    out: str = "."
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -109,6 +94,9 @@ class ExperimentConfig:
                              "needs at least 3 for its gradient filter")
 
 
+DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+
+
 def _check_interior(cfg):
     """Reject, before any stage runs, a 'pixels' value too fine for 'grid'
     in chains that build the conduction kernel."""
@@ -130,6 +118,8 @@ def parse_config(text):
 
 
 def _parse_items(text):
+    """Raw values of the keys that `text` sets, each converted to the type
+    of its default (a tuple default takes comma-separated ints)."""
     data = {}
     for num, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -142,15 +132,12 @@ def _parse_items(text):
             raise ValueError(f"line {num}: expected 'key = value', got {raw.strip()!r}")
         if key not in DEFAULTS:
             raise ValueError(f"line {num}: unknown key {key!r}")
+        default = DEFAULTS[key]
         try:
-            if key == "grid":
+            if isinstance(default, tuple):
                 data[key] = tuple(int(tok.strip()) for tok in value.split(","))
-            elif key in _INT_KEYS:
-                data[key] = int(value)
-            elif key == "noise":
-                data[key] = float(value)
             else:
-                data[key] = value
+                data[key] = type(default)(value)
         except ValueError:
             raise ValueError(f"invalid value for '{key}': {value!r}") from None
     return data
@@ -354,6 +341,8 @@ def run_chain(cfg, out_dir, metrics):
     under a single 'warnings' key, also when a stage fails."""
     run = _Run(cfg, out_dir, metrics)
     with warnings.catch_warnings(record=True) as caught:
+        # record every warning, whatever filters the caller has active
+        warnings.simplefilter("always")
         try:
             for name in CHAINS[cfg.mode]:
                 with _Stage(name, metrics):

@@ -31,7 +31,8 @@ def _frozen_array(a, dtype=float, ndim=None):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform rectilinear pixel grid in 2 or 3 dimensions."""
+    """Uniform rectilinear pixel grid in 2 or 3 dimensions.  Grids compare
+    and hash by value."""
 
     origin: np.ndarray
     spacing: np.ndarray
@@ -52,6 +53,17 @@ class Grid:
             raise ValueError("grid spacing must be positive on every axis")
         if np.any(self.counts < 2):
             raise ValueError("grid needs at least 2 pixels per axis")
+
+    def _key(self):
+        return tuple(tuple(a.tolist()) for a in (self.origin, self.spacing, self.counts))
+
+    def __eq__(self, other):
+        if not isinstance(other, Grid):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def dim(self):
@@ -140,13 +152,9 @@ class Disk:
 
 @dataclass(frozen=True)
 class Phantom:
-    """Log-conductivity field together with the disks that produced it."""
+    """Log-conductivity field."""
 
     field: ScalarField
-    disks: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "disks", tuple(self.disks))
 
     @property
     def grid(self):
@@ -179,7 +187,7 @@ def build_phantom_disks(grid, disks):
         for d in disks:
             inside = np.linalg.norm(pts - d.center, axis=1) <= d.radius
             values += d.amplitude * inside
-    return Phantom(field=ScalarField(grid, values), disks=disks)
+    return Phantom(field=ScalarField(grid, values))
 
 
 @dataclass(frozen=True)
@@ -194,14 +202,12 @@ class TransducerArray:
     normals: np.ndarray
     weights: np.ndarray
     radius: float
-    sound_speed: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "positions", _frozen_array(self.positions, ndim=2))
         object.__setattr__(self, "normals", _frozen_array(self.normals, ndim=2))
         object.__setattr__(self, "weights", _frozen_array(self.weights, ndim=1))
         object.__setattr__(self, "radius", float(self.radius))
-        object.__setattr__(self, "sound_speed", float(self.sound_speed))
         n, dim = self.positions.shape
         if dim not in (2, 3):
             raise ValueError("transducer positions must be 2d or 3d points")
@@ -209,8 +215,6 @@ class TransducerArray:
             raise ValueError("positions, normals and weights must agree in length")
         if not self.radius > 0:
             raise ValueError("aperture radius must be positive")
-        if not self.sound_speed > 0:
-            raise ValueError("sound speed must be positive")
         r = np.linalg.norm(self.positions, axis=1)
         if np.any(np.abs(r - self.radius) > 1e-12 * self.radius):
             raise ValueError("transducer positions must lie on the aperture, |z| = R")
@@ -243,7 +247,7 @@ def _unit_lattice(n, dim, k=None):
     return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
 
 
-def make_transducer_array(n, radius, dim=3, sound_speed=1.0):
+def make_transducer_array(n, radius, dim=3):
     """Equal-weight transducer layout on the unit lattice (see _unit_lattice)."""
     if n < 4:
         raise ValueError("need at least 4 transducers")
@@ -255,8 +259,7 @@ def make_transducer_array(n, radius, dim=3, sound_speed=1.0):
     measure = 2 * np.pi * radius if dim == 2 else 4 * np.pi * radius ** 2
     weights = np.full(n, measure / n)
     return TransducerArray(positions=radius * unit, normals=unit,
-                           weights=weights, radius=radius,
-                           sound_speed=sound_speed)
+                           weights=weights, radius=radius)
 
 
 @dataclass(frozen=True)
@@ -327,14 +330,10 @@ class KernelMatrix:
     """Linearized measurement kernel: one row per electrode, one column per
     interior pixel.  Entry (j, i) is the boundary-voltage response at
     electrode j to a unit log-conductivity density on pixel i.
-
-    ``electrodes`` may be None for synthetic kernels that did not come out
-    of a conduction solve.
     """
 
     grid: Grid
     values: np.ndarray
-    electrodes: BoundaryElectrodes | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen_array(self.values, ndim=2))
@@ -342,8 +341,6 @@ class KernelMatrix:
             raise ValueError(
                 f"kernel has {self.values.shape[1]} columns for a grid of "
                 f"{self.grid.n_pixels} pixels")
-        if self.electrodes is not None and self.values.shape[0] != self.electrodes.n:
-            raise ValueError("kernel row count must match the electrode count")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("kernel entries must be finite")
 

@@ -1,12 +1,12 @@
 """Synthetic focusing: reconstruct point-focused kernels from wave-family data.
 
 Each inversion consumes the responses of one unfocused wave family and
-produces, per electrode, the measurement kernel sampled on a requested
-output grid; every route processes all electrodes in one batch.  Three
-routes are exact-inversion formulas (Fourier, x-ray) or filtered
-backprojections (spherical means, monochromatic); all reduce to linear
-post-processing of the measured data, so they commute with noise and
-superposition.
+returns the measurement kernel on a requested output grid as a
+KernelMatrix, one row per electrode in the data's order; every route
+processes all electrodes in one batch.  The routes are exact-inversion
+formulas (Fourier, x-ray) or filtered backprojections (spherical means,
+monochromatic); all reduce to linear post-processing of the measured
+data, so they commute with noise and superposition.
 """
 
 import warnings
@@ -15,14 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .core import Grid, KernelMatrix, ScalarField, TransducerArray, _frozen_array
+from .core import KernelMatrix, TransducerArray, _frozen_array
 from .wavegen import (
     FourierData,
     MonochromaticData,
     Sinogram,
     SphericalMeanData,
-    _kgrid_phase,
-    conjugate_lattice,
+    _inverse_dft,
 )
 
 PULSE_CONSTANT = 1.0 / (8.0 * np.pi**2)
@@ -122,7 +121,6 @@ def invert_spherical_means_3d(data, out):
     Filters each transducer trace with (1/t) d/dt (g/t), where g is the
     measured spherical integral as a function of radius, then evaluates
     the filtered backprojection divergence formula on the output grid.
-    Returns one ScalarField per electrode.
     """
     if not isinstance(data, SphericalMeanData):
         raise TypeError("expected SphericalMeanData")
@@ -143,12 +141,12 @@ def invert_spherical_means_3d(data, out):
     prof = np.gradient(g, data.radii, axis=1, edge_order=2) / t
     recs = _backproject_divergence(data.array, data.radii, prof.transpose(2, 0, 1),
                                    out, PULSE_CONSTANT)
-    return [ScalarField(out, rec) for rec in recs]
+    return KernelMatrix(grid=out, values=recs)
 
 
-def _detector_profiles(data, electrodes, t):
-    """Filtered time profiles (n_selected, n_transducers, n_t) of the
-    selected electrodes from their monochromatic responses.
+def _detector_profiles(data, t):
+    """Filtered time profiles (n_electrodes, n_transducers, n_t) from the
+    monochromatic responses.
 
     Evaluates h(z, t) = -(1/t) * integral over the frequency band of
     [cos(lt) Im W - sin(lt) Re W] l dl by trapezoid quadrature on the
@@ -157,8 +155,6 @@ def _detector_profiles(data, electrodes, t):
     extended down to zero frequency where the integrand vanishes.
     """
     lam = data.frequencies
-    if lam.size == 0:
-        raise ValueError("empty frequency list")
     lam_max = lam[-1]
     taper = np.ones_like(lam)
     if lam.size > 1:
@@ -173,7 +169,7 @@ def _detector_profiles(data, electrodes, t):
         wq[-1] *= 0.5
     else:
         wq = np.array([0.5 * lam[0]])
-    w = data.values[:, :, electrodes].transpose(2, 1, 0)  # (n_el, n_freq, n_trans)
+    w = data.values.transpose(2, 1, 0)  # (n_el, n_freq, n_trans)
     ct = np.cos(lam[None, :] * t[:, None])  # (n_t, n_freq)
     st = np.sin(lam[None, :] * t[:, None])
     coef = (wq * taper * lam)[None, :]
@@ -184,68 +180,56 @@ def _detector_profiles(data, electrodes, t):
     return prof.transpose(0, 2, 1)
 
 
-def invert_monochromatic_3d(data, out, n_times=None):
+def invert_monochromatic_3d(data, out):
     """Reconstruct kernel columns from monochromatic responses (3D).
 
     Synthesizes filtered time profiles from the frequency sweep, then
     applies the same backprojection divergence as the pulse route, with
-    its own normalization.  Returns one ScalarField per electrode.
+    its own normalization.
     """
     if not isinstance(data, MonochromaticData):
         raise TypeError("expected MonochromaticData")
     if data.array.positions.shape[1] != 3 or out.dim != 3:
         raise ValueError("monochromatic inversion requires 3D data and grid")
-    if data.frequencies.size == 0:
-        raise ValueError("empty frequency list")
-    _check_inside_sphere(out, data.array)
-    radius = np.min(np.linalg.norm(data.array.positions, axis=1))
+    _, radius = _check_inside_sphere(out, data.array)
     t_max = radius + out.diameter
-    if n_times is None:
-        # sample the fastest oscillation cos(lam_max t) at 4 points/period
-        n_times = max(int(np.ceil(t_max * data.frequencies[-1] * 2.0 / np.pi)), 64)
+    # sample the fastest oscillation cos(lam_max t) at 4 points/period
+    n_times = max(int(np.ceil(t_max * data.frequencies[-1] * 2.0 / np.pi)), 64)
     t = np.linspace(0.0, t_max, n_times + 1)[1:]
-    profiles = _detector_profiles(data, slice(None), t)
+    profiles = _detector_profiles(data, t)
     recs = _backproject_divergence(data.array, t, profiles, out, MONO_CONSTANT)
-    return [ScalarField(out, rec) for rec in recs]
+    return KernelMatrix(grid=out, values=recs)
 
 
 def invert_fourier(data, out, return_residue=False):
     """Invert plane-wave responses by inverse DFT back to the pixel grid.
 
-    The data must live on the conjugate lattice of the output grid; any
-    mismatch in counts, spacing, or reference origin is rejected.  The
-    reconstruction is exact to roundoff for data produced by the forward
-    transform; the imaginary part (zero for consistent data) is dropped,
-    and its relative norm is available as a diagnostic.
+    The data's source grid must match the output grid; any mismatch in
+    counts, spacing, or origin is rejected.  The reconstruction is exact
+    to roundoff for data produced by the forward transform; the imaginary
+    part (zero for consistent data) is dropped, and its relative norm per
+    electrode is available as a diagnostic.
     """
     if not isinstance(data, FourierData):
         raise TypeError("expected FourierData")
-    ref = conjugate_lattice(out)
     same = (
-        tuple(data.kgrid.counts) == tuple(ref.counts)
-        and np.allclose(data.kgrid.spacing, ref.spacing, rtol=1e-9, atol=0.0)
-        and np.allclose(data.kgrid.origin, ref.origin, rtol=1e-9, atol=1e-12)
-        and np.allclose(data.origin, out.origin, rtol=1e-9, atol=1e-12)
+        tuple(data.grid.counts) == tuple(out.counts)
+        and np.allclose(data.grid.spacing, out.spacing, rtol=1e-9, atol=0.0)
+        and np.allclose(data.grid.origin, out.origin, rtol=1e-9, atol=1e-12)
     )
     if not same:
         raise ValueError(
             "frequency lattice does not match the conjugate lattice of the "
             "output grid (counts, spacing, or origin differ)"
         )
-    phase = _kgrid_phase(data.kgrid, out.origin).ravel()
-    n_el = data.values.shape[1]
-    spectra = (data.values.T / (phase * out.pixel_measure)).reshape(
-        (n_el,) + tuple(out.counts[::-1]))
-    axes = tuple(range(1, out.dim + 1))
-    cols = scipy.fft.fftn(scipy.fft.ifftshift(spectra, axes=axes), axes=axes)
-    cols = cols.reshape(n_el, -1) / out.n_pixels
-    fields = [ScalarField(out, col.real) for col in cols]
+    cols = _inverse_dft(data.values, out)
+    kernel = KernelMatrix(grid=out, values=cols.real)
     if return_residue:
         scale = np.linalg.norm(cols, axis=1)
         imag = np.linalg.norm(cols.imag, axis=1)
-        residues = np.divide(imag, scale, out=np.zeros(n_el), where=scale > 0.0)
-        return fields, residues
-    return fields
+        residues = np.divide(imag, scale, out=np.zeros(cols.shape[0]), where=scale > 0.0)
+        return kernel, residues
+    return kernel
 
 
 def invert_xray_2d(data, out):
@@ -254,7 +238,7 @@ def invert_xray_2d(data, out):
     Ramp-filters each projection in the offset variable (frequency-domain
     ramp, band-limited at the offset Nyquist frequency, zero-padded to
     avoid circular wrap), backprojects with linear interpolation, and
-    weights by pi / n_angles.  Returns one ScalarField per electrode.
+    weights by pi / n_angles.
     """
     if not isinstance(data, Sinogram):
         raise TypeError("expected Sinogram")
@@ -286,7 +270,7 @@ def invert_xray_2d(data, out):
                            axis=1).real[:, :n_off]
         recs += _lerp(q, np.cos(ang) * x + np.sin(ang) * y, data.offsets)
     recs *= np.pi / n_angles
-    return [ScalarField(out, rec) for rec in recs]
+    return KernelMatrix(grid=out, values=recs)
 
 
 _METHODS = {
@@ -297,12 +281,12 @@ _METHODS = {
 }
 
 
-def focus_kernel(data, method, out, electrodes=None):
+def focus_kernel(data, method, out):
     """Reconstruct a full kernel matrix on ``out`` from wave-family data.
 
     ``method`` is one of 'spherical', 'monochromatic', 'plane', 'xray'
     and must match the data type.  Rows of the result are electrodes in
-    the data's column order.
+    the data's order.
     """
     if method not in _METHODS:
         raise ValueError(
@@ -313,6 +297,4 @@ def focus_kernel(data, method, out, electrodes=None):
         raise TypeError(
             f"method {method!r} requires {want.__name__}, got {type(data).__name__}"
         )
-    fields = invert(data, out)
-    values = np.stack([f.values for f in fields])
-    return KernelMatrix(grid=out, values=values, electrodes=electrodes)
+    return invert(data, out)

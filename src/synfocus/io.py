@@ -126,8 +126,9 @@ def load_table_csv(path):
     return axes, arr
 
 
-def save_pgm(path, field, levels=255):
-    """Plain-text PGM (P2), min-max scaled; the scale is in the comment.
+def save_pgm(path, field):
+    """Plain-text PGM (P2), min-max scaled to 0..255; the scale is in the
+    comment.
 
     Row order is top-to-bottom (decreasing y) so the image matches the
     usual orientation of the domain.  3D fields export the middle z slice.
@@ -139,12 +140,12 @@ def save_pgm(path, field, levels=255):
     lo = float(np.min(img))
     hi = float(np.max(img))
     span = hi - lo if hi > lo else 1.0
-    pix = np.rint((img - lo) / span * levels).astype(int)
+    pix = np.rint((img - lo) / span * 255).astype(int)
     pix = pix[::-1]  # top row = max y
     with open(path, "w") as f:
         f.write("P2\n")
         f.write(f"# min={repr(lo)} max={repr(hi)}\n")
-        f.write(f"{pix.shape[1]} {pix.shape[0]}\n{levels}\n")
+        f.write(f"{pix.shape[1]} {pix.shape[0]}\n255\n")
         for row in pix:
             f.write(" ".join(str(v) for v in row) + "\n")
 

@@ -185,25 +185,3 @@ def disk_sinogram(phantom, angles, offsets):
         for s, off in enumerate(offsets):
             out[a, s] = line_integral(phantom, ang, off)
     return out
-
-
-def save_fixture_csv(path, entries):
-    """Write (z, t, value) oracle fixtures; floats use shortest round-trip repr."""
-    with open(path, "w") as f:
-        f.write("# spherical mean oracle fixtures: z components, t, value\n")
-        for z, t, value in entries:
-            z = np.asarray(z, dtype=float)
-            cols = [repr(float(c)) for c in z] + [repr(float(t)), repr(float(value))]
-            f.write(",".join(cols) + "\n")
-
-
-def load_fixture_csv(path):
-    entries = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [float(p) for p in line.split(",")]
-            entries.append((np.array(parts[:-2]), parts[-2], parts[-1]))
-    return entries

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.fft
 
 from .core import Grid, _frozen_array, _interp, _unit_lattice
 
@@ -88,27 +89,27 @@ class MonochromaticData:
 
 @dataclass(frozen=True)
 class FourierData:
-    """Fourier samples of the kernel columns on the conjugate DFT lattice.
+    """Fourier samples of kernel columns given on ``grid``.
 
-    ``kgrid`` is the ascending (fftshifted) wave-vector lattice conjugate
-    to the interior grid; values[m, j] follows kgrid's x-fastest layout.
-    ``origin`` records the interior grid origin the phases refer to.
+    values[m, j] is the sample of electrode j at wave vector m of
+    ``kgrid``, the ascending (fftshifted) lattice conjugate to ``grid``,
+    in its x-fastest layout; the phases refer to ``grid.origin``.
     """
 
-    kgrid: Grid
+    grid: Grid
     values: np.ndarray
-    origin: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "values",
                            _frozen_array(self.values, dtype=complex, ndim=2))
-        object.__setattr__(self, "origin", _frozen_array(self.origin, ndim=1))
-        if self.values.shape[0] != self.kgrid.n_pixels:
+        if self.values.shape[0] != self.grid.n_pixels:
             raise ValueError("values rows must match the k-lattice size")
-        if self.origin.size != self.kgrid.dim:
-            raise ValueError("origin dimension must match the k-lattice")
         if not np.all(np.isfinite(self.values.view(float))):
             raise ValueError("values must be finite")
+
+    @property
+    def kgrid(self):
+        return conjugate_lattice(self.grid)
 
     def axes(self):
         return [(f"k{d}", ax) for d, ax in enumerate(self.kgrid.axes())]
@@ -325,17 +326,27 @@ def _forward_dft(columns, grid):
     axes = tuple(range(1, grid.dim + 1))
     ft = np.fft.ifftn(shaped, axes=axes) * grid.n_pixels
     ft = np.fft.fftshift(ft, axes=axes)
-    kgrid = conjugate_lattice(grid)
-    phase = _kgrid_phase(kgrid, grid.origin)
+    phase = _kgrid_phase(conjugate_lattice(grid), grid.origin)
     ft = ft * phase[None, ...] * grid.pixel_measure
-    return ft.reshape(n_el, -1).T, kgrid
+    return ft.reshape(n_el, -1).T
+
+
+def _inverse_dft(values, grid):
+    """Inverse of _forward_dft: complex columns (n_el, n_pixels) on grid
+    from samples (n_k, n_el) in the ascending k-lattice layout."""
+    phase = _kgrid_phase(conjugate_lattice(grid), grid.origin).ravel()
+    n_el = values.shape[1]
+    spectra = (values.T / (phase * grid.pixel_measure)).reshape(
+        (n_el,) + tuple(grid.counts[::-1]))
+    axes = tuple(range(1, grid.dim + 1))
+    cols = scipy.fft.fftn(scipy.fft.ifftshift(spectra, axes=axes), axes=axes)
+    return cols.reshape(n_el, -1) / grid.n_pixels
 
 
 def measure_plane_waves(kernel):
     """Fourier samples of each kernel column on the conjugate DFT lattice:
     values[m, j] ~ integral exp(i k_m . x) kernel_j(x) dx."""
-    values, kgrid = _forward_dft(kernel.values, kernel.grid)
-    return FourierData(kgrid=kgrid, values=values, origin=kernel.grid.origin)
+    return FourierData(grid=kernel.grid, values=_forward_dft(kernel.values, kernel.grid))
 
 
 def measure_line_integrals(kernel, angles, offsets):
@@ -386,14 +397,11 @@ def add_noise(data, level, seed):
     v = data.values
     rms = float(np.sqrt(np.mean(np.abs(v) ** 2)))
     if isinstance(data, FourierData):
-        # white noise on the source lattice, pushed through the same
+        # white noise on the source grid, pushed through the same
         # transform as the measurement
-        kgrid = data.kgrid
-        source = Grid(origin=data.origin,
-                      spacing=2.0 * np.pi / (kgrid.counts * kgrid.spacing),
-                      counts=kgrid.counts)
+        source = data.grid
         w = rng.standard_normal((v.shape[1], source.n_pixels))
-        eta, _ = _forward_dft(w, source)
+        eta = _forward_dft(w, source)
         scale = level * rms / (source.pixel_measure * np.sqrt(source.n_pixels))
         noisy = v + scale * eta
     elif np.iscomplexobj(v):

@@ -69,7 +69,7 @@ def pulse_recon48(gauss48, pulse_data48):
     """Backprojection reconstruction of the gaussian at 48^3 (flat array)."""
     from synfocus.focusing import invert_spherical_means_3d
 
-    return invert_spherical_means_3d(pulse_data48, gauss48["grid"])[0].values
+    return invert_spherical_means_3d(pulse_data48, gauss48["grid"]).values[0]
 
 
 @pytest.fixture(scope="session")
@@ -77,21 +77,19 @@ def mono_data48(gauss48):
     """Frequency-domain detector values for the same gaussian benchmark.
 
     Every transducer sits at distance 1 from the phantom center, so the
-    time-domain spherical integral has the closed form validated against
-    the quadrature oracle in test_oracles; its weighted Fourier transform
-    over a dense time lattice gives W(lam) = integral g(t) e^{i lam t}
-    / (4 pi t) dt exactly to trapezoid accuracy.
+    time-domain spherical integral is the closed form spherical_mean_exact
+    (cross-checked against the quadrature oracle in test_oracles); its
+    weighted Fourier transform over a dense time lattice gives W(lam) =
+    integral g(t) e^{i lam t} / (4 pi t) dt exactly to trapezoid accuracy.
     """
+    from synfocus.oracles import spherical_mean_exact
     from synfocus.wavegen import MonochromaticData, default_frequencies
 
     arr = gauss48["array"]
-    s = gauss48["s"]
     freqs = default_frequencies(gauss48["grid"])
     d = 1.0
     t = np.linspace(5e-4, d + np.sqrt(3.0) / 2.0, 3740)
-    g = (2.0 * np.pi * t * s * s / d) * (
-        np.exp(-((d - t) ** 2) / (2 * s * s)) - np.exp(-((d + t) ** 2) / (2 * s * s))
-    )
+    g = spherical_mean_exact(gauss48["phantom"], (d, 0.0, 0.0), t)
     wt = np.full(t.size, t[1] - t[0])
     wt[0] *= 0.5
     wt[-1] *= 0.5
@@ -106,7 +104,7 @@ def mono_recon48(gauss48, mono_data48):
     """Monochromatic-route reconstruction at 48^3 (flat array)."""
     from synfocus.focusing import invert_monochromatic_3d
 
-    return invert_monochromatic_3d(mono_data48, gauss48["grid"])[0].values
+    return invert_monochromatic_3d(mono_data48, gauss48["grid"]).values[0]
 
 
 @pytest.fixture(scope="session")
@@ -124,7 +122,7 @@ def disk_fbp256():
     offsets = np.linspace(-0.75, 0.75, 256)
     sino = disk_sinogram(disk, angles, offsets)
     data = Sinogram(angles=angles, offsets=offsets, values=sino[:, :, None])
-    recon = invert_xray_2d(data, grid)[0].values
+    recon = invert_xray_2d(data, grid).values[0]
     r = np.linalg.norm(grid.centers() - center[None, :], axis=1)
     return {
         "grid": grid,

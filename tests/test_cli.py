@@ -4,6 +4,7 @@ end-to-end chains, metrics schema, determinism, and exit codes."""
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -105,6 +106,15 @@ class TestExitCodes:
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("family = xray\nangles = 4\ngrid = 16\npixels = 8\n")
         assert run_cli(["focus", "--config", str(cfg)], tmp_path) == 0
+        assert "4 projection angles" in read_metrics(tmp_path)["warnings"]
+
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    def test_run_warnings_recorded_under_any_filter(self, tmp_path, action):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("family = xray\nangles = 4\ngrid = 16\npixels = 8\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            assert run_cli(["focus", "--config", str(cfg)], tmp_path) == 0
         assert "4 projection angles" in read_metrics(tmp_path)["warnings"]
 
     def test_seed_override_lands_in_config_echo(self, tmp_path):

@@ -71,6 +71,19 @@ class TestGrid:
         with pytest.raises(ValueError):
             g.origin[0] = 7.0
 
+    def test_equality_and_hash_by_value(self):
+        a = Grid(origin=(0.0, 1.0), spacing=(0.5, 0.25), counts=(4, 3))
+        b = Grid(origin=[0.0, 1.0], spacing=np.array([0.5, 0.25]), counts=(4, 3))
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        for other in (Grid(origin=(0.0, 1.5), spacing=(0.5, 0.25), counts=(4, 3)),
+                      Grid(origin=(0.0, 1.0), spacing=(0.5, 0.5), counts=(4, 3)),
+                      Grid(origin=(0.0, 1.0), spacing=(0.5, 0.25), counts=(4, 4)),
+                      Grid(origin=(0.0, 1.0, 0.0), spacing=(0.5, 0.25, 1.0),
+                           counts=(4, 3, 2))):
+            assert a != other and not a == other
+        assert a != "grid" and a != a.origin.tolist()
+
 
 class TestScalarField:
     def test_size_mismatch_rejected(self):
@@ -142,7 +155,7 @@ class TestTransducerArray:
         bad[0] *= 1.1
         with pytest.raises(ValueError):
             TransducerArray(positions=bad, normals=arr.normals,
-                            weights=arr.weights, radius=1.0, sound_speed=1.0)
+                            weights=arr.weights, radius=1.0)
 
 
 class TestBoundaryElectrodes:

@@ -36,15 +36,6 @@ from synfocus.wavegen import (
 from conftest import centered_grid, gaussian_column, random_smooth_column, rel_l2
 
 
-def closed_form_sphere_integral(t, d, s):
-    """Spherical surface integral of a unit gaussian (width s) over spheres
-    of radius t centered at distance d from the gaussian center; validated
-    against the quadrature oracle in test_oracles."""
-    return (2.0 * np.pi * t * s * s / d) * (
-        np.exp(-((d - t) ** 2) / (2 * s * s)) - np.exp(-((d + t) ** 2) / (2 * s * s))
-    )
-
-
 def small_pulse_setup(n_trans=6, n_out=12, n_radii=60):
     arr = make_transducer_array(n_trans, radius=1.0)
     out = centered_grid(n_out, 3)
@@ -84,10 +75,9 @@ class TestSphericalMeansRoute:
         data = SphericalMeanData(
             array=arr, radii=radii, values=np.zeros((arr.n, radii.size, 2))
         )
-        fields = invert_spherical_means_3d(data, out)
-        assert len(fields) == 2
-        for f in fields:
-            assert np.all(f.values == 0.0)
+        kern = invert_spherical_means_3d(data, out)
+        assert kern.n_electrodes == 2
+        assert np.all(kern.values == 0.0)
 
     def test_gaussian_benchmark_within_ten_percent(self, gauss48, pulse_recon48):
         err = rel_l2(pulse_recon48, gauss48["truth"])
@@ -104,7 +94,7 @@ class TestSphericalMeansRoute:
         radii = default_radii(arr, out, 256)
         vals = spherical_mean_exact(ball, arr.positions, radii)[:, :, None]
         data = SphericalMeanData(array=arr, radii=radii, values=vals)
-        rec = invert_spherical_means_3d(data, out)[0].values
+        rec = invert_spherical_means_3d(data, out).values[0]
         r = np.linalg.norm(out.centers() - np.array([0.2, 0.0, 0.0]), axis=1)
         h = out.spacing[0]
         inside = rec[r <= 0.3 - 2 * h]
@@ -150,8 +140,8 @@ class TestMonochromaticRoute:
             array=arr, frequencies=freqs,
             values=np.zeros((arr.n, freqs.size, 1), dtype=complex),
         )
-        fields = invert_monochromatic_3d(data, out)
-        assert np.all(fields[0].values == 0.0)
+        kern = invert_monochromatic_3d(data, out)
+        assert np.all(kern.values[0] == 0.0)
 
     def test_empty_frequency_list_rejected(self):
         arr = make_transducer_array(6, radius=1.0)
@@ -168,7 +158,7 @@ class TestMonochromaticRoute:
         arr = make_transducer_array(162, radius=1.0)
         col = KernelMatrix(grid=out, values=truth[None, :])
         data = measure_monochromatic(col, arr, default_frequencies(out))
-        rec = invert_monochromatic_3d(data, out)[0].values
+        rec = invert_monochromatic_3d(data, out).values[0]
         assert rel_l2(rec, truth) <= 0.15
 
     def test_gaussian_benchmark_within_fifteen_percent(self, gauss48, mono_recon48):
@@ -185,7 +175,7 @@ class TestFourierRoute:
         out = centered_grid(64, 2)
         col = random_smooth_column(out, rng)
         data = measure_plane_waves(KernelMatrix(grid=out, values=col[None, :]))
-        rec = invert_fourier(data, out)[0].values
+        rec = invert_fourier(data, out).values[0]
         assert rel_l2(rec, col) <= 1e-8
 
     def test_dc_sample_gives_constant_field(self):
@@ -197,8 +187,8 @@ class TestFourierRoute:
         assert np.allclose(k[dc], 0.0)
         V = 3.25
         vals[dc, 0] = V
-        data = FourierData(kgrid=kgrid, values=vals, origin=out.origin)
-        rec = invert_fourier(data, out)[0].values
+        data = FourierData(grid=out, values=vals)
+        rec = invert_fourier(data, out).values[0]
         domain_measure = out.pixel_measure * out.n_pixels
         assert np.allclose(rec, V / domain_measure, rtol=1e-12, atol=1e-15)
 
@@ -212,8 +202,8 @@ class TestFourierRoute:
         in_ratio = np.linalg.norm(noisy.values - data.values) / np.linalg.norm(
             data.values
         )
-        clean = invert_fourier(data, out)[0].values
-        pert = invert_fourier(noisy, out)[0].values
+        clean = invert_fourier(data, out).values[0]
+        pert = invert_fourier(noisy, out).values[0]
         out_ratio = np.linalg.norm(pert - clean) / np.linalg.norm(clean)
         assert abs(out_ratio / in_ratio - 1.0) <= 1e-6
 
@@ -235,13 +225,13 @@ class TestFourierRoute:
         out = centered_grid(16, 2)
         col = random_smooth_column(out, rng)
         data = measure_plane_waves(KernelMatrix(grid=out, values=col[None, :]))
-        fields, residue = invert_fourier(data, out, return_residue=True)
+        _, residue = invert_fourier(data, out, return_residue=True)
         assert residue.shape == (1,)
         assert residue[0] <= 1e-12
         # Breaking the Hermitian symmetry must show up in the diagnostic.
         vals = np.array(data.values)
         vals[1, 0] += 1j * np.max(np.abs(vals))
-        broken = FourierData(kgrid=data.kgrid, values=vals, origin=data.origin)
+        broken = FourierData(grid=data.grid, values=vals)
         _, residue2 = invert_fourier(broken, out, return_residue=True)
         assert residue2[0] > 1e-3
 
@@ -254,7 +244,7 @@ class TestXrayRoute:
             offsets=np.linspace(-0.8, 0.8, 33),
             values=np.zeros((24, 33, 1)),
         )
-        rec = invert_xray_2d(data, out)[0].values
+        rec = invert_xray_2d(data, out).values[0]
         assert np.all(rec == 0.0)
 
     def test_disk_reconstruction_interior(self, disk_fbp256):
@@ -274,7 +264,7 @@ class TestXrayRoute:
             values=np.repeat(row[None, :, None], angles.size, axis=0),
         )
         out = centered_grid(128, 2)
-        rec = invert_xray_2d(data, out)[0].values.reshape(128, 128)
+        rec = invert_xray_2d(data, out).values[0].reshape(128, 128)
         for sym in (np.rot90(rec), np.rot90(rec, 2), rec.T, rec[::-1, :]):
             assert rel_l2(rec, sym) <= 1e-3
         truth = gaussian_column(out, s=s)
@@ -317,9 +307,7 @@ class TestFocusKernel:
         data = measure_plane_waves(KernelMatrix(grid=out, values=cols))
         kern = focus_kernel(data, "plane", out)
         assert kern.values.shape == (3, out.n_pixels)
-        fields = invert_fourier(data, out)
-        for j in range(3):
-            assert np.array_equal(kern.values[j], fields[j].values)
+        assert np.array_equal(kern.values, invert_fourier(data, out).values)
         assert rel_l2(kern.values, cols) <= 1e-8
 
     def test_dispatch_matches_single_route_inversions(self, rng):
@@ -327,8 +315,7 @@ class TestFocusKernel:
         vals = rng.standard_normal((arr.n, radii.size, 2))
         pulse = SphericalMeanData(array=arr, radii=radii, values=vals)
         kern = focus_kernel(pulse, "spherical", out)
-        fields = invert_spherical_means_3d(pulse, out)
-        assert np.array_equal(kern.values[1], fields[1].values)
+        assert np.array_equal(kern.values, invert_spherical_means_3d(pulse, out).values)
 
         freqs = np.linspace(1.0, 20.0, 12)
         w = rng.standard_normal((arr.n, 12, 1)) + 1j * rng.standard_normal(
@@ -337,7 +324,7 @@ class TestFocusKernel:
         mono = MonochromaticData(array=arr, frequencies=freqs, values=w)
         assert np.array_equal(
             focus_kernel(mono, "monochromatic", out).values[0],
-            invert_monochromatic_3d(mono, out)[0].values,
+            invert_monochromatic_3d(mono, out).values[0],
         )
 
         out2 = centered_grid(12, 2)
@@ -348,7 +335,7 @@ class TestFocusKernel:
         )
         assert np.array_equal(
             focus_kernel(sino, "xray", out2).values[0],
-            invert_xray_2d(sino, out2)[0].values,
+            invert_xray_2d(sino, out2).values[0],
         )
 
     def test_zero_data_gives_zero_kernel(self):
@@ -366,9 +353,7 @@ class TestFocusKernel:
         out = centered_grid(16, 2)
         col = random_smooth_column(out, rng)
         data = measure_plane_waves(KernelMatrix(grid=out, values=col[None, :]))
-        scaled = FourierData(
-            kgrid=data.kgrid, values=2.5 * data.values, origin=data.origin
-        )
+        scaled = FourierData(grid=data.grid, values=2.5 * data.values)
         k1 = focus_kernel(data, "plane", out).values
         k2 = focus_kernel(scaled, "plane", out).values
         assert rel_l2(k2, 2.5 * k1) <= 1e-12
@@ -397,7 +382,7 @@ class TestFocusingInvariants:
         def pulse(v):
             return invert_spherical_means_3d(
                 SphericalMeanData(array=arr, radii=radii, values=v), out3
-            )[0].values
+            ).values[0]
 
         def mono(v):
             return invert_monochromatic_3d(
@@ -405,14 +390,10 @@ class TestFocusingInvariants:
                     array=arr, frequencies=np.linspace(1.0, 20.0, 12), values=v
                 ),
                 out3,
-            )[0].values
-
-        kgrid = conjugate_lattice(out2)
+            ).values[0]
 
         def plane(v):
-            return invert_fourier(
-                FourierData(kgrid=kgrid, values=v, origin=out2.origin), out2
-            )[0].values
+            return invert_fourier(FourierData(grid=out2, values=v), out2).values[0]
 
         def xray(v):
             return invert_xray_2d(
@@ -422,7 +403,7 @@ class TestFocusingInvariants:
                     values=v,
                 ),
                 out2,
-            )[0].values
+            ).values[0]
 
         cases = [
             (pulse, (arr.n, radii.size, 1), float),
@@ -453,36 +434,33 @@ class TestFocusingInvariants:
             frequencies=np.linspace(1.0, 20.0, 12),
             values=np.zeros((arr.n, 12, 1), dtype=complex),
         )
-        plane = FourierData(
-            kgrid=conjugate_lattice(out2),
-            values=np.zeros((out2.n_pixels, 1), dtype=complex),
-            origin=out2.origin,
-        )
+        plane = FourierData(grid=out2, values=np.zeros((out2.n_pixels, 1), dtype=complex))
         sino = Sinogram(
             angles=default_angles(24),
             offsets=np.linspace(-0.8, 0.8, 33),
             values=np.zeros((24, 33, 1)),
         )
-        assert np.all(invert_spherical_means_3d(pulse, out3)[0].values == 0.0)
-        assert np.all(invert_monochromatic_3d(mono, out3)[0].values == 0.0)
-        assert np.all(invert_fourier(plane, out2)[0].values == 0.0)
-        assert np.all(invert_xray_2d(sino, out2)[0].values == 0.0)
+        assert np.all(invert_spherical_means_3d(pulse, out3).values[0] == 0.0)
+        assert np.all(invert_monochromatic_3d(mono, out3).values[0] == 0.0)
+        assert np.all(invert_fourier(plane, out2).values[0] == 0.0)
+        assert np.all(invert_xray_2d(sino, out2).values[0] == 0.0)
 
     def test_radial_phantom_reconstructs_radially(self):
         # The Fibonacci aperture has no exact rotational symmetry; a radial
         # phantom must still reconstruct to a radially symmetric field up to
         # the quadrature's own discretization error.
         s = 0.2
+        ph = AnalyticPhantom(kind="gaussian", center=(0.0, 0.0, 0.0), scale=s)
         arr = make_transducer_array(162, radius=1.0)
         out = centered_grid(32, 3)
         radii = default_radii(arr, out, 400)
-        g = closed_form_sphere_integral(radii, 1.0, s)
+        g = spherical_mean_exact(ph, (1.0, 0.0, 0.0), radii)
         data = SphericalMeanData(
             array=arr,
             radii=radii,
             values=np.repeat(g[None, :, None], arr.n, axis=0),
         )
-        v = invert_spherical_means_3d(data, out)[0].values.reshape(32, 32, 32)
+        v = invert_spherical_means_3d(data, out).values[0].reshape(32, 32, 32)
         asym = max(
             rel_l2(v, np.rot90(v, axes=(1, 2))),
             rel_l2(v, np.rot90(v, axes=(0, 1))),
@@ -492,19 +470,20 @@ class TestFocusingInvariants:
 
     def test_resolution_convergence_in_radii(self):
         s = 0.2
+        ph = AnalyticPhantom(kind="gaussian", center=(0.0, 0.0, 0.0), scale=s)
         arr = make_transducer_array(162, radius=1.0)
         out = centered_grid(32, 3)
         truth = gaussian_column(out, s=s)
         errs = []
         for n_radii in (100, 200, 400):
             radii = default_radii(arr, out, n_radii)
-            g = closed_form_sphere_integral(radii, 1.0, s)
+            g = spherical_mean_exact(ph, (1.0, 0.0, 0.0), radii)
             data = SphericalMeanData(
                 array=arr,
                 radii=radii,
                 values=np.repeat(g[None, :, None], arr.n, axis=0),
             )
-            rec = invert_spherical_means_3d(data, out)[0].values
+            rec = invert_spherical_means_3d(data, out).values[0]
             errs.append(rel_l2(rec, truth))
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] <= 0.02
@@ -513,8 +492,8 @@ class TestFocusingInvariants:
         arr, out, radii = small_pulse_setup()
         vals = rng.standard_normal((arr.n, radii.size, 1))
         data = SphericalMeanData(array=arr, radii=radii, values=vals)
-        a = invert_spherical_means_3d(data, out)[0].values
-        b = invert_spherical_means_3d(data, out)[0].values
+        a = invert_spherical_means_3d(data, out).values[0]
+        b = invert_spherical_means_3d(data, out).values[0]
         assert a.tobytes() == b.tobytes()
         out2 = centered_grid(16, 2)
         sino = Sinogram(
@@ -522,8 +501,8 @@ class TestFocusingInvariants:
             offsets=np.linspace(-0.8, 0.8, 33),
             values=rng.standard_normal((24, 33, 1)),
         )
-        x1 = invert_xray_2d(sino, out2)[0].values
-        x2 = invert_xray_2d(sino, out2)[0].values
+        x1 = invert_xray_2d(sino, out2).values[0]
+        x2 = invert_xray_2d(sino, out2).values[0]
         assert x1.tobytes() == x2.tobytes()
 
 
@@ -562,7 +541,7 @@ class TestElectrodeIndependence:
         stacked = np.concatenate([d.values for d in singles], axis=-1)
         assert rel_l2(data.values, stacked) <= 1e-12
 
-        recs = np.stack([f.values for f in invert(data)])
-        single_recs = np.stack([invert(replace(data, values=data.values[..., [j]]))[0].values
+        recs = invert(data).values
+        single_recs = np.stack([invert(replace(data, values=data.values[..., [j]])).values[0]
                                 for j in range(3)])
         assert rel_l2(recs, single_recs) <= 1e-12

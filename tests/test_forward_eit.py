@@ -100,7 +100,7 @@ class TestSolveConduction:
         el = left_right_current_pattern(g)
         log_sigma = np.zeros(g.n_pixels)
         log_sigma[100] = 800.0
-        ph = Phantom(field=ScalarField(grid=g, values=log_sigma), disks=())
+        ph = Phantom(field=ScalarField(grid=g, values=log_sigma))
         with pytest.raises(RuntimeError):
             solve_conduction(ph, el)
         with pytest.raises(RuntimeError):
@@ -178,7 +178,7 @@ class TestKernels:
 
         def measured(eps):
             pert = Phantom(field=ScalarField(grid=phantom_grid,
-                                             values=eps * f_cells), disks=())
+                                             values=eps * f_cells))
             h = solve_conduction(pert, el).boundary_trace
             return (h - base) / eps
 

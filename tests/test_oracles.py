@@ -6,8 +6,6 @@ from synfocus.oracles import (
     disk_sinogram,
     eval_phantom,
     line_integral,
-    load_fixture_csv,
-    save_fixture_csv,
     spherical_mean_exact,
     spherical_mean_profile,
     spherical_mean_quadrature,
@@ -201,18 +199,3 @@ class TestLineIntegral:
         assert table.shape == (2, 3)
         assert np.allclose(table[:, [0, 2]], 0.0)
         assert np.allclose(table[:, 1], 0.5)
-
-
-class TestFixtureCsv:
-    def test_roundtrip_bit_exact(self, tmp_path):
-        entries = [
-            (np.array([2.0, 0.0, 0.0]), 2.0, FIXTURE_3D),
-            (np.array([1.0, -0.5, 0.25]), 0.7531, 0.123456789012345678),
-        ]
-        path = tmp_path / "fixtures.csv"
-        save_fixture_csv(path, entries)
-        back = load_fixture_csv(path)
-        assert len(back) == 2
-        for (z0, t0, v0), (z1, t1, v1) in zip(entries, back):
-            assert np.array_equal(np.asarray(z0, dtype=float), z1)
-            assert t0 == t1 and v0 == v1

@@ -61,8 +61,7 @@ class TestSphericalPulse:
         from synfocus.core import TransducerArray
         z = np.array([2.0, 0.0])
         one = TransducerArray(positions=z[None, :], normals=z[None, :] / 2.0,
-                              weights=np.array([4.0 * np.pi]), radius=2.0,
-                              sound_speed=1.0)
+                              weights=np.array([4.0 * np.pi]), radius=2.0)
         radii = np.array([1.6, 1.8, 2.0, 2.2, 2.4])
         data = measure_spherical_pulse(kern, one, radii)
         for k, t in enumerate(radii):
@@ -79,8 +78,7 @@ class TestSphericalPulse:
         z = np.array([1.2, -0.9, 1.1])
         R = float(np.linalg.norm(z))
         one = TransducerArray(positions=z[None, :], normals=z[None, :] / R,
-                              weights=np.array([4.0 * np.pi * R * R]), radius=R,
-                              sound_speed=1.0)
+                              weights=np.array([4.0 * np.pi * R * R]), radius=R)
         radii = R + np.array([-0.2, -0.1, 0.0, 0.1, 0.2])
         data = measure_spherical_pulse(kern, one, radii)
         for k, t in enumerate(radii):
@@ -218,7 +216,7 @@ class TestMonochromatic:
         inside = TransducerArray(positions=np.array([[r, 0.0, 0.0]]),
                                  normals=np.array([[1.0, 0.0, 0.0]]),
                                  weights=np.array([4.0 * np.pi * r * r]),
-                                 radius=r, sound_speed=1.0)
+                                 radius=r)
         with pytest.raises(ValueError):
             measure_monochromatic(_kernel(g, np.ones(g.n_pixels)), inside,
                                   np.array([5.0]))
