@@ -7,7 +7,8 @@ Conventions shared by every module in the package:
 * a grid's origin is the coordinate of the first pixel center; pixel i
   sits at origin + i*spacing and the domain box extends half a spacing
   beyond the outermost centers
-* containers are frozen after construction and their arrays are read-only
+* containers are frozen after construction and their arrays are read-only;
+  a Grid compares by value, every container holding an array by identity
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ class Grid:
         return float(np.sqrt(np.sum(np.maximum(np.abs(lo), np.abs(hi)) ** 2)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalarField:
     """Flat sample array bound to a grid, x index fastest."""
 
@@ -132,7 +133,7 @@ class ScalarField:
         return self.values.reshape(tuple(self.grid.counts[::-1]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Disk:
     """Circular (2d) or spherical (3d) inclusion added to the log conductivity."""
 
@@ -150,7 +151,7 @@ class Disk:
             raise ValueError("disk amplitude must lie in [-1, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Phantom:
     """Log-conductivity field."""
 
@@ -190,7 +191,7 @@ def build_phantom_disks(grid, disks):
     return Phantom(field=ScalarField(grid, values))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransducerArray:
     """Point transducers on a circle (2d) or sphere (3d) centered at the origin.
 
@@ -262,7 +263,7 @@ def make_transducer_array(n, radius, dim=3):
                            weights=weights, radius=radius)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryElectrodes:
     """One electrode per boundary cell face of a 2d grid.
 
@@ -325,7 +326,7 @@ def square_boundary_electrodes(grid, left=0.0, right=0.0, bottom=0.0, top=0.0):
     return BoundaryElectrodes(grid=grid, current=current)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelMatrix:
     """Linearized measurement kernel: one row per electrode, one column per
     interior pixel.  Entry (j, i) is the boundary-voltage response at

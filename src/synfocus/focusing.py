@@ -28,7 +28,7 @@ PULSE_CONSTANT = 1.0 / (8.0 * np.pi**2)
 MONO_CONSTANT = -1.0 / (2.0 * np.pi**2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilteredDetectorData:
     """Per-transducer filtered time profiles, ready for backprojection.
 

@@ -17,9 +17,12 @@ boundary trace, or is a difference of potentials, so the pin never shows.
 
 The measurement kernel is the linearization of the boundary trace with
 respect to local log-conductivity changes.  ``kernel_bruteforce``
-measures it column by column with finite perturbations and is the ground
-truth; ``kernel_adjoint`` evaluates the same discrete derivative exactly
-with a block of adjoint solves against the forward factorization.
+measures it with a finite perturbation of every pixel and is the ground
+truth: the exact change of each perturbed solve is a low-rank
+(Sherman-Morrison-Woodbury) update of one factorization, so no pixel is
+refactored.  ``kernel_adjoint`` evaluates the discrete derivative
+exactly with a block of adjoint solves against the forward
+factorization.
 """
 
 from __future__ import annotations
@@ -36,11 +39,14 @@ from .core import (Grid, KernelMatrix, Phantom, ScalarField,
 DEFAULT_EPS = 1e-3
 # relative residual above which a conduction solve is reported as failed
 _MAX_RESIDUAL = 1e-9
-# adjoint right-hand sides per block solve; bounds the dense blocks' memory
-_BLOCK = 64
+# relative residual above which a solve takes one iterative-refinement step
+_REFINE_ABOVE = 1e-12
+# right-hand sides per block solve; bounds the dense blocks' memory (per
+# column, splu solves 16-column blocks as fast as 64-column ones)
+_BLOCK = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConductionSolution:
     """Interior potential, gauged boundary trace and solver residual."""
 
@@ -119,19 +125,33 @@ def _check_electrodes(grid, electrodes):
 def _factor(A):
     """Factor the conduction matrix once, with cell 0 pinned to zero.
 
-    Returns ``solve(b) -> (x, residual)`` for one compatible right-hand
-    side or a column block; ``residual`` is the worst relative residual
-    of the full system A x = b over the columns.
+    Returns ``solve(b, pinned=False) -> (x, residual)`` for one right-hand
+    side or a column block, with x[0] = 0.  By default b is compatible and
+    ``residual`` is the worst relative residual of the full system
+    A x = b over the columns; the pinned row collects the rounding of the
+    whole solve, so a residual above ``_REFINE_ABOVE`` gets one step of
+    iterative refinement.  With ``pinned=True`` the residual is that of
+    the reduced system A[1:, 1:] x[1:] = b[1:], which needs no compatible
+    b (Green's columns).
     """
     lu = splu(A[1:, 1:].tocsc(), permc_spec="MMD_AT_PLUS_A",
               diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
-    def solve(b):
+    def solve(b, pinned=False):
+        rows = slice(int(pinned), None)
+        bnorm = np.linalg.norm(b[rows], axis=0)
+        bnorm = np.where(bnorm > 0, bnorm, 1.0)
+
+        def residual(x):
+            r = A @ x - b
+            return r, float(np.max(np.linalg.norm(r[rows], axis=0) / bnorm))
+
         x = np.zeros_like(b)
         x[1:] = lu.solve(b[1:])
-        bnorm = np.linalg.norm(b, axis=0)
-        rnorm = np.linalg.norm(A @ x - b, axis=0)
-        res = float(np.max(rnorm / np.where(bnorm > 0, bnorm, 1.0)))
+        r, res = residual(x)
+        if res > _REFINE_ABOVE:
+            x[1:] -= lu.solve(r[1:])
+            res = residual(x)[1]
         if not np.isfinite(res) or res > _MAX_RESIDUAL:
             raise RuntimeError(
                 f"conduction solve failed: relative residual {res:g} "
@@ -188,25 +208,119 @@ def _interior_map(phantom_grid, interior):
     return flat
 
 
+def _neighbourhoods(cell2pix, a, b, n_pixels):
+    """Per pixel p, the cells N_p whose rows of the conduction matrix a
+    perturbation of p changes: its own cells and their face neighbours.
+
+    Returns the faces ``f`` that touch a pixel, paired with that pixel
+    ``p`` (a face between two pixels appears once for each), the local
+    index of each face's a- and b-cell in N_p, and the sorted N_p as the
+    rows of an (n_pixels, max |N_p|) array, padded with cell 0.
+    """
+    n = cell2pix.size
+    pa, pb = cell2pix[a], cell2pix[b]
+    fa, fb = np.flatnonzero(pa >= 0), np.flatnonzero((pb >= 0) & (pb != pa))
+    f = np.concatenate([fa, fb])
+    p = np.concatenate([pa[fa], pb[fb]])
+    uniq, inv = np.unique(np.tile(p, 2) * n + np.concatenate([a[f], b[f]]),
+                          return_inverse=True)
+    counts = np.bincount(uniq // n, minlength=n_pixels)
+    loc = np.arange(uniq.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    nb = np.zeros((n_pixels, counts.max()), np.int64)
+    nb[uniq // n, loc] = uniq % n
+    return f, p, loc[inv[:f.size]], loc[inv[f.size:]], nb
+
+
+def _green_blocks(solve, n, cells):
+    """Pinned Green's columns (length n) at ``cells``, in blocks of
+    ``_BLOCK``: yields (j0, x) with x[:, j] the column of cells[j0 + j]."""
+    for j0 in range(0, cells.size, _BLOCK):
+        e = np.zeros((n, min(_BLOCK, cells.size - j0)))
+        e[cells[j0:j0 + _BLOCK], np.arange(e.shape[1])] = 1.0
+        yield j0, solve(e, pinned=True)[0]
+
+
 def kernel_bruteforce(phantom, electrodes, interior, eps=DEFAULT_EPS):
-    """Measurement kernel by finite perturbation, one factorization per pixel.
+    """Measurement kernel by finite perturbation, as exact low-rank updates.
 
     Entry (j, i) is [h_perturbed(y_j) - h(y_j)] / (eps * pixel_area) where
     the perturbation adds eps to log sigma on interior pixel i.
+
+    The perturbation changes the conduction matrix only on N_i, the
+    pixel's cells and their face neighbours, by a dense block B_i built
+    from the exact perturbed harmonic means.  With P the pinned inverse
+    (the inverse with cell 0 removed, zero in row and column 0) and u the
+    pinned potential, the Sherman-Morrison-Woodbury identity gives the
+    exact change of the potential,
+
+        du = -P S_i (I + B_i G_i)^-1 B_i u[N_i],   G_i = P[N_i, N_i],
+
+    where S_i selects N_i; cell 0 adds nothing, as its row of P and u[0]
+    are zero.  Green's columns of one factorization, solved in blocks,
+    supply G_i (the columns at the cells of every N_i) and the rows of
+    P S_i at the electrode cells (the columns there, P being symmetric);
+    no matrix is refactored per pixel.  The small systems are solved as
+    one stack, every N_i padded with cell 0 to the largest size.  The
+    trace also changes through the direct term (h/2) g / sigma of the
+    electrodes whose cell lies in pixel i.
     """
     if not eps > 0:
         raise ValueError("perturbation size eps must be positive")
     grid = phantom.grid
+    n_pix = interior.n_pixels
     cell2pix = _interior_map(grid, interior)
-    base = solve_conduction(phantom, electrodes).boundary_trace
-    log_sigma = phantom.field.values
-    area = interior.pixel_measure
+    sol = solve_conduction(phantom, electrodes)
+    # the factorization solves for the potential pinned to zero at cell 0
+    u = sol.potential.values - sol.potential.values[0]
+    sigma = phantom.conductivity()
+    A, (a, b, cond, _, _) = _assemble(grid, sigma)
+    solve = _factor(A)
 
-    values = np.empty((electrodes.n, interior.n_pixels))
-    for i in range(interior.n_pixels):
-        sigma = np.exp(log_sigma + eps * (cell2pix == i))
-        trace = _forward(grid, sigma, electrodes)[0].boundary_trace
-        values[:, i] = (trace - base) / (eps * area)
+    f, p, la, lb, nb = _neighbourhoods(cell2pix, a, b, n_pix)
+    # exact change of each touched face conductance: the harmonic mean
+    # with sigma scaled by e^eps on the sides that lie in pixel p
+    ka, kb = cell2pix[a[f]] == p, cell2pix[b[f]] == p
+    sa = sigma[a[f]] * np.where(ka, np.exp(eps), 1.0)
+    sb = sigma[b[f]] * np.where(kb, np.exp(eps), 1.0)
+    dc = cond[f] * np.expm1(eps) * (kb * sa + ka * sb) / (sa + sb)
+
+    # B_p = sum over its faces of dc (e_a - e_b)(e_a - e_b)^T on N_p
+    k = nb.shape[1]
+    B = np.zeros((n_pix, k, k))
+    np.add.at(B, (p, la, la), dc)
+    np.add.at(B, (p, lb, lb), dc)
+    np.add.at(B, (p, la, lb), -dc)
+    np.add.at(B, (p, lb, la), -dc)
+
+    # Green's columns at every cell of some N_p, in blocks of consecutive
+    # cells; each fills the columns of the G_p whose N_p holds its cell
+    G = np.empty((n_pix, k, k))
+    green = np.unique(nb)
+    for j0, x in _green_blocks(solve, grid.n_pixels, green):
+        cs = green[j0:j0 + x.shape[1]]
+        i, l = np.nonzero((nb >= cs[0]) & (nb <= cs[-1]))
+        G[i, :, l] = x[nb[i], np.searchsorted(cs, nb[i, l])[:, None]]
+
+    # z_p = (I + B_p G_p)^-1 B_p u[N_p], so du = -P Z with z_p in column p;
+    # the padding adds zero rows to B_p, zero rows and columns to G_p
+    # (cell 0) and so zero entries to z_p
+    z = np.linalg.solve(np.eye(k) + B @ G, B @ u[nb][:, :, None])
+    Z = sp.csr_matrix((z.ravel(), (nb.ravel(), np.repeat(np.arange(n_pix), k))),
+                      shape=(grid.n_pixels, n_pix))
+
+    # du at the electrode cells
+    cells_el = electrodes.cells
+    values = np.empty((electrodes.n, n_pix))
+    for j0, x in _green_blocks(solve, grid.n_pixels, cells_el):
+        values[j0:j0 + x.shape[1]] = -(Z.T @ x).T
+
+    # direct term of the electrodes whose boundary cell lies in the pixel
+    pix = cell2pix[cells_el]
+    on = np.flatnonzero(pix >= 0)
+    values[on, pix[on]] += (0.5 * electrodes.normal_spacing[on] * electrodes.current[on]
+                            / sigma[cells_el[on]] * np.expm1(-eps))
+    values -= values.mean(axis=0, keepdims=True)
+    values /= eps * interior.pixel_measure
     return KernelMatrix(grid=interior, values=values)
 
 

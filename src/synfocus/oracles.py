@@ -19,7 +19,7 @@ from .core import _frozen_array
 _PHI_FRAC = (np.sqrt(5.0) + 1.0) / 2.0 - 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnalyticPhantom:
     """Closed-form test object: a gaussian bump or a ball indicator.
 

@@ -31,7 +31,7 @@ def _uniform_spacing(x, name):
     return float((x[-1] - x[0]) / (x.size - 1))   # x[0] + k * mean stays near x[k]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphericalMeanData:
     """Spherical (2d: circular) surface integrals of the kernel columns.
 
@@ -59,7 +59,7 @@ class SphericalMeanData:
         return [("radius", self.radii)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonochromaticData:
     """Kernel columns integrated against the Green's function
     exp(i lam |x-z|) / (4 pi |x-z|), per transducer and frequency."""
@@ -87,7 +87,7 @@ class MonochromaticData:
         return [("frequency", self.frequencies)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FourierData:
     """Fourier samples of kernel columns given on ``grid``.
 
@@ -115,7 +115,7 @@ class FourierData:
         return [(f"k{d}", ax) for d, ax in enumerate(self.kgrid.axes())]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sinogram:
     """Line integrals of 2d kernel columns: values[a, s, j] for normal
     angle a and signed offset s."""

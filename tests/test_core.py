@@ -85,6 +85,28 @@ class TestGrid:
         assert a != "grid" and a != a.origin.tolist()
 
 
+class TestArrayContainers:
+    def test_compare_by_identity(self):
+        # containers holding arrays never compare their arrays: == is
+        # identity and does not raise, even on equal grids built apart
+        def grid():
+            return Grid(origin=(0.0, 1.0), spacing=(0.5, 0.25), counts=(3, 2))
+
+        makers = [
+            lambda: KernelMatrix(grid(), np.ones((2, 6))),
+            lambda: ScalarField(grid(), np.ones(6)),
+            lambda: build_phantom_disks(grid(), []),
+            lambda: Disk((0.0, 0.0), 0.5, 0.1),
+            lambda: square_boundary_electrodes(grid(), left=1.0, right=-1.0),
+            lambda: make_transducer_array(8, 1.5, dim=2),
+        ]
+        for make in makers:
+            x, y = make(), make()
+            assert x == x and not x != x
+            assert x != y and not x == y
+            assert hash(x) == hash(x)
+
+
 class TestScalarField:
     def test_size_mismatch_rejected(self):
         g = centered_grid(4, 2)

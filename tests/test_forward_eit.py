@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from synfocus.cli import default_phantom
+from synfocus.cli import INTERIOR_MARGIN, default_phantom
 from synfocus.core import (
     Grid,
     Phantom,
@@ -46,6 +46,24 @@ def _flat(grid):
     return build_phantom_disks(grid, [])
 
 
+def _refactor_kernel(phantom, electrodes, interior, eps):
+    """Brute-force kernel with one solve_conduction (one factorization)
+    per perturbed pixel, cells assigned to pixels by center membership."""
+    grid = phantom.grid
+    lo = interior.origin - 0.5 * interior.spacing
+    idx = np.floor((grid.centers() - lo) / interior.spacing).astype(int)
+    inside = np.all((idx >= 0) & (idx < interior.counts), axis=1)
+    pix = np.where(inside, idx[:, 0] + interior.counts[0] * idx[:, 1], -1)
+    base = solve_conduction(phantom, electrodes).boundary_trace
+    out = np.empty((electrodes.n, interior.n_pixels))
+    for i in range(interior.n_pixels):
+        log_sigma = phantom.field.values + eps * (pix == i)
+        pert = Phantom(field=ScalarField(grid=grid, values=log_sigma))
+        trace = solve_conduction(pert, electrodes).boundary_trace
+        out[:, i] = (trace - base) / (eps * interior.pixel_measure)
+    return out
+
+
 @pytest.fixture(scope="module")
 def fine_oracle():
     """512x512 reference solve of the two-disk phantom and the flat one."""
@@ -84,6 +102,13 @@ class TestSolveConduction:
         sol = solve_conduction(default_phantom(g), el)
         assert abs(np.mean(sol.boundary_trace)) <= 1e-12
         assert sol.residual <= 1e-10
+
+    def test_refined_residual_at_256(self):
+        # the pinned row collects the rounding of the whole solve; one
+        # refinement step keeps the full-system residual at roundoff
+        g = centered_grid(256, 2)
+        sol = solve_conduction(default_phantom(g), left_right_current_pattern(g))
+        assert sol.residual <= 1e-12
 
     def test_incompatible_current_rejected(self):
         g = centered_grid(8, 2)
@@ -143,6 +168,20 @@ class TestKernels:
         brute = kernel_bruteforce(ph, el, interior)
         adj = kernel_adjoint(ph, el, interior)
         assert rel_l2(adj.values, brute.values) <= 0.02
+
+    @pytest.mark.parametrize("grid_n, pixels, half, eps", [
+        (14, 8, 0.5 - INTERIOR_MARGIN, 1e-3),  # uneven cells per pixel
+        (12, 8, 0.5, 1e-3),   # pixels hold electrode cells and pinned cell 0
+        (16, 8, 0.5, 2e-2),   # finite update away from the linear regime
+    ])
+    def test_bruteforce_matches_per_pixel_refactor(self, grid_n, pixels, half, eps):
+        phantom_grid = centered_grid(grid_n, 2)
+        interior = centered_grid(pixels, 2, half=half)
+        ph = default_phantom(phantom_grid)
+        el = left_right_current_pattern(phantom_grid)
+        ref = _refactor_kernel(ph, el, interior, eps)
+        k = kernel_bruteforce(ph, el, interior, eps=eps).values
+        assert rel_l2(k, ref) <= 1e-7
 
     def test_bruteforce_eps_richardson(self):
         phantom_grid = centered_grid(16, 2)
