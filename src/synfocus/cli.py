@@ -81,8 +81,10 @@ class ExperimentConfig:
         for key in _POSITIVE:
             if getattr(self, key) <= 0:
                 raise ValueError(f"invalid value for '{key}': must be positive")
-        if self.noise < 0.0:
-            raise ValueError("invalid value for 'noise': must be >= 0")
+        if not 0.0 <= self.noise < np.inf:
+            raise ValueError("invalid value for 'noise': must be finite and >= 0")
+        if self.seed < 0:
+            raise ValueError("invalid value for 'seed': must be >= 0")
         if self.mode == "endtoend" and self.family in VOLUMETRIC:
             raise ValueError(
                 f"invalid value for 'family': {self.family!r} reconstructs in 3d "

@@ -14,20 +14,24 @@ SPD system is factored once per conductivity with a sparse LU, and for
 compatible data its solution, extended by the pinned zero, satisfies the
 full system.  Every result is then gauged by subtracting the mean of the
 boundary trace, or is a difference of potentials, so the pin never shows.
+``solve_conduction`` is the one place that assembles and factors; its
+``ConductionSolution`` holds the factored solve for further right-hand
+sides.
 
 The measurement kernel is the linearization of the boundary trace with
-respect to local log-conductivity changes.  ``kernel_bruteforce``
-measures it with a finite perturbation of every pixel and is the ground
-truth: the exact change of each perturbed solve is a low-rank
-(Sherman-Morrison-Woodbury) update of one factorization, so no pixel is
-refactored.  ``kernel_adjoint`` evaluates the discrete derivative
-exactly with a block of adjoint solves against the forward
-factorization.
+respect to local log-conductivity changes.  Both kernels start from one
+``solve_conduction`` and share one routine: adding eps to log sigma on a
+pixel changes the conduction matrix only near that pixel, so the exact
+change of the trace is a low-rank (Sherman-Morrison-Woodbury) update of
+the one factorization.  ``kernel_bruteforce`` takes a finite eps and is
+the finite-difference ground truth; ``kernel_adjoint`` is the eps -> 0
+limit of the same update, the exact discrete derivative.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,11 +52,13 @@ _BLOCK = 16
 
 @dataclass(frozen=True, eq=False)
 class ConductionSolution:
-    """Interior potential, gauged boundary trace and solver residual."""
+    """Interior potential, gauged boundary trace, solver residual and the
+    factored solve of the conduction matrix (see _factor)."""
 
     potential: ScalarField
     boundary_trace: np.ndarray
     residual: float
+    solve: Callable = field(repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "boundary_trace", _frozen_array(self.boundary_trace, ndim=1))
@@ -73,43 +79,29 @@ def _faces(grid, sigma):
     """Face lists for the 5-point stencil.
 
     Returns (a, b, cond) index/conductance arrays where ``cond`` already
-    carries the transverse/normal spacing ratio, plus the per-side
-    sensitivities d cond / d eps for a log-perturbation of sigma on the
-    a-side and b-side cells (used by the adjoint kernel).
+    carries the transverse/normal spacing ratio.
     """
     nx, ny = int(grid.counts[0]), int(grid.counts[1])
     hx, hy = float(grid.spacing[0]), float(grid.spacing[1])
     s = sigma.reshape(ny, nx)
     idx = np.arange(nx * ny).reshape(ny, nx)
 
-    ia, ib, cond, da, db = [], [], [], [], []
-    for axis, geom in ((0, hy / hx), (1, hx / hy)):
-        if axis == 0:
-            sa, sb = s[:, :-1], s[:, 1:]
-            a, b = idx[:, :-1], idx[:, 1:]
-        else:
-            sa, sb = s[:-1, :], s[1:, :]
-            a, b = idx[:-1, :], idx[1:, :]
-        sa, sb = sa.ravel(), sb.ravel()
-        den = sa + sb
-        c = 2.0 * sa * sb / den
-        ia.append(a.ravel()); ib.append(b.ravel()); cond.append(geom * c)
-        # d/d eps of the harmonic mean when sigma -> sigma*e^eps on one side
-        da.append(geom * sa * 2.0 * sb * sb / (den * den))
-        db.append(geom * sb * 2.0 * sa * sa / (den * den))
-    return (np.concatenate(ia), np.concatenate(ib), np.concatenate(cond),
-            np.concatenate(da), np.concatenate(db))
+    ia, ib, cond = [], [], []
+    for sa, sb, a, b, geom in ((s[:, :-1], s[:, 1:], idx[:, :-1], idx[:, 1:], hy / hx),
+                               (s[:-1, :], s[1:, :], idx[:-1, :], idx[1:, :], hx / hy)):
+        ia.append(a.ravel()); ib.append(b.ravel())
+        cond.append(geom * (2.0 * sa * sb / (sa + sb)).ravel())
+    return np.concatenate(ia), np.concatenate(ib), np.concatenate(cond)
 
 
 def _assemble(grid, sigma):
-    """Conduction matrix and the face lists it was built from (see _faces)."""
-    faces = _faces(grid, sigma)
-    a, b, c = faces[:3]
+    """Conduction matrix of the face lists of _faces."""
+    a, b, c = _faces(grid, sigma)
     n = grid.n_pixels
     rows = np.concatenate([a, b, a, b])
     cols = np.concatenate([a, b, b, a])
     vals = np.concatenate([c, c, -c, -c])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr(), faces
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
 def _check_electrodes(grid, electrodes):
@@ -143,8 +135,11 @@ def _factor(A):
         bnorm = np.where(bnorm > 0, bnorm, 1.0)
 
         def residual(x):
-            r = A @ x - b
-            return r, float(np.max(np.linalg.norm(r[rows], axis=0) / bnorm))
+            r = A @ x
+            r -= b
+            # column norms of the checked rows without squared temporaries
+            rr = r[rows]
+            return r, float(np.max(np.sqrt(np.einsum("i...,i...->...", rr, rr)) / bnorm))
 
         x = np.zeros_like(b)
         x[1:] = lu.solve(b[1:])
@@ -161,12 +156,17 @@ def _factor(A):
     return solve
 
 
-def _forward(grid, sigma, electrodes):
-    """Factor the conduction matrix of sigma and solve for the injected
-    current.  Returns the gauged solution, the factored solve and the face
-    lists of the matrix (see _faces)."""
-    A, faces = _assemble(grid, sigma)
-    solve = _factor(A)
+def solve_conduction(phantom, electrodes):
+    """Solve the Neumann conduction problem for one current pattern.
+
+    Returns the cell-centered potential and the boundary trace at the
+    electrode points, both gauged so the trace has zero mean, with the
+    factored solve of the conduction matrix.
+    """
+    grid = phantom.grid
+    _check_electrodes(grid, electrodes)
+    sigma = phantom.conductivity()
+    solve = _factor(_assemble(grid, sigma))
     cells = electrodes.cells
     b = np.zeros(grid.n_pixels)
     np.add.at(b, cells, electrodes.current * electrodes.segment_length)
@@ -175,19 +175,8 @@ def _forward(grid, sigma, electrodes):
     # second order for the prescribed-flux boundary
     trace = u[cells] + 0.5 * electrodes.normal_spacing * electrodes.current / sigma[cells]
     shift = trace.mean()
-    sol = ConductionSolution(potential=ScalarField(grid, u - shift),
-                             boundary_trace=trace - shift, residual=res)
-    return sol, solve, faces
-
-
-def solve_conduction(phantom, electrodes):
-    """Solve the Neumann conduction problem for one current pattern.
-
-    Returns the cell-centered potential and the boundary trace at the
-    electrode points, both gauged so the trace has zero mean.
-    """
-    _check_electrodes(phantom.grid, electrodes)
-    return _forward(phantom.grid, phantom.conductivity(), electrodes)[0]
+    return ConductionSolution(potential=ScalarField(grid, u - shift),
+                              boundary_trace=trace - shift, residual=res, solve=solve)
 
 
 def _interior_map(phantom_grid, interior):
@@ -240,32 +229,11 @@ def _green_blocks(solve, n, cells):
         yield j0, solve(e, pinned=True)[0]
 
 
-def kernel_bruteforce(phantom, electrodes, interior, eps=DEFAULT_EPS):
-    """Measurement kernel by finite perturbation, as exact low-rank updates.
-
-    Entry (j, i) is [h_perturbed(y_j) - h(y_j)] / (eps * pixel_area) where
-    the perturbation adds eps to log sigma on interior pixel i.
-
-    The perturbation changes the conduction matrix only on N_i, the
-    pixel's cells and their face neighbours, by a dense block B_i built
-    from the exact perturbed harmonic means.  With P the pinned inverse
-    (the inverse with cell 0 removed, zero in row and column 0) and u the
-    pinned potential, the Sherman-Morrison-Woodbury identity gives the
-    exact change of the potential,
-
-        du = -P S_i (I + B_i G_i)^-1 B_i u[N_i],   G_i = P[N_i, N_i],
-
-    where S_i selects N_i; cell 0 adds nothing, as its row of P and u[0]
-    are zero.  Green's columns of one factorization, solved in blocks,
-    supply G_i (the columns at the cells of every N_i) and the rows of
-    P S_i at the electrode cells (the columns there, P being symmetric);
-    no matrix is refactored per pixel.  The small systems are solved as
-    one stack, every N_i padded with cell 0 to the largest size.  The
-    trace also changes through the direct term (h/2) g / sigma of the
-    electrodes whose cell lies in pixel i.
-    """
-    if not eps > 0:
-        raise ValueError("perturbation size eps must be positive")
+def _kernel(phantom, electrodes, interior, eps):
+    """Kernel of kernel_bruteforce for eps >= 0, every per-pixel quantity
+    written per unit eps so that eps = 0 is the exact derivative.  There
+    the Woodbury factor is the identity, and neither G_i nor the small
+    solves are needed."""
     grid = phantom.grid
     n_pix = interior.n_pixels
     cell2pix = _interior_map(grid, interior)
@@ -273,104 +241,94 @@ def kernel_bruteforce(phantom, electrodes, interior, eps=DEFAULT_EPS):
     # the factorization solves for the potential pinned to zero at cell 0
     u = sol.potential.values - sol.potential.values[0]
     sigma = phantom.conductivity()
-    A, (a, b, cond, _, _) = _assemble(grid, sigma)
-    solve = _factor(A)
+    a, b, cond = _faces(grid, sigma)
 
     f, p, la, lb, nb = _neighbourhoods(cell2pix, a, b, n_pix)
-    # exact change of each touched face conductance: the harmonic mean
-    # with sigma scaled by e^eps on the sides that lie in pixel p
+    # exact change per unit eps of each touched face conductance: the
+    # harmonic mean with sigma scaled by e^eps on the sides in pixel p
     ka, kb = cell2pix[a[f]] == p, cell2pix[b[f]] == p
     sa = sigma[a[f]] * np.where(ka, np.exp(eps), 1.0)
     sb = sigma[b[f]] * np.where(kb, np.exp(eps), 1.0)
-    dc = cond[f] * np.expm1(eps) * (kb * sa + ka * sb) / (sa + sb)
+    growth = np.expm1(eps) / eps if eps else 1.0
+    dc = cond[f] * growth * (kb * sa + ka * sb) / (sa + sb)
 
     # B_p = sum over its faces of dc (e_a - e_b)(e_a - e_b)^T on N_p
     k = nb.shape[1]
     B = np.zeros((n_pix, k, k))
-    np.add.at(B, (p, la, la), dc)
-    np.add.at(B, (p, lb, lb), dc)
-    np.add.at(B, (p, la, lb), -dc)
-    np.add.at(B, (p, lb, la), -dc)
+    np.add.at(B, (np.tile(p, 4), np.concatenate([la, lb, la, lb]),
+                  np.concatenate([la, lb, lb, la])), np.concatenate([dc, dc, -dc, -dc]))
 
-    # Green's columns at every cell of some N_p, in blocks of consecutive
-    # cells; each fills the columns of the G_p whose N_p holds its cell
-    G = np.empty((n_pix, k, k))
-    green = np.unique(nb)
-    for j0, x in _green_blocks(solve, grid.n_pixels, green):
-        cs = green[j0:j0 + x.shape[1]]
-        i, l = np.nonzero((nb >= cs[0]) & (nb <= cs[-1]))
-        G[i, :, l] = x[nb[i], np.searchsorted(cs, nb[i, l])[:, None]]
-
-    # z_p = (I + B_p G_p)^-1 B_p u[N_p], so du = -P Z with z_p in column p;
-    # the padding adds zero rows to B_p, zero rows and columns to G_p
-    # (cell 0) and so zero entries to z_p
-    z = np.linalg.solve(np.eye(k) + B @ G, B @ u[nb][:, :, None])
+    # z_p = (I + eps B_p G_p)^-1 B_p u[N_p], so du / eps = -P Z with z_p in
+    # column p; the padding adds zero rows to B_p, zero rows and columns
+    # to G_p (cell 0) and so zero entries to z_p
+    z = B @ u[nb][:, :, None]
+    if eps:
+        # Green's columns at the cells of every N_p, in blocks of
+        # consecutive cells, fill the columns of the G_p holding them
+        G = np.empty((n_pix, k, k))
+        green = np.unique(nb)
+        for j0, x in _green_blocks(sol.solve, grid.n_pixels, green):
+            cs = green[j0:j0 + x.shape[1]]
+            i, l = np.nonzero((nb >= cs[0]) & (nb <= cs[-1]))
+            G[i, :, l] = x[nb[i], np.searchsorted(cs, nb[i, l])[:, None]]
+        z = np.linalg.solve(np.eye(k) + eps * (B @ G), z)
     Z = sp.csr_matrix((z.ravel(), (nb.ravel(), np.repeat(np.arange(n_pix), k))),
                       shape=(grid.n_pixels, n_pix))
 
-    # du at the electrode cells
-    cells_el = electrodes.cells
+    # du / eps at the electrode cells
+    cells = electrodes.cells
     values = np.empty((electrodes.n, n_pix))
-    for j0, x in _green_blocks(solve, grid.n_pixels, cells_el):
+    for j0, x in _green_blocks(sol.solve, grid.n_pixels, cells):
         values[j0:j0 + x.shape[1]] = -(Z.T @ x).T
 
-    # direct term of the electrodes whose boundary cell lies in the pixel
-    pix = cell2pix[cells_el]
+    # direct term (h/2) g / sigma of the electrodes whose cell lies in the
+    # pixel, times expm1(-eps) / eps
+    pix = cell2pix[cells]
     on = np.flatnonzero(pix >= 0)
-    values[on, pix[on]] += (0.5 * electrodes.normal_spacing[on] * electrodes.current[on]
-                            / sigma[cells_el[on]] * np.expm1(-eps))
+    values[on, pix[on]] -= (0.5 * electrodes.normal_spacing[on] * electrodes.current[on]
+                            / sigma[cells[on]] * (np.exp(-eps) * growth))
     values -= values.mean(axis=0, keepdims=True)
-    values /= eps * interior.pixel_measure
+    values /= interior.pixel_measure
     return KernelMatrix(grid=interior, values=values)
+
+
+def kernel_bruteforce(phantom, electrodes, interior, eps=DEFAULT_EPS):
+    """Measurement kernel by finite perturbation, as exact low-rank updates.
+
+    Entry (j, i) is [h_perturbed(y_j) - h(y_j)] / (eps * pixel_area) where
+    the perturbation adds eps to log sigma on interior pixel i.
+
+    The perturbation changes the conduction matrix only on N_i, the
+    pixel's cells and their face neighbours, by eps times a dense block
+    B_i built from the exact perturbed harmonic means.  With P the pinned
+    inverse (the inverse with cell 0 removed, zero in row and column 0)
+    and u the pinned potential, the Sherman-Morrison-Woodbury identity
+    gives the exact change of the potential,
+
+        du / eps = -P S_i (I + eps B_i G_i)^-1 B_i u[N_i],   G_i = P[N_i, N_i],
+
+    where S_i selects N_i; cell 0 adds nothing, as its row of P and u[0]
+    are zero.  Green's columns of the factorization of solve_conduction,
+    solved in blocks, supply G_i and the rows of P S_i at the electrode
+    cells (P is symmetric); no matrix is refactored per pixel.  The small
+    systems are solved as one stack, every N_i padded with cell 0.  The
+    trace also changes through the direct term (h/2) g / sigma of the
+    electrodes whose cell lies in pixel i.
+    """
+    if not eps > 0:
+        raise ValueError("perturbation size eps must be positive")
+    return _kernel(phantom, electrodes, interior, eps)
 
 
 def kernel_adjoint(phantom, electrodes, interior):
-    """Measurement kernel via block adjoint solves.
+    """Measurement kernel as the exact derivative of the gauged boundary
+    trace with respect to per-pixel log-conductivity.
 
-    Computes the exact derivative of the gauged boundary trace with
-    respect to per-pixel log-conductivity: the trace functionals of all
-    electrodes are solved back through the factored forward operator in
-    column blocks, and one sparse operator accumulates the derivative of
-    every face conductance against the forward/adjoint gradients.  Matches
-    kernel_bruteforce up to the brute-force linearization error.
+    This is the eps -> 0 limit of kernel_bruteforce's update, where the
+    Woodbury factor drops out: entry (j, i) is -P[c_j, N_i] B_i u[N_i]
+    plus the derivative of the direct term, B_i being the derivative of
+    the conduction matrix.  The rows P[c_j, :], the adjoint solutions of
+    the trace functionals, are the Green's columns at the electrode cells,
+    solved against the factorization that the ConductionSolution holds.
     """
-    grid = phantom.grid
-    _check_electrodes(grid, electrodes)
-    cells = electrodes.cells
-    cell2pix = _interior_map(grid, interior)
-    sigma = phantom.conductivity()
-    sol, solve, (a, b, _, da, db) = _forward(grid, sigma, electrodes)
-    u = sol.potential.values
-    du = u[a] - u[b]
-
-    # adjoint solution w -> per pixel, the sum over its cells of
-    # -(d cond / d eps) (w_a - w_b) (u_a - u_b) for each side of every face
-    wa, wb = -da * du, -db * du
-    rows = cell2pix[np.concatenate([a, a, b, b])]
-    cols = np.concatenate([a, b, a, b])
-    vals = np.concatenate([wa, -wa, wb, -wb])
-    keep = rows >= 0
-    sens = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
-                         shape=(interior.n_pixels, grid.n_pixels))
-
-    # mean-adjusted trace functionals keep each adjoint system compatible
-    n_el = electrodes.n
-    mean_vec = np.zeros(grid.n_pixels)
-    np.add.at(mean_vec, cells, 1.0 / n_el)
-    values = np.empty((n_el, interior.n_pixels))
-    for j0 in range(0, n_el, _BLOCK):
-        js = np.arange(j0, min(j0 + _BLOCK, n_el))
-        t = np.repeat(-mean_vec[:, None], js.size, axis=1)
-        t[cells[js], js - j0] += 1.0
-        values[js] = (sens @ solve(t)[0]).T
-
-    # direct term: the trace reconstruction (h/2) g / sigma_cell depends on
-    # sigma of the electrode's own boundary cell
-    pix = cell2pix[cells]
-    on = np.flatnonzero(pix >= 0)
-    direct = np.zeros_like(values)
-    direct[on, pix[on]] = (-0.5 * electrodes.normal_spacing[on]
-                          * electrodes.current[on] / sigma[cells[on]])
-    values += direct - direct.mean(axis=0, keepdims=True)
-    values /= interior.pixel_measure
-    return KernelMatrix(grid=interior, values=values)
+    return _kernel(phantom, electrodes, interior, 0.0)

@@ -128,6 +128,19 @@ class TestExitCodes:
         assert "'radii'" in capsys.readouterr().err
         assert not (tmp_path / "metrics.txt").exists()
 
+    @pytest.mark.parametrize("text, extra, key", [
+        ("noise = nan\n", [], "noise"),  # would skip the noise and exit 0
+        ("noise = inf\n", [], "noise"),
+        ("noise = 0.01\nseed = -1\n", [], "seed"),
+        ("noise = 0.01\n", ["--seed", "-1"], "seed"),
+    ], ids=["noise-nan", "noise-inf", "seed-config", "seed-option"])
+    def test_bad_noise_or_seed_exits_one(self, text, extra, key, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(text + "family = xray\ngrid = 16\npixels = 8\n")
+        assert run_cli(["measure", "--config", str(cfg)] + extra, tmp_path) == 1
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.txt").exists()
+
     @pytest.mark.parametrize("mode", ["kernel", "measure", "focus", "endtoend"])
     def test_pixels_too_fine_for_grid_exits_one(self, mode, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"

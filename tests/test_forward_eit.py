@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import synfocus.forward_eit
 from synfocus.cli import INTERIOR_MARGIN, default_phantom
 from synfocus.core import (
     Grid,
@@ -62,6 +63,14 @@ def _refactor_kernel(phantom, electrodes, interior, eps):
         trace = solve_conduction(pert, electrodes).boundary_trace
         out[:, i] = (trace - base) / (eps * interior.pixel_measure)
     return out
+
+
+# (phantom cells, interior pixels, interior half-width, eps)
+_REFACTOR_CASES = [
+    (14, 8, 0.5 - INTERIOR_MARGIN, 1e-3),  # uneven cells per pixel
+    (12, 8, 0.5, 1e-3),   # pixels hold electrode cells and pinned cell 0
+    (16, 8, 0.5, 2e-2),   # finite update away from the linear regime
+]
 
 
 @pytest.fixture(scope="module")
@@ -169,11 +178,7 @@ class TestKernels:
         adj = kernel_adjoint(ph, el, interior)
         assert rel_l2(adj.values, brute.values) <= 0.02
 
-    @pytest.mark.parametrize("grid_n, pixels, half, eps", [
-        (14, 8, 0.5 - INTERIOR_MARGIN, 1e-3),  # uneven cells per pixel
-        (12, 8, 0.5, 1e-3),   # pixels hold electrode cells and pinned cell 0
-        (16, 8, 0.5, 2e-2),   # finite update away from the linear regime
-    ])
+    @pytest.mark.parametrize("grid_n, pixels, half, eps", _REFACTOR_CASES)
     def test_bruteforce_matches_per_pixel_refactor(self, grid_n, pixels, half, eps):
         phantom_grid = centered_grid(grid_n, 2)
         interior = centered_grid(pixels, 2, half=half)
@@ -182,6 +187,47 @@ class TestKernels:
         ref = _refactor_kernel(ph, el, interior, eps)
         k = kernel_bruteforce(ph, el, interior, eps=eps).values
         assert rel_l2(k, ref) <= 1e-7
+
+    @pytest.mark.parametrize("grid_n, pixels, half", [c[:3] for c in _REFACTOR_CASES])
+    def test_adjoint_matches_refactor_central_difference(self, grid_n, pixels, half):
+        # the central difference of per-pixel refactoring is the derivative
+        # to O(h^2)
+        phantom_grid = centered_grid(grid_n, 2)
+        interior = centered_grid(pixels, 2, half=half)
+        ph = default_phantom(phantom_grid)
+        el = left_right_current_pattern(phantom_grid)
+        h = 1e-4
+        ref = 0.5 * (_refactor_kernel(ph, el, interior, h)
+                     + _refactor_kernel(ph, el, interior, -h))
+        k = kernel_adjoint(ph, el, interior).values
+        assert rel_l2(k, ref) <= 1e-7
+
+    def test_each_call_factors_once(self, monkeypatch):
+        calls = []
+        splu = synfocus.forward_eit.splu
+
+        def counting_splu(*args, **kwargs):
+            calls.append(1)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(synfocus.forward_eit, "splu", counting_splu)
+        phantom_grid = centered_grid(12, 2)
+        interior = centered_grid(6, 2)
+        ph = default_phantom(phantom_grid)
+        el = left_right_current_pattern(phantom_grid)
+        for run in (lambda: solve_conduction(ph, el),
+                    lambda: kernel_bruteforce(ph, el, interior),
+                    lambda: kernel_adjoint(ph, el, interior)):
+            calls.clear()
+            run()
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-3, np.nan])
+    def test_bruteforce_rejects_non_positive_eps(self, eps):
+        phantom_grid = centered_grid(8, 2)
+        el = left_right_current_pattern(phantom_grid)
+        with pytest.raises(ValueError, match="eps must be positive"):
+            kernel_bruteforce(_flat(phantom_grid), el, centered_grid(4, 2), eps=eps)
 
     def test_bruteforce_eps_richardson(self):
         phantom_grid = centered_grid(16, 2)
