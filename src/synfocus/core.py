@@ -14,12 +14,14 @@ Conventions shared by every module in the package:
 from __future__ import annotations
 
 import dataclasses
-import itertools
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
+_GATHER_BLOCK = 1 << 15   # points per stencil in _interp, bounding its memory
 
 
 def _frozen_array(a, dtype=float, ndim=None):
@@ -354,49 +356,56 @@ class KernelMatrix:
         return ScalarField(self.grid, self.values[j])
 
 
+def _stencil(grid, points):
+    """Multilinear interpolation stencil at ``points`` (n_points, dim).
+
+    Returns (near, index, weight): the indices of the points within one
+    spacing of the pixel-center hull and, for each, the flat pixel indices
+    and weights of its 2^dim corners, shape (n_near, 2^dim), in
+    itertools.product((0, 1), repeat=dim) order.  Corners outside the grid
+    get weight 0 and a clipped index, so the hull rolls off linearly."""
+    u = points - grid.origin
+    u /= grid.spacing
+    inside = (u > -1.0) & (u < grid.counts)
+    near = np.flatnonzero(functools.reduce(operator.and_, inside.T))
+    u = np.ascontiguousarray(u[near].T)
+    lo = np.floor(u)
+    frac = u - lo
+    lo = lo.astype(np.int64)
+    strides = np.cumprod(np.concatenate([[1], grid.counts[:-1]]))
+    # axis d of the (2,) * dim corner block holds the lower and upper
+    # neighbour along d; each axis multiplies in its factor and adds its index
+    weight = np.ones((2,) * grid.dim + (near.size,))
+    index = np.zeros(weight.shape, dtype=np.int64)
+    for d, n in enumerate(grid.counts):
+        shape = (1,) * d + (2,) + (1,) * (grid.dim - 1 - d) + (near.size,)
+        weight *= np.stack((np.where(lo[d] >= 0, 1.0 - frac[d], 0.0),
+                            np.where(lo[d] + 1 < n, frac[d], 0.0))).reshape(shape)
+        index += strides[d] * np.stack((np.maximum(lo[d], 0),
+                                        np.minimum(lo[d] + 1, n - 1))).reshape(shape)
+    return near, index.reshape(2 ** grid.dim, -1).T, weight.reshape(2 ** grid.dim, -1).T
+
+
 def _interp(grid, columns, points):
     """Multilinear interpolation of every row of ``columns`` (n_cols,
-    n_pixels) at ``points`` (n_points, dim); returns (n_points, n_cols).
-
-    Points beyond the pixel-center hull roll off linearly to zero within
-    one spacing and are zero farther out.
-    """
-    u = (points - grid.origin[None, :]) / grid.spacing[None, :]
-    n_cols = columns.shape[0]
-    out = np.zeros((points.shape[0], n_cols))
-    near = np.all((u > -1.0) & (u < grid.counts[None, :]), axis=1)
-    if not np.any(near):
-        return out
-    u = u[near]
-    i0 = np.floor(u).astype(np.int64)
-    frac = u - i0
-    # a zero layer on every side keeps all 2^dim corners valid (rows: pixels)
-    padded = np.pad(columns.reshape((n_cols,) + tuple(grid.counts[::-1])),
-                    [(0, 0)] + [(1, 1)] * grid.dim).reshape(n_cols, -1).T.copy()
-    strides = np.cumprod(np.concatenate([[1], grid.counts[:-1] + 2]))
-    base = (i0 + 1) @ strides
-    sub = np.zeros((u.shape[0], n_cols))
-    for corner in itertools.product((0, 1), repeat=grid.dim):
-        w = np.ones(u.shape[0])
-        for d in range(grid.dim):
-            w *= frac[:, d] if corner[d] else (1.0 - frac[:, d])
-        sub += w[:, None] * np.take(padded, base + np.dot(corner, strides), axis=0)
-    out[near] = sub
+    n_pixels) at ``points`` (n_points, dim), returned as (n_points, n_cols):
+    the weighted gather of the stencil (see _stencil for the roll-off)."""
+    rows = np.ascontiguousarray(columns.T)   # one row per pixel
+    out = np.zeros((points.shape[0], columns.shape[0]))
+    for p0 in range(0, points.shape[0], _GATHER_BLOCK):
+        near, index, weight = _stencil(grid, points[p0:p0 + _GATHER_BLOCK])
+        out[p0 + near] = sum(weight[:, c, None] * np.take(rows, index[:, c], axis=0)
+                             for c in range(index.shape[1]))
     return out
 
 
 def interp_field(field, points):
-    """Multilinear interpolation of a ScalarField at arbitrary points.
-
-    Points outside the convex hull of the pixel centers roll off linearly
-    to zero within one spacing and are zero beyond; the kernel is assumed
-    supported inside the grid.
-    """
-    g = field.grid
-    pts = np.asarray(points, dtype=float)
-    squeeze = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if pts.shape[1] != g.dim:
-        raise ValueError(f"points have dimension {pts.shape[1]}, grid has {g.dim}")
-    out = _interp(g, field.values[None, :], pts)[:, 0]
-    return out[0] if squeeze else out
+    """Multilinear interpolation of a ScalarField at one point or at an
+    (n, dim) array of points.  Points outside the convex hull of the pixel
+    centers roll off linearly to zero within one spacing and are zero
+    beyond; the kernel is assumed supported inside the grid."""
+    pts = np.atleast_1d(np.asarray(points, dtype=float))
+    if pts.shape[-1] != field.grid.dim:
+        raise ValueError(f"points have dimension {pts.shape[-1]}, grid has {field.grid.dim}")
+    out = _interp(field.grid, field.values[None, :], np.atleast_2d(pts))[:, 0]
+    return out[0] if pts.ndim == 1 else out

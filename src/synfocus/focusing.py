@@ -22,6 +22,7 @@ from .wavegen import (
     Sinogram,
     SphericalMeanData,
     _inverse_dft,
+    _uniform_spacing,
 )
 
 PULSE_CONSTANT = 1.0 / (8.0 * np.pi**2)
@@ -47,9 +48,7 @@ class FilteredDetectorData:
             raise ValueError("need at least two time samples")
         if np.any(t <= 0.0):
             raise ValueError("time samples must be positive")
-        d = np.diff(t)
-        if np.any(d <= 0.0) or not np.allclose(d, d[0], rtol=1e-9, atol=0.0):
-            raise ValueError("time samples must be uniformly increasing")
+        _uniform_spacing(t, "time samples")
         if v.shape != (self.array.positions.shape[0], t.size):
             raise ValueError(
                 f"values shape {v.shape} does not match "

@@ -73,11 +73,6 @@ def _directions(dim, n):
     return np.stack([rho * np.cos(ang), rho * np.sin(ang), z], axis=1)
 
 
-def sphere_measure(dim, t):
-    """Arc length of the circle (2d) or area of the sphere (3d) of radius t."""
-    return 2.0 * np.pi * t if dim == 2 else 4.0 * np.pi * t * t
-
-
 def spherical_mean_quadrature(phantom, z, t, n_quad=4096):
     """Integral of the phantom over the sphere |x - z| = t.
 
@@ -87,27 +82,16 @@ def spherical_mean_quadrature(phantom, z, t, n_quad=4096):
     repeated calls agree exactly and doubling ``n_quad`` probes
     convergence.
     """
-    z = np.asarray(z, dtype=float)
-    if z.size != phantom.dim:
-        raise ValueError("center dimension does not match the phantom")
-    if not t > 0:
-        raise ValueError("sphere radius t must be positive")
-    if n_quad < 64:
-        raise ValueError("need at least 64 quadrature points")
-    dirs = _directions(phantom.dim, n_quad)
-    vals = eval_phantom(phantom, z[None, :] + t * dirs)
-    return float(np.sum(vals)) * sphere_measure(phantom.dim, t) / n_quad
+    return float(spherical_mean_profile(phantom, z, [t], n_quad)[0])
 
 
 def spherical_mean_profile(phantom, z, radii, n_quad=4096):
-    """Vector of spherical integrals over several radii at once.
-
-    Identical rule and summation order as spherical_mean_quadrature,
-    evaluated for each radius with the same direction set.
-    """
+    """spherical_mean_quadrature at several radii, with one direction set."""
     z = np.asarray(z, dtype=float)
     radii = np.asarray(radii, dtype=float)
-    if np.any(radii <= 0):
+    if z.size != phantom.dim:
+        raise ValueError("center dimension does not match the phantom")
+    if not np.all(radii > 0):
         raise ValueError("sphere radii must be positive")
     if n_quad < 64:
         raise ValueError("need at least 64 quadrature points")
@@ -115,7 +99,8 @@ def spherical_mean_profile(phantom, z, radii, n_quad=4096):
     out = np.empty(radii.size)
     for i, t in enumerate(radii):
         vals = eval_phantom(phantom, z[None, :] + t * dirs)
-        out[i] = np.sum(vals) * sphere_measure(phantom.dim, t) / n_quad
+        measure = 2.0 * np.pi * t if phantom.dim == 2 else 4.0 * np.pi * t * t
+        out[i] = np.sum(vals) * measure / n_quad
     return out
 
 
@@ -178,10 +163,5 @@ def line_integral(phantom, angle, offset):
 
 def disk_sinogram(phantom, angles, offsets):
     """Closed-form sinogram of a 2d phantom, shape (n_angles, n_offsets)."""
-    angles = np.asarray(angles, dtype=float)
-    offsets = np.asarray(offsets, dtype=float)
-    out = np.empty((angles.size, offsets.size))
-    for a, ang in enumerate(angles):
-        for s, off in enumerate(offsets):
-            out[a, s] = line_integral(phantom, ang, off)
-    return out
+    return np.array([[line_integral(phantom, a, s) for s in np.asarray(offsets, dtype=float)]
+                     for a in np.asarray(angles, dtype=float)])

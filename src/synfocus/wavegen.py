@@ -15,8 +15,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.fft
+import scipy.sparse
 
-from .core import Grid, _frozen_array, _interp, _unit_lattice
+from .core import Grid, _frozen_array, _interp, _stencil, _unit_lattice
 
 
 def _uniform_spacing(x, name):
@@ -236,7 +237,7 @@ def measure_spherical_pulse(kernel, array, radii, oversample=2):
     box_hi = grid.origin + grid.counts * grid.spacing
     center = 0.5 * (box_lo + box_hi)
     rho = 0.5 * float(np.linalg.norm(box_hi - box_lo))
-    budget = 2_000_000
+    budget = 2_000_000 // kernel.n_electrodes   # 2 M gathered values per chunk
     for i in range(array.n):
         z = array.positions[i]
         # spheres that miss the support box or enclose it integrate to zero
@@ -354,7 +355,11 @@ def measure_line_integrals(kernel, angles, offsets):
 
     The line for (angle a, offset s) is {s*w + tau*d} with w = (cos a,
     sin a) and d = (-sin a, cos a), sampled at half-pixel steps with
-    multilinear interpolation.
+    multilinear interpolation.  The tau-sum is linear, so the sinogram is
+    one sparse operator P applied to all electrodes, values = P @ kernel.T:
+    a row per line (angle-major), a column per pixel, entries dtau times
+    the summed stencil weights.  P is built and applied in row blocks of
+    whole angles, about 5e4 line points each, so memory stays bounded.
     """
     grid = kernel.grid
     if grid.dim != 2:
@@ -369,14 +374,20 @@ def measure_line_integrals(kernel, angles, offsets):
     n_tau = int(np.ceil(2.0 * half / step))
     dtau = 2.0 * half / n_tau
     tau = -half + (np.arange(n_tau) + 0.5) * dtau
-    values = np.zeros((angles.size, offsets.size, kernel.n_electrodes))
-    # one interpolation call per angle covers the whole offset x tau lattice
-    for a, ang in enumerate(angles):
-        w = np.array([np.cos(ang), np.sin(ang)])
-        d = np.array([-np.sin(ang), np.cos(ang)])
-        pts = offsets[:, None, None] * w + tau[None, :, None] * d
-        cols = _interp(grid, kernel.values, pts.reshape(-1, 2))
-        values[a] = dtau * np.sum(cols.reshape(offsets.size, n_tau, -1), axis=1)
+    chunk = max(1, 50_000 // (offsets.size * n_tau))
+    values = np.empty((angles.size, offsets.size, kernel.n_electrodes))
+    for a0 in range(0, angles.size, chunk):
+        ang = angles[a0:a0 + chunk, None, None]
+        c, s = np.cos(ang), np.sin(ang)
+        pts = np.stack((offsets[:, None] * c - tau * s, offsets[:, None] * s + tau * c), -1)
+        near, index, weight = _stencil(grid, pts.reshape(-1, 2))
+        # the rows of P for these angles; the CSR conversion sums the
+        # entries a pixel collects along a line
+        P = scipy.sparse.csr_matrix(
+            (dtau * weight.ravel(), (np.repeat(near // n_tau, index.shape[1]), index.ravel())),
+            shape=(ang.size * offsets.size, grid.n_pixels))
+        P.eliminate_zeros()
+        values[a0:a0 + ang.size] = (P @ kernel.values.T).reshape(ang.size, offsets.size, -1)
     return Sinogram(angles=angles, offsets=offsets, values=values)
 
 

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import synfocus.wavegen
 from synfocus.core import (
     Grid,
     KernelMatrix,
     TransducerArray,
     _interp,
+    _stencil,
     _unit_lattice,
     make_transducer_array,
 )
@@ -15,7 +17,10 @@ from synfocus.wavegen import (
     _cap_indices,
     add_noise,
     conjugate_lattice,
+    default_angles,
     default_frequencies,
+    default_offsets,
+    default_radii,
     measure_line_integrals,
     measure_monochromatic,
     measure_plane_waves,
@@ -29,6 +34,33 @@ def _kernel(grid, columns):
     """Wrap one or more flat columns as a KernelMatrix (rows = electrodes)."""
     cols = np.atleast_2d(columns)
     return KernelMatrix(grid=grid, values=cols)
+
+
+def _support_center(grid):
+    """Centre of the interpolation support box (pixel-center hull padded
+    by one spacing), rounded as measure_spherical_pulse rounds it."""
+    return 0.5 * ((grid.origin - grid.spacing) + (grid.origin + grid.counts * grid.spacing))
+
+
+def _turned_sphere(grid, z, t, frame):
+    """The full turned quadrature lattice of measure_spherical_pulse at
+    radius t about z (oversample 2) and its per-point weight."""
+    m = int(np.ceil(2.0 * np.pi * t / float(np.min(grid.spacing)))) * 2
+    if grid.dim == 2:
+        n, meas = max(m, 8), 2.0 * np.pi * t
+    else:
+        n, meas = max(int(np.ceil(m * m / np.pi)), 32), 4.0 * np.pi * t * t
+    return z + t * _unit_lattice(n, grid.dim) @ frame, meas / n
+
+
+def _tau_lattice(grid):
+    """The line samples of measure_line_integrals: midpoints of uniform
+    steps of at most half a spacing over [-half, half], half = rho + step."""
+    step = 0.5 * float(np.min(grid.spacing))
+    half = grid.circumradius + step
+    n = int(np.ceil(2.0 * half / step))
+    dtau = 2.0 * half / n
+    return -half + (np.arange(n) + 0.5) * dtau, dtau
 
 
 class TestSphericalPulse:
@@ -84,6 +116,30 @@ class TestSphericalPulse:
         for k, t in enumerate(radii):
             ref = spherical_mean_quadrature(phantom, z, float(t), n_quad=4096)
             assert data.values[0, k, 0] == pytest.approx(ref, rel=1e-3)
+
+    def test_chunks_count_gathered_values(self, rng, monkeypatch):
+        # 128 electrodes: each gather holds at most 2 M values (points x
+        # electrodes) although the transducer needs 5.5 M in all
+        g = centered_grid(32, 2)
+        kern = _kernel(g, rng.standard_normal((128, g.n_pixels)))
+        z = np.array([2.0, 0.0])
+        one = TransducerArray(positions=z[None, :], normals=z[None, :] / 2.0,
+                              weights=np.array([4.0 * np.pi]), radius=2.0)
+        radii = default_radii(one, g, 400)
+        gathered = []
+
+        def counting(grid, columns, points):
+            gathered.append(points.shape[0] * columns.shape[0])
+            return _interp(grid, columns, points)
+
+        monkeypatch.setattr(synfocus.wavegen, "_interp", counting)
+        data = measure_spherical_pulse(kern, one, radii, oversample=8)
+        assert sum(gathered) > 2_000_000
+        assert max(gathered) <= 2_000_000
+        # chunks hold whole spheres, so each column is measured as alone
+        alone = measure_spherical_pulse(_kernel(g, kern.values[5]), one, radii,
+                                        oversample=8)
+        assert np.array_equal(data.values[..., 5], alone.values[..., 0])
 
     def test_radius_validation(self):
         g = centered_grid(8, 3)
@@ -153,8 +209,7 @@ class TestSphericalCap:
         g = Grid(origin=(0.4 + half / 8,) + (-half + half / 8,) * (dim - 1),
                  spacing=(half / 4,) * dim, counts=(8,) * dim)
         kern = _kernel(g, rng.standard_normal((2, g.n_pixels)))
-        lo, hi = g.origin - g.spacing, g.origin + g.counts * g.spacing
-        c = 0.5 * (lo + hi)
+        c = _support_center(g)
         R = float(np.linalg.norm(c))
         base = make_transducer_array(6, radius=R, dim=dim)
         pos = np.array(base.positions)
@@ -163,18 +218,12 @@ class TestSphericalCap:
                               radius=R)
         radii = np.linspace(0.1, 2.2, 12)
         data = measure_spherical_pulse(kern, arr, radii)
-        dx = float(np.min(g.spacing))
         expect = np.zeros_like(data.values)
         for i, z in enumerate(arr.positions):
             frame, _ = _cap_frame(z, c)
             for k, t in enumerate(radii):
-                m = int(np.ceil(2.0 * np.pi * t / dx)) * 2
-                if dim == 2:
-                    n, meas = max(m, 8), 2.0 * np.pi * t
-                else:
-                    n, meas = max(int(np.ceil(m * m / np.pi)), 32), 4.0 * np.pi * t * t
-                pts = z + t * _unit_lattice(n, dim) @ frame
-                expect[i, k] = meas / n * np.sum(_interp(g, kern.values, pts), axis=0)
+                pts, weight = _turned_sphere(g, z, t, frame)
+                expect[i, k] = weight * np.sum(_interp(g, kern.values, pts), axis=0)
         assert np.max(np.abs(data.values - expect)) <= 1e-12 * np.max(np.abs(expect))
 
 
@@ -325,6 +374,28 @@ class TestLineIntegrals:
             measure_line_integrals(_kernel(g3, np.zeros(512)),
                                    np.array([0.0]), offsets)
 
+    @pytest.mark.parametrize("n_el", [1, 64])
+    def test_sparse_operator_equals_gather(self, n_el, rng):
+        # at angles 0 and pi/2 the offsets (odd multiples of half a
+        # spacing) put whole lines on pixel centres, where the stencil
+        # has zero-weight corners; the outer offsets miss the grid
+        g = centered_grid(16, 2)
+        kern = _kernel(g, rng.standard_normal((n_el, g.n_pixels)))
+        offsets = np.linspace(-33 / 32, 33 / 32, 34)
+        tau, dtau = _tau_lattice(g)
+        for angles in (np.array([0.0, np.pi / 2]), np.array([1.1])):
+            sino = measure_line_integrals(kern, angles, offsets)
+            expect = np.empty_like(sino.values)
+            for a, ang in enumerate(angles):
+                w = np.array([np.cos(ang), np.sin(ang)])
+                d = np.array([-np.sin(ang), np.cos(ang)])
+                pts = offsets[:, None, None] * w + tau[None, :, None] * d
+                cols = _interp(g, kern.values, pts.reshape(-1, 2))
+                expect[a] = dtau * cols.reshape(offsets.size, tau.size, n_el).sum(axis=1)
+            assert np.all(expect[:, [0, -1]] == 0.0)
+            assert (np.max(np.abs(sino.values - expect))
+                    <= 1e-13 * np.max(np.abs(expect)))
+
     def test_uncovering_offsets_rejected(self):
         g = centered_grid(16, 2)
         with pytest.raises(ValueError, match="circumscribed"):
@@ -399,3 +470,73 @@ class TestFamilyInvariants:
                 assert np.max(np.abs(mc - (a * m1 + b * m2))) <= 1e-12 * scale
                 z = measure(_kernel(g, np.zeros(g.n_pixels)))
                 assert np.all(z == 0.0)
+
+
+def _dot_gap(ak, y, k, aty):
+    """|<A k, y> - <k, A^H y>| relative to |A k| |y|."""
+    gap = abs(np.vdot(y, ak) - np.vdot(aty, k))
+    return gap / (np.linalg.norm(ak) * np.linalg.norm(y))
+
+
+@pytest.mark.invariant
+class TestTransposes:
+    """<A k, y> = <k, A^H y> for each family, with A^H built here from the
+    family's definition; two electrodes (three for xray) at once."""
+
+    def test_xray(self, rng):
+        # the sinogram of the identity kernel is the sampling operator P
+        g = Grid(origin=(-0.4, 0.1), spacing=(0.1, 0.08), counts=(9, 12))
+        k = rng.standard_normal((3, g.n_pixels))
+        angles, offsets = default_angles(7), default_offsets(g, 15)
+        ak = measure_line_integrals(_kernel(g, k), angles, offsets).values
+        P = measure_line_integrals(_kernel(g, np.eye(g.n_pixels)), angles, offsets).values
+        y = rng.standard_normal(ak.shape)
+        aty = P.reshape(-1, g.n_pixels).T @ y.reshape(-1, 3)
+        assert _dot_gap(ak, y, k.T, aty) <= 1e-13
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_plane(self, dim, rng):
+        g = Grid(origin=(-0.3, 0.2, 0.1)[:dim], spacing=(0.1, 0.15, 0.2)[:dim],
+                 counts=(5, 6, 3)[:dim])
+        k = rng.standard_normal((2, g.n_pixels))
+        ak = measure_plane_waves(_kernel(g, k)).values
+        y = rng.standard_normal(ak.shape) + 1j * rng.standard_normal(ak.shape)
+        # the DFT as a dense matrix: pixel_measure * exp(i k_m . x_p)
+        dft = g.pixel_measure * np.exp(1j * conjugate_lattice(g).centers() @ g.centers().T)
+        aty = dft.conj().T @ y
+        assert _dot_gap(ak, y, k.T, aty) <= 1e-13
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_spherical(self, dim, rng):
+        # the transpose spreads each weighted sample back onto its stencil;
+        # the full turned lattice adds zeros where the measured cap stops
+        g = Grid(origin=(0.1, -0.2, 0.05)[:dim], spacing=(0.1, 0.08, 0.12)[:dim],
+                 counts=(7, 6, 5)[:dim])
+        arr = make_transducer_array(5, radius=1.2, dim=dim)
+        radii = default_radii(arr, g, 10)
+        k = rng.standard_normal((2, g.n_pixels))
+        ak = measure_spherical_pulse(_kernel(g, k), arr, radii).values
+        y = rng.standard_normal(ak.shape)
+        aty = np.zeros_like(k)
+        for i, z in enumerate(arr.positions):
+            frame, _ = _cap_frame(z, _support_center(g))
+            for r, t in enumerate(radii):
+                pts, weight = _turned_sphere(g, z, t, frame)
+                _, index, w = _stencil(g, pts)
+                spread = np.bincount(index.ravel(), weights=w.ravel(),
+                                     minlength=g.n_pixels)
+                aty += weight * y[i, r][:, None] * spread[None, :]
+        assert _dot_gap(ak, y, k, aty) <= 1e-13
+
+    def test_monochromatic(self, rng):
+        g = centered_grid(6, 3)
+        arr = make_transducer_array(5, radius=2.0)
+        freqs = np.array([2.0, 3.5, 5.0])
+        k = rng.standard_normal((2, g.n_pixels))
+        ak = measure_monochromatic(_kernel(g, k), arr, freqs).values
+        y = rng.standard_normal(ak.shape) + 1j * rng.standard_normal(ak.shape)
+        r = np.linalg.norm(g.centers()[None, :, :] - arr.positions[:, None, :], axis=2)
+        green = (np.exp(1j * freqs[None, :, None] * r[:, None, :])
+                 / (4.0 * np.pi * r[:, None, :]) * g.pixel_measure)
+        aty = np.einsum("imp,imj->jp", green.conj(), y)
+        assert _dot_gap(ak, y, k, aty) <= 1e-13
