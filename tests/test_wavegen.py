@@ -11,7 +11,7 @@ from synfocus.core import (
     _unit_lattice,
     make_transducer_array,
 )
-from synfocus.oracles import AnalyticPhantom, spherical_mean_quadrature
+from synfocus.oracles import AnalyticPhantom, spherical_mean_exact, spherical_mean_quadrature
 from synfocus.wavegen import (
     _cap_frame,
     _cap_indices,
@@ -116,6 +116,32 @@ class TestSphericalPulse:
         for k, t in enumerate(radii):
             ref = spherical_mean_quadrature(phantom, z, float(t), n_quad=4096)
             assert data.values[0, k, 0] == pytest.approx(ref, rel=1e-3)
+
+    def test_observed_order_against_closed_form(self):
+        # code verification by observed order (Roache 1998): the off-centre
+        # gaussian of the CLI's synthetic kernel on the centred unit cube,
+        # 16 transducers, 64 default radii, oversample 1.  Measured errors
+        # 7.52e-2, 1.95e-2, 4.95e-3 (orders 1.95, 1.98); the bounds sit 10%
+        # above them, and multilinear interpolation gives order 2
+        c, s = np.array([0.08, -0.05, 0.03]), 0.12
+        phantom = AnalyticPhantom(kind="gaussian", center=c, scale=s)
+        arr = make_transducer_array(16, radius=1.0)
+        errs = {}
+        for n in (8, 16, 32):
+            g = centered_grid(n, 3)
+            kern = _kernel(g, gaussian_column(g, s, c))
+            radii = default_radii(arr, g, 64)
+            exact = spherical_mean_exact(phantom, arr.positions, radii)
+            for oversample in (1, 2) if n == 16 else (1,):
+                data = measure_spherical_pulse(kern, arr, radii, oversample=oversample)
+                errs[n, oversample] = rel_l2(data.values[..., 0], exact)
+        assert errs[8, 1] <= 0.083
+        assert errs[16, 1] <= 0.0215
+        assert errs[32, 1] <= 0.0055
+        assert np.log2(errs[8, 1] / errs[16, 1]) >= 1.8
+        assert np.log2(errs[16, 1] / errs[32, 1]) >= 1.8
+        # the interpolant, not the quadrature rule, sets the error
+        assert abs(errs[16, 1] / errs[16, 2] - 1.0) <= 0.05
 
     def test_chunks_count_gathered_values(self, rng, monkeypatch):
         # 128 electrodes: each gather holds at most 2 M values (points x
