@@ -220,6 +220,8 @@ def measure_spherical_pulse(kernel, array, radii, oversample=2):
         raise ValueError("radii must lie within (0, R + domain diameter]")
     if array.dim != grid.dim:
         raise ValueError("transducer dimension must match the kernel grid")
+    if not isinstance(oversample, (int, np.integer)) or oversample < 1:
+        raise ValueError("oversample must be a positive integer")
     dx = float(np.min(grid.spacing))
     # per radius: quadrature point count and weight; the points themselves
     # are generated chunk by chunk to keep memory bounded
@@ -238,6 +240,16 @@ def measure_spherical_pulse(kernel, array, radii, oversample=2):
     center = 0.5 * (box_lo + box_hi)
     rho = 0.5 * float(np.linalg.norm(box_hi - box_lo))
     budget = 2_000_000 // kernel.n_electrodes   # 2 M gathered values per chunk
+    # cap blocks radii[k] * lattice[cap], by (k, cap size): an arc -m..m is
+    # shorter than the full circle 0..n-1, and a 3d cap is a prefix
+    blocks = {}
+
+    def cap_block(k, cap):
+        key = (k, cap.size)
+        if key not in blocks:
+            blocks[key] = radii[k] * _unit_lattice(int(n_points[k]), grid.dim, cap)
+        return blocks[key]
+
     for i in range(array.n):
         z = array.positions[i]
         # spheres that miss the support box or enclose it integrate to zero
@@ -255,8 +267,7 @@ def measure_spherical_pulse(kernel, array, radii, oversample=2):
                 begins, begins[start] + budget, side="right")) - 1)
             ks = active[start:stop]
             block = np.concatenate(
-                [radii[k] * _unit_lattice(int(n_points[k]), grid.dim, caps[start + j])
-                 for j, k in enumerate(ks)], axis=0)
+                [cap_block(k, caps[start + j]) for j, k in enumerate(ks)], axis=0)
             offsets = begins[start:stop] - begins[start]
             cols = _interp(grid, kernel.values, z[None, :] + block @ frame)
             sums = np.add.reduceat(cols, offsets, axis=0)

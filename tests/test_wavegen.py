@@ -42,15 +42,22 @@ def _support_center(grid):
     return 0.5 * ((grid.origin - grid.spacing) + (grid.origin + grid.counts * grid.spacing))
 
 
-def _turned_sphere(grid, z, t, frame):
-    """The full turned quadrature lattice of measure_spherical_pulse at
-    radius t about z (oversample 2) and its per-point weight."""
-    m = int(np.ceil(2.0 * np.pi * t / float(np.min(grid.spacing)))) * 2
+def _sphere_rule(grid, t, oversample):
+    """Point count and per-point weight of measure_spherical_pulse's
+    quadrature rule at radius t."""
+    m = int(np.ceil(2.0 * np.pi * t / float(np.min(grid.spacing)))) * oversample
     if grid.dim == 2:
         n, meas = max(m, 8), 2.0 * np.pi * t
     else:
         n, meas = max(int(np.ceil(m * m / np.pi)), 32), 4.0 * np.pi * t * t
-    return z + t * _unit_lattice(n, grid.dim) @ frame, meas / n
+    return n, meas / n
+
+
+def _turned_sphere(grid, z, t, frame, oversample):
+    """The full turned quadrature lattice of measure_spherical_pulse at
+    radius t about z and its per-point weight."""
+    n, weight = _sphere_rule(grid, t, oversample)
+    return z + t * _unit_lattice(n, grid.dim) @ frame, weight
 
 
 def _tau_lattice(grid):
@@ -248,9 +255,76 @@ class TestSphericalCap:
         for i, z in enumerate(arr.positions):
             frame, _ = _cap_frame(z, c)
             for k, t in enumerate(radii):
-                pts, weight = _turned_sphere(g, z, t, frame)
+                pts, weight = _turned_sphere(g, z, t, frame, oversample=2)
                 expect[i, k] = weight * np.sum(_interp(g, kern.values, pts), axis=0)
         assert np.max(np.abs(data.values - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_off_centre_aperture_equals_per_sphere_caps(self, dim, rng):
+        # the grid is shifted off the aperture centre, so the transducers
+        # see different distances D to the support centre and different
+        # cap sizes at one radius; each sphere's cap must still be its own
+        g = Grid(origin=(0.1, -0.2, 0.05)[:dim], spacing=(0.1, 0.08, 0.12)[:dim],
+                 counts=(7, 6, 5)[:dim])
+        kern = _kernel(g, rng.standard_normal((2, g.n_pixels)))
+        lo, hi = g.origin - g.spacing, g.origin + g.counts * g.spacing
+        c, rho = 0.5 * (lo + hi), 0.5 * float(np.linalg.norm(hi - lo))
+        # on the aperture |z| = R: one transducer at D = 0.2 rho (full
+        # lattices at small radii), one at D = 1.5 rho (caps at the same
+        # radii), and six spread around
+        u, dc = c / np.linalg.norm(c), float(np.linalg.norm(c))
+        R = dc + 0.2 * rho
+        cos = (R * R + dc * dc - (1.5 * rho) ** 2) / (2.0 * R * dc)
+        v = np.zeros(dim)
+        v[:2] = (-u[1], u[0])
+        v /= np.linalg.norm(v)
+        base = make_transducer_array(6, radius=R, dim=dim)
+        pos = np.vstack([R * u, R * (cos * u + np.sqrt(1.0 - cos * cos) * v),
+                         base.positions])
+        arr = TransducerArray(positions=pos, normals=pos / R, radius=R,
+                              weights=np.full(len(pos), base.weights.sum() / len(pos)))
+        radii = np.linspace(0.05, 1.0, 20) * (R + g.diameter)
+        data = measure_spherical_pulse(kern, arr, radii)
+        expect = np.zeros_like(data.values)
+        sizes = np.zeros(data.values.shape[:2], dtype=int)
+        for i, z in enumerate(arr.positions):
+            frame, dist = _cap_frame(z, c)
+            for k, t in enumerate(radii):
+                n, weight = _sphere_rule(g, t, oversample=2)
+                cap = _cap_indices(n, dim, t, dist, rho)
+                pts = z + t * _unit_lattice(n, dim, cap) @ frame
+                expect[i, k] = weight * np.sum(_interp(g, kern.values, pts), axis=0)
+                sizes[i, k] = cap.size - n   # 0 for the full lattice
+        # the case the cache key must tell apart: one transducer takes the
+        # full lattice at a radius where another takes a strict cap
+        both = (sizes[0] == 0) & (sizes[1] < 0) & (data.values[1, :, 0] != 0)
+        assert np.any(both)
+        assert np.max(np.abs(data.values - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+    def test_one_lattice_per_radius_and_cap_size(self, monkeypatch):
+        # on a centred aperture every transducer sees the same D, so each
+        # radius has one cap size and one lattice serves all transducers
+        g = centered_grid(8, 3)
+        kern = _kernel(g, gaussian_column(g, s=0.15))
+        arr = make_transducer_array(24, radius=1.0)
+        radii = default_radii(arr, g, 30)
+        calls = []
+
+        def counting(n, dim, k=None):
+            calls.append(n)
+            return _unit_lattice(n, dim, k)
+
+        monkeypatch.setattr(synfocus.wavegen, "_unit_lattice", counting)
+        measure_spherical_pulse(kern, arr, radii)
+        assert 0 < len(calls) <= radii.size
+
+    @pytest.mark.parametrize("oversample", [0, -2, 1.5])
+    def test_bad_oversample_rejected(self, oversample):
+        g = centered_grid(8, 3)
+        arr = make_transducer_array(6, radius=1.0)
+        with pytest.raises(ValueError, match="oversample"):
+            measure_spherical_pulse(_kernel(g, np.ones(g.n_pixels)), arr,
+                                    np.array([0.5, 1.0]), oversample=oversample)
 
 
 class TestMonochromatic:
@@ -547,7 +621,7 @@ class TestTransposes:
         for i, z in enumerate(arr.positions):
             frame, _ = _cap_frame(z, _support_center(g))
             for r, t in enumerate(radii):
-                pts, weight = _turned_sphere(g, z, t, frame)
+                pts, weight = _turned_sphere(g, z, t, frame, oversample=2)
                 _, index, w = _stencil(g, pts)
                 spread = np.bincount(index.ravel(), weights=w.ravel(),
                                      minlength=g.n_pixels)
