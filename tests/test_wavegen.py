@@ -255,7 +255,7 @@ class TestSphericalCap:
         for i, z in enumerate(arr.positions):
             frame, _ = _cap_frame(z, c)
             for k, t in enumerate(radii):
-                pts, weight = _turned_sphere(g, z, t, frame, oversample=2)
+                pts, weight = _turned_sphere(g, z, t, frame, oversample=1)
                 expect[i, k] = weight * np.sum(_interp(g, kern.values, pts), axis=0)
         assert np.max(np.abs(data.values - expect)) <= 1e-12 * np.max(np.abs(expect))
 
@@ -290,7 +290,7 @@ class TestSphericalCap:
         for i, z in enumerate(arr.positions):
             frame, dist = _cap_frame(z, c)
             for k, t in enumerate(radii):
-                n, weight = _sphere_rule(g, t, oversample=2)
+                n, weight = _sphere_rule(g, t, oversample=1)
                 cap = _cap_indices(n, dim, t, dist, rho)
                 pts = z + t * _unit_lattice(n, dim, cap) @ frame
                 expect[i, k] = weight * np.sum(_interp(g, kern.values, pts), axis=0)
@@ -621,7 +621,7 @@ class TestTransposes:
         for i, z in enumerate(arr.positions):
             frame, _ = _cap_frame(z, _support_center(g))
             for r, t in enumerate(radii):
-                pts, weight = _turned_sphere(g, z, t, frame, oversample=2)
+                pts, weight = _turned_sphere(g, z, t, frame, oversample=1)
                 _, index, w = _stencil(g, pts)
                 spread = np.bincount(index.ravel(), weights=w.ravel(),
                                      minlength=g.n_pixels)
