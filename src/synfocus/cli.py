@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import focusing, io, oracles, wavegen
+from . import focusing, io, wavegen
 from .core import (
     Disk,
     Grid,
@@ -173,13 +173,18 @@ def default_phantom(grid):
     return build_phantom_disks(grid, disks)
 
 
-def _synthetic_kernel_3d(cfg):
+# centre and standard deviation of the synthetic 3d Gaussian column
+SYNTHETIC_CENTER = np.array([0.08, -0.05, 0.03])
+SYNTHETIC_SCALE = 0.12
+
+
+def _synthetic_kernel_3d(pixels):
     """Single-column 3d kernel (off-center Gaussian) for the volumetric
     families, which have no 2d conduction counterpart."""
-    grid = _centered_grid((cfg.pixels,) * 3)
-    center = np.array([0.08, -0.05, 0.03])
+    grid = _centered_grid((pixels,) * 3)
     pts = grid.centers()
-    col = np.exp(-np.sum((pts - center) ** 2, axis=1) / (2.0 * 0.12**2))
+    col = np.exp(-np.sum((pts - SYNTHETIC_CENTER) ** 2, axis=1)
+                 / (2.0 * SYNTHETIC_SCALE**2))
     return KernelMatrix(grid=grid, values=col[None, :])
 
 
@@ -281,7 +286,7 @@ class _Run:
     def kernel(self):
         """EIT brute force, or the synthetic 3d column (see _uses_synthetic_kernel)."""
         if _uses_synthetic_kernel(self.cfg):
-            return _synthetic_kernel_3d(self.cfg)
+            return _synthetic_kernel_3d(self.cfg.pixels)
         logger.info("building brute-force kernel (%dx%d interior, %d electrodes)",
                     self.cfg.pixels, self.cfg.pixels, self.electrodes.n)
         return kernel_bruteforce(self.phantom, self.electrodes, _interior_grid(self.cfg))
@@ -378,15 +383,21 @@ def run_validate(cfg, out_dir, metrics):
         metrics["fourier_roundtrip_error"] = err
         metrics["check_fourier"] = "pass" if err <= 1e-8 else "fail"
 
-    with _Stage("validate_oracle", metrics):
-        ph = oracles.AnalyticPhantom(kind="gaussian", center=(0.0, 0.0, 0.0),
-                                     scale=0.2, amplitude=1.0)
-        z = np.array([2.0, 0.0, 0.0])
-        coarse = oracles.spherical_mean_quadrature(ph, z, 2.0, n_quad=2048)
-        fine = oracles.spherical_mean_quadrature(ph, z, 2.0, n_quad=8192)
-        err = abs(coarse - fine) / abs(fine)
-        metrics["oracle_selfconvergence"] = float(err)
-        metrics["check_oracle"] = "pass" if err <= 1e-6 else "fail"
+    with _Stage("validate_spherical", metrics):
+        # the spherical measure of the synthetic Gaussian at 16^3 against
+        # its closed form 2 pi t s^2/d [e^{-(t-d)^2/2s^2} - e^{-(t+d)^2/2s^2}],
+        # d = |z - centre|; measured 1.95e-2, and the bound leaves a 28% margin
+        kernel = _synthetic_kernel_3d(16)
+        array = make_transducer_array(16, radius=1.0, dim=3)
+        t = wavegen.default_radii(array, kernel.grid, 64)
+        got = wavegen.measure_spherical_pulse(kernel, array, t).values[..., 0]
+        s2 = SYNTHETIC_SCALE**2
+        d = np.linalg.norm(array.positions - SYNTHETIC_CENTER, axis=1)[:, None]
+        exact = 2.0 * np.pi * t * s2 / d * (np.exp(-(t - d) ** 2 / (2.0 * s2))
+                                            - np.exp(-(t + d) ** 2 / (2.0 * s2)))
+        err = _rel_frobenius(got, exact)
+        metrics["spherical_closed_form_error"] = err
+        metrics["check_spherical"] = "pass" if err <= 0.025 else "fail"
 
     failed = [k for k, v in metrics.items() if k.startswith("check_") and v != "pass"]
     metrics["status"] = "fail" if failed else "ok"

@@ -81,7 +81,7 @@ class TestExitCodes:
         assert metrics["status"] == "ok"
         assert metrics["check_forward"] == "pass"
         assert metrics["check_fourier"] == "pass"
-        assert metrics["check_oracle"] == "pass"
+        assert metrics["check_spherical"] == "pass"
 
     def test_config_error_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
