@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+import synfocus.io
 from synfocus.core import Grid, KernelMatrix, ScalarField
 from synfocus.io import (
     load_field_csv,
@@ -86,6 +89,141 @@ class TestTableCsv:
         _, back = load_table_csv(p)
         assert back.shape == (2, 3, 4)
         assert np.array_equal(back, vals)
+
+
+def _edge_values():
+    """Signed zeros, infinities, nan, the extreme doubles, the powers of ten
+    from 1e-40 to 1e40 with their neighbours, and the four doubles below
+    each, the nearest of which a 15-digit format rounds up to the next
+    decade."""
+    vals = [0.0, np.inf, np.nan, 5e-324, sys.float_info.min, sys.float_info.max]
+    for k in range(-40, 41):
+        p = float(f"1e{k}")
+        vals += [p, np.nextafter(p, np.inf)]
+        for _ in range(4):
+            p = np.nextafter(p, 0.0)
+            vals.append(p)
+    vals = np.array(vals)
+    return np.concatenate([vals, -vals])
+
+
+@pytest.fixture(scope="module")
+def patterns():
+    """2**20 random 64-bit patterns and their '%.16e' texts.  Every other
+    pattern gets a binary exponent in [-40, 150], so the decimal exponents
+    also cover -10..42, which the writer formats in numpy, and both sides of
+    that range."""
+    bits = np.random.default_rng(12).integers(0, 2**64, size=2**20, dtype=np.uint64)
+    exponent = np.random.default_rng(13).integers(1023 - 40, 1023 + 150, size=2**19,
+                                                  dtype=np.uint64)
+    bits[::2] = (bits[::2] & ~np.uint64(0x7FF << 52)) | (exponent << np.uint64(52))
+    values = bits.view(np.float64)
+    return values, np.array(["%.16e" % v for v in values.tolist()], dtype=object)
+
+
+def _value_lines(path):
+    return [line for line in path.read_text().splitlines(keepends=True)
+            if not line.startswith("#")]
+
+
+def _assert_value_lines(path, texts, cols):
+    """The file's value lines are ``",".join('%.16e' % v ...)`` of `texts`
+    in rows of `cols`; a mismatch names the first differing line only."""
+    got = _value_lines(path)
+    want = [",".join(row) + "\n" for row in np.asarray(texts, dtype=object).reshape(-1, cols)]
+    if got != want:
+        i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                 min(len(got), len(want)))
+        pytest.fail(f"{len(got)} value lines for {len(want)}; line {i} is "
+                    f"{got[i:i + 1]!r:.300} instead of {want[i:i + 1]!r:.300}")
+
+
+def _assert_same_bits(back, values):
+    """Bit-identical, except that every nan reads back as the default nan."""
+    back = np.asarray(back).reshape(-1).view(np.float64)
+    values = np.asarray(values).reshape(-1).view(np.float64)
+    nan = np.isnan(values)
+    assert np.array_equal(np.isnan(back), nan)
+    assert np.array_equal(back[~nan].view(np.uint64), values[~nan].view(np.uint64))
+
+
+class TestValueFormat:
+    """Every CSV value is written as '%.16e' % v, byte for byte."""
+
+    def test_table_of_random_patterns(self, tmp_path, patterns):
+        values, texts = patterns
+        p = tmp_path / "t.csv"
+        save_table_csv(p, [], [], values.reshape(-1, 128))
+        _assert_value_lines(p, texts, 128)
+        _assert_same_bits(load_table_csv(p)[1], values)
+
+    def test_each_writer(self, tmp_path, patterns):
+        """The other writers on 2**16 of the patterns: complex and 3-d
+        tables, a kernel and a field (these two hold finite values only)."""
+        values, texts = patterns[0][:2**16], patterns[1][:2**16]
+        for name, table in (("complex", values.view(complex).reshape(-1, 64)),
+                            ("3d", values.reshape(-1, 16, 128))):
+            p = tmp_path / f"{name}.csv"
+            save_table_csv(p, [], [], table)
+            _assert_value_lines(p, texts, 128)
+            _, back = load_table_csv(p)
+            assert back.shape == table.shape and back.dtype == table.dtype
+            _assert_same_bits(back, table)
+        finite = np.isfinite(values)
+        values, texts = values[finite][:64**2 * 8], texts[finite][:64**2 * 8]
+        kernel = KernelMatrix(grid=centered_grid(64, 2), values=values.reshape(8, -1))
+        save_kernel_csv(tmp_path / "k.csv", kernel)
+        _assert_value_lines(tmp_path / "k.csv", texts, 64**2)
+        _assert_same_bits(load_kernel_csv(tmp_path / "k.csv").values, kernel.values)
+        field = ScalarField(grid=centered_grid(32, 3), values=values[:32**3])
+        save_field_csv(tmp_path / "f.csv", field)
+        _assert_value_lines(tmp_path / "f.csv", texts[:32**3], 1)
+        _assert_same_bits(load_field_csv(tmp_path / "f.csv").values, field.values)
+
+    def test_edge_values(self, tmp_path):
+        vals = _edge_values()
+        texts = ["%.16e" % v for v in vals.tolist()]
+        p = tmp_path / "e.csv"
+        save_table_csv(p, [], [], vals.reshape(2, -1))
+        _assert_value_lines(p, texts, vals.size // 2)
+        _assert_same_bits(load_table_csv(p)[1], vals)
+        save_table_csv(p, [], [], vals.view(complex))
+        _assert_value_lines(p, texts, vals.size)
+        _assert_same_bits(load_table_csv(p)[1], vals)
+        finite = vals[np.isfinite(vals)][:8 * 64]
+        save_kernel_csv(p, KernelMatrix(grid=centered_grid(8, 2), values=finite.reshape(8, 64)))
+        _assert_value_lines(p, ["%.16e" % v for v in finite.tolist()], 64)
+        save_field_csv(p, ScalarField(grid=centered_grid(8, 2), values=finite[:64]))
+        _assert_value_lines(p, ["%.16e" % v for v in finite[:64].tolist()], 1)
+
+    def test_rows_wider_than_a_block(self, tmp_path, patterns):
+        values, texts = patterns
+        cols = synfocus.io._BLOCK + 3
+        p = tmp_path / "w.csv"
+        save_table_csv(p, [], [], values[:3 * cols].reshape(3, cols))
+        _assert_value_lines(p, texts[:3 * cols], cols)
+
+    def test_without_extended_precision(self, tmp_path, monkeypatch, patterns):
+        """Where longdouble has no 64-bit mantissa every value takes the
+        '%.16e' path; the bytes stay the same."""
+        monkeypatch.setattr(synfocus.io, "_FAST", False)
+        values, texts = patterns
+        vals = np.concatenate([values[:2**14], _edge_values()])
+        texts = np.concatenate([texts[:2**14], ["%.16e" % v for v in _edge_values().tolist()]])
+        p = tmp_path / "s.csv"
+        save_table_csv(p, [], [], vals.reshape(-1, 2))
+        _assert_value_lines(p, texts, 2)
+
+    @pytest.mark.parametrize("shape", [(0, 5), (3, 0), (0, 0), (2, 0, 4), (4, 2, 0)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_empty_tables(self, tmp_path, shape, dtype):
+        vals = np.zeros(shape, dtype=dtype)
+        p = tmp_path / "z.csv"
+        save_table_csv(p, [], [], vals)
+        rows = int(np.prod(shape[:-1]))
+        assert _value_lines(p) == (["\n"] * rows if shape[-1] == 0 else [])
+        _, back = load_table_csv(p)
+        assert back.shape == shape and back.dtype == vals.dtype
 
 
 class TestPgm:
