@@ -100,13 +100,18 @@ DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
 
 def _check_interior(cfg):
-    """Reject, before any stage runs, a 'pixels' value too fine for 'grid'
-    in chains that build the conduction kernel."""
-    if "kernel" in CHAINS.get(cfg.mode, ()) and not _uses_synthetic_kernel(cfg):
-        try:
+    """Reject, before any stage runs, a 'pixels' value that gives no kernel
+    grid: one pixel per axis, or too fine for 'grid' in chains that build
+    the conduction kernel."""
+    if "kernel" not in CHAINS.get(cfg.mode, ()):
+        return
+    try:
+        if _uses_synthetic_kernel(cfg):
+            _centered_grid((cfg.pixels,) * 3)
+        else:
             _interior_map(_centered_grid(cfg.grid), _interior_grid(cfg))
-        except ValueError as e:
-            raise ValueError(f"invalid value for 'pixels': {e}") from None
+    except ValueError as e:
+        raise ValueError(f"invalid value for 'pixels': {e}") from None
 
 
 def parse_config(text):

@@ -149,6 +149,15 @@ class TestExitCodes:
         assert "'pixels'" in capsys.readouterr().err
         assert not (tmp_path / "metrics.txt").exists()
 
+    @pytest.mark.parametrize("mode, family", [("focus", "spherical"),
+                                              ("measure", "monochromatic")])
+    def test_one_pixel_synthetic_kernel_exits_one(self, mode, family, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"family = {family}\npixels = 1\ntransducers = 8\nradii = 4\n")
+        assert run_cli([mode, "--config", str(cfg)], tmp_path) == 1
+        assert "'pixels'" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.txt").exists()
+
     def test_pixels_are_not_checked_without_a_conduction_kernel(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("grid = 8\npixels = 32\n")
