@@ -204,8 +204,8 @@ class TestValueFormat:
         _assert_value_lines(p, texts[:3 * cols], cols)
 
     def test_without_extended_precision(self, tmp_path, monkeypatch, patterns):
-        """Where longdouble has no 64-bit mantissa every value takes the
-        '%.16e' path; the bytes stay the same."""
+        """Where longdouble has no 64-bit mantissa every nonzero value
+        takes the '%.16e' path; the bytes stay the same."""
         monkeypatch.setattr(synfocus.io, "_FAST", False)
         values, texts = patterns
         vals = np.concatenate([values[:2**14], _edge_values()])
