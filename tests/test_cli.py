@@ -220,6 +220,10 @@ CHAIN_MODES = {
     "measure": (["kernel.csv", "kernel_e000.pgm", "data.csv"], ["time_kernel", "time_measure"]),
     "focus": (["kernel.csv", "kernel_e000.pgm", "data.csv", "recon.csv", "recon_e000.pgm"],
               ["time_kernel", "time_measure", "kernel_error", "time_focus"]),
+    "validate": ([], ["forward_linear_error", "check_forward", "time_validate_forward",
+                      "fourier_roundtrip_error", "check_fourier", "time_validate_fourier",
+                      "spherical_closed_form_error", "check_spherical",
+                      "time_validate_spherical", "status"]),
 }
 
 
