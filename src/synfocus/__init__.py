@@ -44,33 +44,21 @@ from .wavegen import (
     measure_spherical_pulse,
 )
 from .focusing import (
-    FilteredDetectorData,
     focus_kernel,
     invert_fourier,
     invert_monochromatic_3d,
     invert_spherical_means_3d,
     invert_xray_2d,
 )
-from .oracles import (
-    AnalyticPhantom,
-    disk_sinogram,
-    eval_phantom,
-    line_integral,
-    spherical_mean_exact,
-    spherical_mean_profile,
-    spherical_mean_quadrature,
-)
 from .cli import ExperimentConfig, parse_config
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticPhantom",
     "BoundaryElectrodes",
     "ConductionSolution",
     "Disk",
     "ExperimentConfig",
-    "FilteredDetectorData",
     "FourierData",
     "Grid",
     "KernelMatrix",
@@ -87,8 +75,6 @@ __all__ = [
     "default_frequencies",
     "default_offsets",
     "default_radii",
-    "disk_sinogram",
-    "eval_phantom",
     "focus_kernel",
     "interp_field",
     "invert_fourier",
@@ -98,7 +84,6 @@ __all__ = [
     "kernel_adjoint",
     "kernel_bruteforce",
     "left_right_current_pattern",
-    "line_integral",
     "make_transducer_array",
     "measure_line_integrals",
     "measure_monochromatic",
@@ -106,8 +91,5 @@ __all__ = [
     "measure_spherical_pulse",
     "parse_config",
     "solve_conduction",
-    "spherical_mean_exact",
-    "spherical_mean_profile",
-    "spherical_mean_quadrature",
     "square_boundary_electrodes",
 ]

@@ -36,11 +36,10 @@ from .forward_eit import (
 
 logger = logging.getLogger("synfocus")
 
-MODES = ("phantom", "forward", "kernel", "measure", "focus", "endtoend", "validate")
 FAMILIES = ("plane", "xray", "spherical", "monochromatic")
 # families whose inversion runs in 3d; they use the synthetic kernel path
 VOLUMETRIC = ("spherical", "monochromatic")
-# stages of each chain mode, in run order (validate has its own runner)
+# stages of each mode, in run order
 CHAINS = {
     "phantom": ("phantom",),
     "forward": ("phantom", "forward"),
@@ -48,7 +47,9 @@ CHAINS = {
     "measure": ("kernel", "measure"),
     "focus": ("kernel", "measure", "focus"),
     "endtoend": ("phantom", "forward", "kernel", "measure", "focus"),
+    "validate": ("validate_forward", "validate_fourier", "validate_spherical"),
 }
+MODES = tuple(CHAINS)
 
 _POSITIVE = ("pixels", "transducers", "radii", "frequencies", "angles")
 
@@ -100,18 +101,26 @@ DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
 
 def _check_interior(cfg):
-    """Reject, before any stage runs, a 'pixels' value that gives no kernel
-    grid: one pixel per axis, or too fine for 'grid' in chains that build
-    the conduction kernel."""
-    if "kernel" not in CHAINS.get(cfg.mode, ()):
+    """Reject, before any stage runs, 'pixels' and 'transducers' values the
+    chain cannot use: a kernel grid of one pixel per axis, one too fine for
+    'grid' in chains that build the conduction kernel, a 3d focus grid
+    below the divergence stencil, or too few transducers to measure."""
+    chain = CHAINS[cfg.mode]
+    if "kernel" not in chain:
         return
     try:
-        if _uses_synthetic_kernel(cfg):
-            _centered_grid((cfg.pixels,) * 3)
-        else:
+        if not _uses_synthetic_kernel(cfg):
             _interior_map(_centered_grid(cfg.grid), _interior_grid(cfg))
+            return
+        grid = _centered_grid((cfg.pixels,) * 3)
+        if "focus" in chain:
+            focusing._check_divergence_grid(grid)
     except ValueError as e:
         raise ValueError(f"invalid value for 'pixels': {e}") from None
+    try:
+        make_transducer_array(cfg.transducers, radius=1.0, dim=3)
+    except ValueError as e:
+        raise ValueError(f"invalid value for 'transducers': {e}") from None
 
 
 def parse_config(text):
@@ -235,7 +244,7 @@ def _rel_frobenius(a, b):
 
 
 # ---------------------------------------------------------------------------
-# runners: each adds to an ordered metrics dict and writes its files
+# stages: each adds to an ordered metrics dict and writes its files
 
 
 class _Stage:
@@ -337,6 +346,45 @@ def _stage_focus(run):
     run.metrics["kernel_error"] = _rel_frobenius(recon.values, run.kernel.values)
 
 
+def _stage_validate_forward(run):
+    grid = _centered_grid((24, 24))
+    phantom = build_phantom_disks(grid, ())
+    electrodes = left_right_current_pattern(grid)
+    sol = solve_conduction(phantom, electrodes)
+    trace_exact = -electrodes.points[:, 0]
+    trace_exact = trace_exact - np.mean(trace_exact)
+    err = np.max(np.abs(sol.boundary_trace - trace_exact))
+    run.metrics["forward_linear_error"] = float(err)
+    run.metrics["check_forward"] = "pass" if err <= 1e-6 else "fail"
+
+
+def _stage_validate_fourier(run):
+    grid = _centered_grid((16, 16))
+    cols = np.random.default_rng(run.cfg.seed).standard_normal((3, grid.n_pixels))
+    kernel = KernelMatrix(grid=grid, values=cols)
+    rec = focusing.focus_kernel(wavegen.measure_plane_waves(kernel), "plane", grid)
+    err = _rel_frobenius(rec.values, kernel.values)
+    run.metrics["fourier_roundtrip_error"] = err
+    run.metrics["check_fourier"] = "pass" if err <= 1e-8 else "fail"
+
+
+def _stage_validate_spherical(run):
+    # the spherical measure of the synthetic Gaussian at 16^3 against
+    # its closed form 2 pi t s^2/d [e^{-(t-d)^2/2s^2} - e^{-(t+d)^2/2s^2}],
+    # d = |z - centre|; measured 1.95e-2, and the bound leaves a 28% margin
+    kernel = _synthetic_kernel_3d(16)
+    array = make_transducer_array(16, radius=1.0, dim=3)
+    t = wavegen.default_radii(array, kernel.grid, 64)
+    got = wavegen.measure_spherical_pulse(kernel, array, t).values[..., 0]
+    s2 = SYNTHETIC_SCALE**2
+    d = np.linalg.norm(array.positions - SYNTHETIC_CENTER, axis=1)[:, None]
+    exact = 2.0 * np.pi * t * s2 / d * (np.exp(-(t - d) ** 2 / (2.0 * s2))
+                                        - np.exp(-(t + d) ** 2 / (2.0 * s2)))
+    err = _rel_frobenius(got, exact)
+    run.metrics["spherical_closed_form_error"] = err
+    run.metrics["check_spherical"] = "pass" if err <= 0.025 else "fail"
+
+
 STAGES = {
     "phantom": _stage_phantom,
     "forward": _stage_forward,
@@ -344,13 +392,18 @@ STAGES = {
     "kernel_adjoint": _stage_kernel_adjoint,
     "measure": _stage_measure,
     "focus": _stage_focus,
+    "validate_forward": _stage_validate_forward,
+    "validate_fourier": _stage_validate_fourier,
+    "validate_spherical": _stage_validate_spherical,
 }
 
 
 def run_chain(cfg, out_dir, metrics):
     """Run the stages CHAINS lists for cfg.mode, adding their metrics to
-    `metrics`.  Warnings the stages raise are logged and, if any, recorded
-    under a single 'warnings' key, also when a stage fails."""
+    `metrics`.  Stages that record 'check_*' results get a 'status' key,
+    'fail' if any check did not pass.  Warnings the stages raise are
+    logged and, if any, recorded under a single 'warnings' key, also when
+    a stage fails."""
     run = _Run(cfg, out_dir, metrics)
     with warnings.catch_warnings(record=True) as caught:
         # record every warning, whatever filters the caller has active
@@ -359,53 +412,13 @@ def run_chain(cfg, out_dir, metrics):
             for name in CHAINS[cfg.mode]:
                 with _Stage(name, metrics):
                     STAGES[name](run)
+            checks = [v for k, v in metrics.items() if k.startswith("check_")]
+            if checks:
+                metrics["status"] = "ok" if all(v == "pass" for v in checks) else "fail"
         finally:
             if caught:
                 metrics["warnings"] = "; ".join(str(w.message) for w in caught)
                 logger.warning("%s", metrics["warnings"])
-
-
-def run_validate(cfg, out_dir, metrics):
-    """Quick numerical self-checks, added to `metrics`; any failure flips
-    the exit code to 2."""
-    with _Stage("validate_forward", metrics):
-        grid = _centered_grid((24, 24))
-        phantom = build_phantom_disks(grid, ())
-        electrodes = left_right_current_pattern(grid)
-        sol = solve_conduction(phantom, electrodes)
-        trace_exact = -electrodes.points[:, 0]
-        trace_exact = trace_exact - np.mean(trace_exact)
-        err = np.max(np.abs(sol.boundary_trace - trace_exact))
-        metrics["forward_linear_error"] = float(err)
-        metrics["check_forward"] = "pass" if err <= 1e-6 else "fail"
-
-    with _Stage("validate_fourier", metrics):
-        grid = _centered_grid((16, 16))
-        cols = np.random.default_rng(cfg.seed).standard_normal((3, grid.n_pixels))
-        kernel = KernelMatrix(grid=grid, values=cols)
-        rec = focusing.focus_kernel(wavegen.measure_plane_waves(kernel), "plane", grid)
-        err = _rel_frobenius(rec.values, kernel.values)
-        metrics["fourier_roundtrip_error"] = err
-        metrics["check_fourier"] = "pass" if err <= 1e-8 else "fail"
-
-    with _Stage("validate_spherical", metrics):
-        # the spherical measure of the synthetic Gaussian at 16^3 against
-        # its closed form 2 pi t s^2/d [e^{-(t-d)^2/2s^2} - e^{-(t+d)^2/2s^2}],
-        # d = |z - centre|; measured 1.95e-2, and the bound leaves a 28% margin
-        kernel = _synthetic_kernel_3d(16)
-        array = make_transducer_array(16, radius=1.0, dim=3)
-        t = wavegen.default_radii(array, kernel.grid, 64)
-        got = wavegen.measure_spherical_pulse(kernel, array, t).values[..., 0]
-        s2 = SYNTHETIC_SCALE**2
-        d = np.linalg.norm(array.positions - SYNTHETIC_CENTER, axis=1)[:, None]
-        exact = 2.0 * np.pi * t * s2 / d * (np.exp(-(t - d) ** 2 / (2.0 * s2))
-                                            - np.exp(-(t + d) ** 2 / (2.0 * s2)))
-        err = _rel_frobenius(got, exact)
-        metrics["spherical_closed_form_error"] = err
-        metrics["check_spherical"] = "pass" if err <= 0.025 else "fail"
-
-    failed = [k for k, v in metrics.items() if k.startswith("check_") and v != "pass"]
-    metrics["status"] = "fail" if failed else "ok"
 
 
 class _UsageError(Exception):
@@ -448,9 +461,8 @@ def main(argv=None):
     metrics = _config_echo(cfg)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        runner = run_validate if cfg.mode == "validate" else run_chain
         try:
-            runner(cfg, out_dir, metrics)
+            run_chain(cfg, out_dir, metrics)
         finally:
             # a failed stage still leaves the timings recorded up to it
             io.save_metrics(out_dir / "metrics.txt", metrics)

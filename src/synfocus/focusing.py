@@ -10,52 +10,21 @@ data, so they commute with noise and superposition.
 """
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
 
-from .core import KernelMatrix, TransducerArray, _frozen_array
+from .core import KernelMatrix
 from .wavegen import (
     FourierData,
     MonochromaticData,
     Sinogram,
     SphericalMeanData,
     _inverse_dft,
-    _uniform_spacing,
 )
 
 PULSE_CONSTANT = 1.0 / (8.0 * np.pi**2)
 MONO_CONSTANT = -1.0 / (2.0 * np.pi**2)
-
-
-@dataclass(frozen=True, eq=False)
-class FilteredDetectorData:
-    """Per-transducer filtered time profiles, ready for backprojection.
-
-    values[i, k] is the filtered detector trace of transducer i at time
-    t_samples[k]; the backprojection evaluates it at t = |z_i - x|.
-    """
-
-    array: TransducerArray
-    t_samples: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        t = _frozen_array(self.t_samples, ndim=1)
-        v = _frozen_array(self.values, ndim=2)
-        if t.size < 2:
-            raise ValueError("need at least two time samples")
-        if np.any(t <= 0.0):
-            raise ValueError("time samples must be positive")
-        _uniform_spacing(t, "time samples")
-        if v.shape != (self.array.positions.shape[0], t.size):
-            raise ValueError(
-                f"values shape {v.shape} does not match "
-                f"{self.array.positions.shape[0]} transducers x {t.size} times"
-            )
-        object.__setattr__(self, "t_samples", t)
-        object.__setattr__(self, "values", v)
 
 
 def _lerp(f, x, xp):
@@ -73,6 +42,16 @@ def _lerp(f, x, xp):
             + np.take(f[:, 1:], j, axis=1, mode="clip") * wr)
 
 
+def _check_divergence_grid(out):
+    """Reject output grids the backprojection cannot differentiate: the
+    second-order divergence stencil needs 3 pixels on each of 3 axes."""
+    if out.dim != 3:
+        raise ValueError("backprojection output grid must be 3D")
+    if np.any(out.counts < 3):
+        raise ValueError("backprojection output grid needs at least 3 pixels per "
+                         f"axis for its divergence stencil, got {out.counts.tolist()}")
+
+
 def _backproject_divergence(array, t_samples, profiles, out, constant):
     """Backproject filtered profiles and take the divergence.
 
@@ -83,8 +62,7 @@ def _backproject_divergence(array, t_samples, profiles, out, constant):
     constant * div of it, computed with central differences (one-sided at
     the grid faces).  Result shape (n_electrodes, n_pixels), x-fastest.
     """
-    if out.dim != 3:
-        raise ValueError("backprojection output grid must be 3D")
+    _check_divergence_grid(out)
     x, y, z = (m.ravel() for m in out.mesh())
     wn = array.weights[:, None] * array.normals
     field = np.zeros((3, profiles.shape[0], out.n_pixels))

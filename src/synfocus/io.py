@@ -141,6 +141,17 @@ def _write_rows(f, block):
         f.write(buf.tobytes().replace(b"\0", b"").decode("ascii"))
 
 
+def _read_values(lines):
+    """The value lines among `lines` (those not starting with '#') as a
+    2-d float array, parsed by np.loadtxt.  Without a nonblank value line
+    (a table of no rows or no columns) the result is an empty (0, 0)
+    array, where loadtxt would warn that the input held no data."""
+    rows = [line for line in lines if not line.startswith("#")]
+    if not any(line.strip() for line in rows):  # stops at the first value
+        return np.empty((0, 0))
+    return np.loadtxt(rows, delimiter=",", ndmin=2)
+
+
 def save_field_csv(path, field):
     """One value per line, x-fastest flat order, grid in the header."""
     with open(path, "w") as f:
@@ -152,8 +163,8 @@ def save_field_csv(path, field):
 def load_field_csv(path):
     with open(path) as f:
         grid = _parse_grid_header(f.readline().rstrip("\n"))
-        values = [float(s) for s in f if not s.startswith("#")]
-    return ScalarField(grid=grid, values=np.array(values))
+        values = _read_values(f)
+    return ScalarField(grid=grid, values=values.ravel())
 
 
 def save_kernel_csv(path, kernel):
@@ -170,12 +181,8 @@ def save_kernel_csv(path, kernel):
 def load_kernel_csv(path):
     with open(path) as f:
         grid = _parse_grid_header(f.readline().rstrip("\n"))
-        rows = [
-            [float(s) for s in line.split(",")]
-            for line in f
-            if not line.startswith("#")
-        ]
-    return KernelMatrix(grid=grid, values=np.array(rows))
+        values = _read_values(f)
+    return KernelMatrix(grid=grid, values=values)
 
 
 def save_table_csv(path, header_lines, axes, values):
@@ -206,22 +213,18 @@ def load_table_csv(path):
     axes = {}
     shape = None
     complex_data = False
-    rows = []
     with open(path) as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if line.startswith("# axis "):
-                name, _, rest = line[len("# axis "):].partition(": ")
-                axes[name] = np.array([float(v) for v in rest.split(",")])
-            elif line.startswith("# shape: "):
-                shape = tuple(int(v) for v in line[len("# shape: "):].split(","))
-            elif line.startswith("# dtype: "):
-                complex_data = line.endswith("complex")
-            elif line.startswith("#"):
-                continue
-            elif line:
-                rows.append([float(v) for v in line.split(",")])
-    arr = np.array(rows, dtype=float)
+        lines = f.readlines()
+    for line in lines:
+        line = line.rstrip("\n")
+        if line.startswith("# axis "):
+            name, _, rest = line[len("# axis "):].partition(": ")
+            axes[name] = np.array([float(v) for v in rest.split(",")])
+        elif line.startswith("# shape: "):
+            shape = tuple(int(v) for v in line[len("# shape: "):].split(","))
+        elif line.startswith("# dtype: "):
+            complex_data = line.endswith("complex")
+    arr = _read_values(lines)
     if complex_data:  # (re, im) pairs, so -0.0, inf and nan come back exactly
         arr = arr.view(complex)
     if shape is not None:

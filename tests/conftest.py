@@ -37,7 +37,7 @@ def rng():
 def gauss48():
     """Geometry bundle for the canonical 3d gaussian benchmark."""
     from synfocus.core import make_transducer_array
-    from synfocus.oracles import AnalyticPhantom
+    from oracles import AnalyticPhantom
     from synfocus.wavegen import default_radii
 
     grid = centered_grid(48, 3)
@@ -55,7 +55,7 @@ def gauss48():
 @pytest.fixture(scope="session")
 def pulse_data48(gauss48):
     """Spherical-integral profiles of the gaussian from the closed-form oracle."""
-    from synfocus.oracles import spherical_mean_exact
+    from oracles import spherical_mean_exact
     from synfocus.wavegen import SphericalMeanData
 
     arr = gauss48["array"]
@@ -82,7 +82,7 @@ def mono_data48(gauss48):
     weighted Fourier transform over a dense time lattice gives W(lam) =
     integral g(t) e^{i lam t} / (4 pi t) dt exactly to trapezoid accuracy.
     """
-    from synfocus.oracles import spherical_mean_exact
+    from oracles import spherical_mean_exact
     from synfocus.wavegen import MonochromaticData, default_frequencies
 
     arr = gauss48["array"]
@@ -110,7 +110,7 @@ def mono_recon48(gauss48, mono_data48):
 @pytest.fixture(scope="session")
 def disk_fbp256():
     """Analytic disk sinogram (360 angles x 256 offsets) and its FBP recon."""
-    from synfocus.oracles import AnalyticPhantom, disk_sinogram
+    from oracles import AnalyticPhantom, disk_sinogram
     from synfocus.wavegen import Sinogram, default_angles
     from synfocus.focusing import invert_xray_2d
 

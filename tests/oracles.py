@@ -3,8 +3,9 @@
 Everything here exists to validate the measurement and reconstruction
 code against values computed by deliberately separate means: closed-form
 expressions where they exist, and a self-contained near-uniform
-quadrature rule otherwise.  No code in this module is shared with the
-wave-measurement implementations.
+quadrature rule otherwise.  The module is test reference code: it
+imports nothing from synfocus, so no code is shared with the
+implementations it checks.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .core import _frozen_array
 
 # fractional part of the golden ratio, used by the direction lattice below
 _PHI_FRAC = (np.sqrt(5.0) + 1.0) / 2.0 - 1.0
@@ -36,12 +35,14 @@ class AnalyticPhantom:
     def __post_init__(self):
         if self.kind not in ("gaussian", "ball"):
             raise ValueError(f"unknown phantom kind {self.kind!r}")
-        object.__setattr__(self, "center", _frozen_array(self.center, ndim=1))
+        center = np.array(self.center, dtype=float)
+        center.flags.writeable = False
+        object.__setattr__(self, "center", center)
         object.__setattr__(self, "scale", float(self.scale))
         object.__setattr__(self, "amplitude", float(self.amplitude))
         if not self.scale > 0:
             raise ValueError("phantom scale must be positive")
-        if self.center.size not in (2, 3):
+        if center.shape not in ((2,), (3,)):
             raise ValueError("phantom center must be a 2d or 3d point")
 
     @property

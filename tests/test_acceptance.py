@@ -51,7 +51,8 @@ class TestSphericalBackprojection:
         self, gauss48, pulse_recon48
     ):
         # 642 transducers on the unit sphere, 400 radii, 48^3 output; the
-        # detector data comes from the independent quadrature oracle.
+        # detector data are the oracles' closed-form spherical integrals
+        # (spherical_mean_exact).
         assert rel_l2(pulse_recon48, gauss48["truth"]) <= 0.10
 
 

@@ -92,10 +92,14 @@ class TestExitCodes:
     def test_missing_config_file_exits_one(self, tmp_path):
         assert run_cli(["validate", "--config", str(tmp_path / "nope.cfg")], tmp_path) == 1
 
-    def test_stage_failure_exits_two_and_names_the_stage(self, tmp_path, capsys):
+    def test_stage_failure_exits_two_and_names_the_stage(self, tmp_path, capsys,
+                                                          monkeypatch):
+        def fail(*args, **kwargs):
+            raise FloatingPointError("injected failure")
+
+        monkeypatch.setattr(synfocus.wavegen, "measure_spherical_pulse", fail)
         cfg = tmp_path / "cfg.txt"
-        # three transducers cannot span a sphere; the measure stage fails
-        cfg.write_text("family = spherical\ntransducers = 3\npixels = 8\n")
+        cfg.write_text("family = spherical\npixels = 8\n")
         assert run_cli(["focus", "--config", str(cfg)], tmp_path) == 2
         assert "stage 'measure' failed" in capsys.readouterr().err
         # the timings up to and including the failed stage are kept
@@ -155,6 +159,23 @@ class TestExitCodes:
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(f"family = {family}\npixels = 1\ntransducers = 8\nradii = 4\n")
         assert run_cli([mode, "--config", str(cfg)], tmp_path) == 1
+        assert "'pixels'" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.txt").exists()
+
+    @pytest.mark.parametrize("mode", ["measure", "focus"])
+    @pytest.mark.parametrize("family", ["spherical", "monochromatic"])
+    def test_too_few_transducers_exits_one(self, mode, family, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"family = {family}\ntransducers = 3\npixels = 8\n")
+        assert run_cli([mode, "--config", str(cfg)], tmp_path) == 1
+        assert "'transducers'" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.txt").exists()
+
+    @pytest.mark.parametrize("family", ["spherical", "monochromatic"])
+    def test_focus_grid_below_divergence_stencil_exits_one(self, family, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"family = {family}\npixels = 2\ntransducers = 8\n")
+        assert run_cli(["focus", "--config", str(cfg)], tmp_path) == 1
         assert "'pixels'" in capsys.readouterr().err
         assert not (tmp_path / "metrics.txt").exists()
 

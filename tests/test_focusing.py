@@ -9,14 +9,12 @@ import pytest
 
 from synfocus.core import Grid, KernelMatrix, make_transducer_array
 from synfocus.focusing import (
-    FilteredDetectorData,
     focus_kernel,
     invert_fourier,
     invert_monochromatic_3d,
     invert_spherical_means_3d,
     invert_xray_2d,
 )
-from synfocus.oracles import AnalyticPhantom, spherical_mean_exact
 from synfocus.wavegen import (
     FourierData,
     MonochromaticData,
@@ -34,6 +32,7 @@ from synfocus.wavegen import (
 )
 
 from conftest import centered_grid, gaussian_column, random_smooth_column, rel_l2
+from oracles import AnalyticPhantom, spherical_mean_exact
 
 
 def small_pulse_setup(n_trans=6, n_out=12, n_radii=60):
@@ -41,32 +40,6 @@ def small_pulse_setup(n_trans=6, n_out=12, n_radii=60):
     out = centered_grid(n_out, 3)
     radii = default_radii(arr, out, n_radii)
     return arr, out, radii
-
-
-class TestFilteredDetectorData:
-    def test_holds_uniform_positive_time_lattice(self):
-        arr = make_transducer_array(6, radius=1.0)
-        t = np.linspace(0.1, 1.0, 10)
-        d = FilteredDetectorData(array=arr, t_samples=t, values=np.zeros((6, 10)))
-        assert d.t_samples.shape == (10,)
-
-    def test_rejects_nonuniform_times(self):
-        arr = make_transducer_array(6, radius=1.0)
-        t = np.array([0.1, 0.2, 0.5])
-        with pytest.raises(ValueError, match="uniform"):
-            FilteredDetectorData(array=arr, t_samples=t, values=np.zeros((6, 3)))
-
-    def test_rejects_nonpositive_times(self):
-        arr = make_transducer_array(6, radius=1.0)
-        t = np.array([0.0, 0.1, 0.2])
-        with pytest.raises(ValueError, match="positive"):
-            FilteredDetectorData(array=arr, t_samples=t, values=np.zeros((6, 3)))
-
-    def test_rejects_mismatched_values_shape(self):
-        arr = make_transducer_array(6, radius=1.0)
-        t = np.linspace(0.1, 1.0, 10)
-        with pytest.raises(ValueError, match="shape"):
-            FilteredDetectorData(array=arr, t_samples=t, values=np.zeros((5, 10)))
 
 
 class TestSphericalMeansRoute:
@@ -78,6 +51,12 @@ class TestSphericalMeansRoute:
         kern = invert_spherical_means_3d(data, out)
         assert kern.n_electrodes == 2
         assert np.all(kern.values == 0.0)
+
+    def test_rejects_grid_below_divergence_stencil(self):
+        arr, _, radii = small_pulse_setup()
+        data = SphericalMeanData(array=arr, radii=radii, values=np.zeros((arr.n, radii.size, 1)))
+        with pytest.raises(ValueError, match="at least 3 pixels"):
+            invert_spherical_means_3d(data, centered_grid(2, 3))
 
     def test_gaussian_benchmark_within_ten_percent(self, gauss48, pulse_recon48):
         err = rel_l2(pulse_recon48, gauss48["truth"])

@@ -1,7 +1,18 @@
+"""The analytic oracles: closed forms, the quadrature reference, and their
+independence from the package they check."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from synfocus.oracles import (
+import synfocus
+
+from oracles import (
     AnalyticPhantom,
     disk_sinogram,
     eval_phantom,
@@ -106,6 +117,10 @@ class TestSphericalMeanQuadrature:
             spherical_mean_quadrature(GAUSS3, np.zeros(3), 1.0, n_quad=32)
         with pytest.raises(ValueError):
             AnalyticPhantom(kind="gaussian", center=(0.0, 0.0), scale=-0.1, amplitude=1.0)
+        with pytest.raises(ValueError):
+            AnalyticPhantom(kind="gaussian", center=[(0.0, 0.0, 0.0)], scale=0.1)
+        with pytest.raises(ValueError):
+            GAUSS3.center[0] = 1.0  # read-only
 
     def test_profile_matches_pointwise(self):
         z = np.array([1.1, 0.2, 0.0])
@@ -199,3 +214,26 @@ class TestLineIntegral:
         assert table.shape == (2, 3)
         assert np.allclose(table[:, [0, 2]], 0.0)
         assert np.allclose(table[:, 1], 0.5)
+
+
+class TestIndependence:
+    """The oracles are a reference kept apart from the code under test."""
+
+    def test_oracles_import_no_synfocus_code(self):
+        path = Path(__file__).with_name("oracles.py")
+        found = []
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found += [a.name for a in node.names if a.name.split(".")[0] == "synfocus"]
+            elif isinstance(node, ast.ImportFrom):
+                if node.level > 0 or (node.module or "").split(".")[0] == "synfocus":
+                    found.append("." * node.level + (node.module or ""))
+        assert found == []
+
+    def test_package_import_loads_no_oracles(self):
+        src = str(Path(synfocus.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, synfocus; print([m for m in sys.modules if 'oracles' in m])"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, check=True)
+        assert proc.stdout.strip() == "[]"

@@ -11,12 +11,6 @@ from synfocus.core import (
     _unit_lattice,
     make_transducer_array,
 )
-from synfocus.oracles import (
-    AnalyticPhantom,
-    line_integral,
-    spherical_mean_exact,
-    spherical_mean_quadrature,
-)
 from synfocus.wavegen import (
     _cap_frame,
     _cap_indices,
@@ -33,6 +27,12 @@ from synfocus.wavegen import (
 )
 
 from conftest import centered_grid, gaussian_column, rel_l2
+from oracles import (
+    AnalyticPhantom,
+    line_integral,
+    spherical_mean_exact,
+    spherical_mean_quadrature,
+)
 
 
 def _kernel(grid, columns):
