@@ -83,6 +83,15 @@ class TestExitCodes:
         assert metrics["check_fourier"] == "pass"
         assert metrics["check_spherical"] == "pass"
 
+    def test_failed_check_exits_two_with_status_fail(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(synfocus.cli, "_rel_frobenius", lambda a, b: 1.0)
+        assert run_cli(["validate"], tmp_path) == 2
+        assert "validation checks failed" in capsys.readouterr().err
+        metrics = read_metrics(tmp_path)
+        assert metrics["check_forward"] == "pass"
+        assert metrics["check_fourier"] == "fail"
+        assert metrics["status"] == "fail"
+
     def test_config_error_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("radii = -5\n")
