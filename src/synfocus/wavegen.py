@@ -186,17 +186,25 @@ def _cap_frame(z, c):
     return np.array([e1, np.cross(a, e1), a]), dist
 
 
-def _cap_indices(n, dim, t, dist, rho):
-    """Indices of the n-point lattice turned by _cap_frame whose points at
-    radius t can lie within rho of c (see measure_spherical_pulse), plus one."""
+def _cap_sizes(n, dim, t, dist, rho):
+    """Point counts, one per sphere (arrays n, t), of the caps of the n-point
+    lattices turned by _cap_frame whose points at radius t can lie within
+    rho of c (see measure_spherical_pulse), widened by one index."""
     if dist == 0.0:
-        return np.arange(n)
+        return n
     b = (dist * dist + t * t - rho * rho) / (2.0 * dist * t)
     if dim == 2:
-        m = int(n * np.arccos(np.clip(b, -1.0, 1.0)) / (2.0 * np.pi)) + 1
-        return np.arange(-m, m + 1) if 2 * m + 1 < n else np.arange(n)
-    # Fibonacci heights 1 - (2k + 1) / n fall with k, so the cap is k < k_max
-    return np.arange(min(n, max(0, int(np.ceil(0.5 * n * (1.0 - b)))) + 1))
+        m = (n * np.arccos(np.clip(b, -1.0, 1.0)) / (2.0 * np.pi)).astype(np.int64) + 1
+        return np.where(2 * m + 1 < n, 2 * m + 1, n)
+    # Fibonacci heights 1 - (2k + 1) / n fall with k, so the cap is k < k_max;
+    # bounded in floats, so no huge ceiling reaches int64
+    return np.minimum(n, np.maximum(0.0, np.ceil(0.5 * n * (1.0 - b))) + 1.0).astype(np.int64)
+
+
+def _cap_indices(n, dim, size):
+    """Indices of the cap of ``size`` points of the n-point lattice: the
+    prefix 0..size-1 in 3d, the arc -m..m in 2d, all n at size n."""
+    return np.arange(size) - (size // 2 if dim == 2 and size < n else 0)
 
 
 def measure_spherical_pulse(kernel, array, radii, oversample=1):
@@ -247,11 +255,11 @@ def measure_spherical_pulse(kernel, array, radii, oversample=1):
     # shorter than the full circle 0..n-1, and a 3d cap is a prefix
     blocks = {}
 
-    def cap_block(k, cap):
-        key = (k, cap.size)
-        if key not in blocks:
-            blocks[key] = radii[k] * _unit_lattice(int(n_points[k]), grid.dim, cap)
-        return blocks[key]
+    def cap_block(k, size):
+        if (k, size) not in blocks:
+            n = int(n_points[k])
+            blocks[k, size] = radii[k] * _unit_lattice(n, grid.dim, _cap_indices(n, grid.dim, size))
+        return blocks[k, size]
 
     for i in range(array.n):
         z = array.positions[i]
@@ -260,9 +268,8 @@ def measure_spherical_pulse(kernel, array, radii, oversample=1):
         d_max = np.linalg.norm(np.maximum(np.abs(z - box_lo), np.abs(z - box_hi)))
         active = np.nonzero((radii >= d_min) & (radii <= d_max))[0]
         frame, dist = _cap_frame(z, center)
-        caps = [_cap_indices(int(n_points[k]), grid.dim, radii[k], dist, rho)
-                for k in active]
-        begins = np.concatenate([[0], np.cumsum([c.size for c in caps])])
+        sizes = _cap_sizes(n_points[active], grid.dim, radii[active], dist, rho)
+        begins = np.concatenate([[0], np.cumsum(sizes)])
         start = 0
         while start < active.size:
             # greedy chunks of at most budget points (at least one sphere)
@@ -270,7 +277,8 @@ def measure_spherical_pulse(kernel, array, radii, oversample=1):
                 begins, begins[start] + budget, side="right")) - 1)
             ks = active[start:stop]
             block = np.concatenate(
-                [cap_block(k, caps[start + j]) for j, k in enumerate(ks)], axis=0)
+                [cap_block(k, size) for k, size in zip(ks.tolist(), sizes[start:stop].tolist())],
+                axis=0)
             offsets = begins[start:stop] - begins[start]
             cols = _interp(grid, kernel.values, z[None, :] + block @ frame)
             sums = np.add.reduceat(cols, offsets, axis=0)

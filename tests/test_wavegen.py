@@ -14,6 +14,7 @@ from synfocus.core import (
 from synfocus.wavegen import (
     _cap_frame,
     _cap_indices,
+    _cap_sizes,
     add_noise,
     conjugate_lattice,
     default_angles,
@@ -56,6 +57,25 @@ def _sphere_rule(grid, t, oversample):
     else:
         n, meas = max(int(np.ceil(m * m / np.pi)), 32), 4.0 * np.pi * t * t
     return n, meas / n
+
+
+def _reference_cap(n, dim, t, dist, rho):
+    """Per-sphere cap indices of the n-point lattice at radius t, computed
+    with Python scalars: the points whose cos(theta) can reach
+    (D^2 + t^2 - rho^2) / (2 D t), widened by one index."""
+    if dist == 0.0:
+        return np.arange(n)
+    b = (dist * dist + t * t - rho * rho) / (2.0 * dist * t)
+    if dim == 2:
+        m = int(n * np.arccos(np.clip(b, -1.0, 1.0)) / (2.0 * np.pi)) + 1
+        return np.arange(-m, m + 1) if 2 * m + 1 < n else np.arange(n)
+    return np.arange(min(n, max(0, int(np.ceil(0.5 * n * (1.0 - b)))) + 1))
+
+
+def _cap(n, dim, t, dist, rho):
+    """measure_spherical_pulse's cap of one sphere, through _cap_sizes."""
+    size = _cap_sizes(np.array([n]), dim, np.array([float(t)]), dist, rho)[0]
+    return _cap_indices(n, dim, int(size))
 
 
 def _turned_sphere(grid, z, t, frame, oversample):
@@ -225,7 +245,8 @@ class TestSphericalCap:
                 for t in rng.uniform(0.02, dist + rho, 6):
                     n = int(rng.integers(40, 4000))
                     full = z + t * _unit_lattice(n, dim) @ frame
-                    cap = _cap_indices(n, dim, t, dist, rho)
+                    cap = _cap(n, dim, t, dist, rho)
+                    assert np.array_equal(cap, _reference_cap(n, dim, t, dist, rho))
                     kept = cap % n
                     assert np.unique(kept).size == kept.size
                     dropped = np.setdiff1d(np.arange(n), kept)
@@ -237,6 +258,21 @@ class TestSphericalCap:
                     kept_total[name][1] += n
         assert kept_total["center"][0] == kept_total["center"][1]
         assert kept_total["outside"][0] < 0.5 * kept_total["outside"][1]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_sizes_of_many_spheres_match_the_per_sphere_reference(self, dim):
+        # one _cap_sizes call over many radii and point counts, with caps
+        # wider than the sphere, one-index caps that miss the box, and D = 0
+        rng = np.random.default_rng(50 + dim)
+        rho = 0.7
+        t = np.concatenate([rng.uniform(1e-3, 3.0, 400), [1e-6, 1e-9]])
+        n = rng.integers(8, 20000, t.size)
+        for dist in (0.0, 0.3 * rho, rho, 2.5 * rho):
+            sizes = _cap_sizes(n, dim, t, dist, rho)
+            for nk, tk, size in zip(n.tolist(), t.tolist(), sizes.tolist()):
+                ref = _reference_cap(nk, dim, tk, dist, rho)
+                assert size == ref.size
+                assert np.array_equal(_cap_indices(nk, dim, size), ref)
 
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -296,7 +332,7 @@ class TestSphericalCap:
             frame, dist = _cap_frame(z, c)
             for k, t in enumerate(radii):
                 n, weight = _sphere_rule(g, t, oversample=1)
-                cap = _cap_indices(n, dim, t, dist, rho)
+                cap = _reference_cap(n, dim, t, dist, rho)
                 pts = z + t * _unit_lattice(n, dim, cap) @ frame
                 expect[i, k] = weight * np.sum(_interp(g, kern.values, pts), axis=0)
                 sizes[i, k] = cap.size - n   # 0 for the full lattice
