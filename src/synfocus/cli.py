@@ -103,18 +103,15 @@ DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 def _check_interior(cfg):
     """Reject, before any stage runs, 'pixels' and 'transducers' values the
     chain cannot use: a kernel grid of one pixel per axis, one too fine for
-    'grid' in chains that build the conduction kernel, a 3d focus grid
-    below the divergence stencil, or too few transducers to measure."""
-    chain = CHAINS[cfg.mode]
-    if "kernel" not in chain:
+    'grid' in chains that build the conduction kernel, or too few
+    transducers to measure."""
+    if "kernel" not in CHAINS[cfg.mode]:
         return
     try:
         if not _uses_synthetic_kernel(cfg):
             _interior_map(_centered_grid(cfg.grid), _interior_grid(cfg))
             return
-        grid = _centered_grid((cfg.pixels,) * 3)
-        if "focus" in chain:
-            focusing._check_divergence_grid(grid)
+        _centered_grid((cfg.pixels,) * 3)
     except ValueError as e:
         raise ValueError(f"invalid value for 'pixels': {e}") from None
     try:

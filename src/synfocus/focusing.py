@@ -42,42 +42,26 @@ def _lerp(f, x, xp):
             + np.take(f[:, 1:], j, axis=1, mode="clip") * wr)
 
 
-def _check_divergence_grid(out):
-    """Reject output grids the backprojection cannot differentiate: the
-    second-order divergence stencil needs 3 pixels on each of 3 axes."""
-    if out.dim != 3:
-        raise ValueError("backprojection output grid must be 3D")
-    if np.any(out.counts < 3):
-        raise ValueError("backprojection output grid needs at least 3 pixels per "
-                         f"axis for its divergence stencil, got {out.counts.tolist()}")
+def _backproject_divergence(array, t_samples, dprofiles, out, constant):
+    """Backproject filtered profiles in divergence form.
 
-
-def _backproject_divergence(array, t_samples, profiles, out, constant):
-    """Backproject filtered profiles and take the divergence.
-
-    ``profiles[j, i, k]`` is the filtered trace of electrode j at
-    transducer i and time t_samples[k].  Builds, per electrode, the vector
-    field sum_i w_i n_i q_i(|z_i - x|) on the output grid (linear
-    interpolation in t, zero outside the sampled interval), then returns
-    constant * div of it, computed with central differences (one-sided at
-    the grid faces).  Result shape (n_electrodes, n_pixels), x-fastest.
+    ``dprofiles[j, i, k]`` is q_ij'(t_samples[k]), the t-derivative of the
+    filtered trace of electrode j at transducer i.  The inversion is
+    constant * div_x sum_i w_i n_i q_i(|x - z_i|); its divergence is taken
+    in closed form, sum_i w_i q_i'(r_i) n_i . (x - z_i) / r_i with
+    r_i = |x - z_i|, so no field is built or differentiated on the output
+    grid (linear interpolation in t, zero outside the sampled interval).
+    Result shape (n_electrodes, n_pixels), x-fastest.
     """
-    _check_divergence_grid(out)
-    x, y, z = (m.ravel() for m in out.mesh())
-    wn = array.weights[:, None] * array.normals
-    field = np.zeros((3, profiles.shape[0], out.n_pixels))
-    for i, p in enumerate(array.positions):
-        t = np.sqrt((x - p[0]) ** 2 + (y - p[1]) ** 2 + (z - p[2]) ** 2)
-        q = _lerp(profiles[:, i], t, t_samples)
-        for c in range(3):
-            field[c] += wn[i, c] * q
-    shape = (profiles.shape[0],) + tuple(out.counts[::-1])
-    div = np.zeros(shape)
-    for c in range(3):
-        # coordinate c varies along storage axis 3 - c (arrays are el,z,y,x)
-        div += np.gradient(field[c].reshape(shape), out.spacing[c], axis=3 - c,
-                           edge_order=2)
-    return constant * div.reshape(profiles.shape[0], -1)
+    x = np.stack([m.ravel() for m in out.mesh()])   # (3, n_pixels)
+    recs = np.zeros((dprofiles.shape[0], out.n_pixels))
+    for i, (p, n) in enumerate(zip(array.positions, array.normals)):
+        r = np.sqrt((x[0] - p[0]) ** 2 + (x[1] - p[1]) ** 2 + (x[2] - p[2]) ** 2)
+        q = _lerp(dprofiles[:, i], r, t_samples)
+        # in place: fewer pixel-sized temporaries per transducer
+        q *= (n @ x - n @ p) * (array.weights[i] / r)
+        recs += q
+    return constant * recs
 
 
 def _check_inside_sphere(out, array):
@@ -96,13 +80,19 @@ def invert_spherical_means_3d(data, out):
     """Reconstruct kernel columns from spherical-pulse responses (3D).
 
     Filters each transducer trace with (1/t) d/dt (g/t), where g is the
-    measured spherical integral as a function of radius, then evaluates
-    the filtered backprojection divergence formula on the output grid.
+    measured spherical integral as a function of radius, differentiates
+    the filtered trace once more in t, and evaluates the closed-form
+    divergence of the backprojection on the output grid.  Both t
+    derivatives are second-order differences, so at least 3 radii are
+    needed.
     """
     if not isinstance(data, SphericalMeanData):
         raise TypeError("expected SphericalMeanData")
     if data.array.positions.shape[1] != 3 or out.dim != 3:
         raise ValueError("spherical-means inversion requires 3D data and grid")
+    if data.radii.size < 3:
+        raise ValueError("spherical-means inversion needs at least 3 radii for its "
+                         f"radial filter stencil, got {data.radii.size}")
     reach, radius = _check_inside_sphere(out, data.array)
     dt = data.radii[1] - data.radii[0]
     if radius - reach < 2.0 * dt:
@@ -114,22 +104,24 @@ def invert_spherical_means_3d(data, out):
             stacklevel=2,
         )
     t = data.radii[:, None]
-    g = data.values / t
-    prof = np.gradient(g, data.radii, axis=1, edge_order=2) / t
-    recs = _backproject_divergence(data.array, data.radii, prof.transpose(2, 0, 1),
+    prof = np.gradient(data.values / t, data.radii, axis=1, edge_order=2) / t
+    dprof = np.gradient(prof, data.radii, axis=1, edge_order=2)
+    recs = _backproject_divergence(data.array, data.radii, dprof.transpose(2, 0, 1),
                                    out, PULSE_CONSTANT)
     return KernelMatrix(grid=out, values=recs)
 
 
 def _detector_profiles(data, t):
-    """Filtered time profiles (n_electrodes, n_transducers, n_t) from the
-    monochromatic responses.
+    """t-derivatives h'(z, t) of the filtered time profiles, shape
+    (n_electrodes, n_transducers, n_t), from the monochromatic responses.
 
-    Evaluates h(z, t) = -(1/t) * integral over the frequency band of
-    [cos(lt) Im W - sin(lt) Re W] l dl by trapezoid quadrature on the
-    data's frequency lattice, with a cosine taper over the top 10% of
-    the band to suppress ringing from the hard cutoff.  The band is
-    extended down to zero frequency where the integrand vanishes.
+    The profile is h = S / t with S(z, t) = -integral over the frequency
+    band of [cos(lt) Im W - sin(lt) Re W] l dl, so h' = (S' - h) / t with
+    S' = integral of [sin(lt) Im W + cos(lt) Re W] l^2 dl: the exact
+    derivative of the same trapezoid quadrature on the data's frequency
+    lattice, not a difference on the t lattice.  A cosine taper over the
+    top 10% of the band suppresses ringing from the hard cutoff.  The
+    band is extended down to zero frequency where the integrand vanishes.
     """
     lam = data.frequencies
     lam_max = lam[-1]
@@ -151,18 +143,19 @@ def _detector_profiles(data, t):
     st = np.sin(lam[None, :] * t[:, None])
     coef = (wq * taper * lam)[None, :]
     # contiguous operands keep the stacked products on BLAS
-    prof = (-(ct * coef) @ np.ascontiguousarray(w.imag)
-            + (st * coef) @ np.ascontiguousarray(w.real))  # (n_el, n_t, n_trans)
-    prof /= t[:, None]
-    return prof.transpose(0, 2, 1)
+    wi, wr = np.ascontiguousarray(w.imag), np.ascontiguousarray(w.real)
+    prof = (-(ct * coef) @ wi + (st * coef) @ wr) / t[:, None]  # (n_el, n_t, n_trans)
+    coef = coef * lam
+    dprof = ((st * coef) @ wi + (ct * coef) @ wr - prof) / t[:, None]
+    return dprof.transpose(0, 2, 1)
 
 
 def invert_monochromatic_3d(data, out):
     """Reconstruct kernel columns from monochromatic responses (3D).
 
-    Synthesizes filtered time profiles from the frequency sweep, then
-    applies the same backprojection divergence as the pulse route, with
-    its own normalization.
+    Synthesizes the t-derivatives of the filtered time profiles from the
+    frequency sweep, then applies the same closed-form backprojection
+    divergence as the pulse route, with its own normalization.
     """
     if not isinstance(data, MonochromaticData):
         raise TypeError("expected MonochromaticData")

@@ -66,6 +66,14 @@ class TestRouteEquivalence:
         assert rel_l2(pulse_recon48, gauss48["truth"]) <= 0.15
         assert rel_l2(mono_recon48, gauss48["truth"]) <= 0.15
 
+    def test_closed_form_divergence_accuracy(
+        self, gauss48, pulse_recon48, mono_recon48
+    ):
+        # measured 9.1e-4 (pulse) and 4.5e-4 (monochromatic) with the
+        # divergence taken in closed form; bounds about 10% above
+        assert rel_l2(pulse_recon48, gauss48["truth"]) <= 1.0e-3
+        assert rel_l2(mono_recon48, gauss48["truth"]) <= 4.9e-4
+
 
 class TestXrayRoute:
     def test_disk_recovered_outside_two_pixel_rim(self, disk_fbp256):

@@ -7,8 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from synfocus.core import Grid, KernelMatrix, make_transducer_array
+from synfocus.core import Grid, KernelMatrix, TransducerArray, make_transducer_array
 from synfocus.focusing import (
+    _backproject_divergence,
     focus_kernel,
     invert_fourier,
     invert_monochromatic_3d,
@@ -52,11 +53,23 @@ class TestSphericalMeansRoute:
         assert kern.n_electrodes == 2
         assert np.all(kern.values == 0.0)
 
-    def test_rejects_grid_below_divergence_stencil(self):
+    def test_two_pixel_grid_gives_finite_kernel(self, rng):
+        # the divergence is taken in closed form, so no grid floor remains
         arr, _, radii = small_pulse_setup()
-        data = SphericalMeanData(array=arr, radii=radii, values=np.zeros((arr.n, radii.size, 1)))
-        with pytest.raises(ValueError, match="at least 3 pixels"):
-            invert_spherical_means_3d(data, centered_grid(2, 3))
+        data = SphericalMeanData(array=arr, radii=radii,
+                                 values=rng.standard_normal((arr.n, radii.size, 2)))
+        kern = invert_spherical_means_3d(data, centered_grid(2, 3))
+        assert kern.values.shape == (2, 8)
+        assert np.all(np.isfinite(kern.values)) and np.any(kern.values != 0.0)
+
+    @pytest.mark.parametrize("n_radii", [1, 2])
+    def test_rejects_fewer_than_three_radii(self, n_radii):
+        arr, out, _ = small_pulse_setup()
+        radii = np.linspace(0.5, 1.5, n_radii)
+        data = SphericalMeanData(array=arr, radii=radii,
+                                 values=np.zeros((arr.n, n_radii, 1)))
+        with pytest.raises(ValueError, match="at least 3 radii"):
+            invert_spherical_means_3d(data, out)
 
     def test_gaussian_benchmark_within_ten_percent(self, gauss48, pulse_recon48):
         err = rel_l2(pulse_recon48, gauss48["truth"])
@@ -109,6 +122,65 @@ class TestSphericalMeansRoute:
         )
         with pytest.raises(TypeError, match="SphericalMeanData"):
             invert_spherical_means_3d(mono, out)
+
+
+def _tilted_array(rng, n=7, radius=1.3):
+    """Transducers on |z| = R with unit normals that are not radial and
+    unequal weights summing to the aperture measure."""
+    pos = rng.standard_normal((n, 3))
+    pos *= radius / np.linalg.norm(pos, axis=1)[:, None]
+    nrm = pos / radius + 0.6 * rng.standard_normal((n, 3))
+    nrm /= np.linalg.norm(nrm, axis=1)[:, None]
+    w = rng.uniform(0.5, 1.5, n)
+    return TransducerArray(positions=pos, normals=nrm, radius=radius,
+                           weights=w * 4.0 * np.pi * radius**2 / w.sum())
+
+
+class TestBackprojectDivergence:
+    """The closed-form divergence sum_i w_i q_i'(r_i) n_i . (x - z_i) / r_i
+    of the backprojected field sum_i w_i n_i q_i(|x - z_i|)."""
+
+    def test_linear_profile_matches_closed_form(self, rng):
+        # q_ij = a_ij t^2, so q' = 2 a_ij t is linear and interpolates
+        # exactly: the result is sum_i 2 a_ij w_i n_i . (x - z_i)
+        arr = _tilted_array(rng)
+        out = Grid(origin=(-0.31, 0.07, -0.2), spacing=(0.05, 0.04, 0.06),
+                   counts=(7, 6, 5))
+        t = np.linspace(0.01, 3.0, 50)
+        a = rng.standard_normal((2, arr.n))
+        got = _backproject_divergence(arr, t, 2.0 * a[:, :, None] * t, out, 0.7)
+        d = out.centers()[None, :, :] - arr.positions[:, None, :]
+        proj = np.einsum("ic,ipc->ip", arr.normals, d)
+        want = 0.7 * (2.0 * a * arr.weights) @ proj
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_matches_central_difference_of_the_field(self, rng):
+        # q_i(t) = sin(k_i t + phi_i) + c_i t^3 on a fine t lattice; the
+        # divergence of the backprojected field by central differences
+        arr = _tilted_array(rng)
+        out = Grid(origin=(0.12, -0.27, -0.05), spacing=(0.07, 0.05, 0.06),
+                   counts=(5, 6, 4))
+        k = rng.uniform(2.0, 6.0, arr.n)
+        phi = rng.uniform(0.0, 2.0 * np.pi, arr.n)
+        c = rng.standard_normal(arr.n)
+
+        def q(r):
+            return np.sin(k * r + phi) + c * r**3
+
+        def dq(r):
+            return k * np.cos(k * r + phi) + 3.0 * c * r**2
+
+        def field(x):
+            # (n_pixels, 3): sum_i w_i n_i q_i(|x - z_i|)
+            r = np.linalg.norm(x[:, None, :] - arr.positions[None, :, :], axis=2)
+            return (q(r) * arr.weights) @ arr.normals
+
+        t = np.linspace(1e-3, 3.0, 60001)
+        got = _backproject_divergence(arr, t, dq(t[:, None]).T[None], out, 1.0)[0]
+        x, h = out.centers(), 1e-4
+        div = sum((field(x + h * e)[:, ax] - field(x - h * e)[:, ax]) / (2.0 * h)
+                  for ax, e in enumerate(np.eye(3)))
+        assert np.max(np.abs(got - div)) <= 1e-6 * np.max(np.abs(div))
 
 
 class TestMonochromaticRoute:
