@@ -22,6 +22,8 @@ from .core import Grid, _frozen_array, _interp, _stencil, _unit_lattice
 
 def _uniform_spacing(x, name):
     x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} must be finite")
     if x.size < 2:
         return 0.0
     d = np.diff(x)
@@ -291,36 +293,116 @@ def measure_monochromatic(kernel, array, frequencies):
     """Kernel columns against the outgoing Green's function:
     values[i, m, j] = sum_px kernel(j, px) exp(i lam_m r) / (4 pi r) * pixel_area
     with r = |x_px - z_i|.  Transducers must sit strictly outside the
-    interior grid's domain box."""
+    interior grid's domain box.
+
+    The frequencies lie on a uniform lattice lam_m = lam_0 + m dlam.  With
+    B = ceil(sqrt(n_f)), Q = ceil(n_f / B) and m = q B + p, the phase
+    splits as exp(i lam_m r) = step^p * exp(i lam_0 r) step^(q B) with
+    step = exp(i dlam r).  Per transducer the sums take two complex
+    exponentials, the rows U[p] = step^p (p < B) and
+    V[q] = area / (4 pi r) exp(i lam_0 r) (step^B)^q (q < Q) at one
+    multiply each, with step^B continuing U's recurrence, and one complex
+    GEMM (kernel * U)(n_el B, n_px) @ V^T(n_px, Q), cropped to n_f: about
+    (2 + n_el) sqrt(n_f) pixel-length row operations where a recurrence
+    over the frequencies takes 2 n_f.  Entry q B + p carries p roundings
+    from U and q from V, but step^B carries B of its own, so the
+    worst-case phase error is still of order n_f roundings, as for the
+    plain recurrence; in both it is dominated by the rounding of step
+    itself, of the size direct exponentials make in lam_m r.  The GEMM
+    accumulates over pixel blocks sized so that the work rows stay within
+    4e6 complex values.
+    """
     grid = kernel.grid
     freqs = np.asarray(frequencies, dtype=float)
     if freqs.size == 0:
         raise ValueError("need at least one frequency")
     if array.dim != grid.dim:
         raise ValueError("transducer dimension must match the kernel grid")
+    dlam = _uniform_spacing(freqs, "frequencies")
+    if freqs[0] <= 0:
+        raise ValueError("frequencies must be positive")
     lo, hi = grid.bounds()
     outside = np.any((array.positions < lo[None, :]) | (array.positions > hi[None, :]),
                      axis=1)
     if not np.all(outside):
         raise ValueError("singular kernel: transducers must lie strictly outside "
                          "the interior grid support")
-    dlam = _uniform_spacing(freqs, "frequencies")
-    centers = grid.centers()
-    values = np.empty((array.n, freqs.size, kernel.n_electrodes), dtype=complex)
-    block = max(1, int(4e6 // max(centers.shape[0], 1)))
-    green = np.empty((min(block, freqs.size), centers.shape[0]), dtype=complex)
-    for i in range(array.n):
-        r = np.linalg.norm(centers - array.positions[i][None, :], axis=1)
-        # exp(i lam_m r) on the uniform lattice: one complex multiply per step
-        phase = np.exp(1j * freqs[0] * r) * (grid.pixel_measure / (4.0 * np.pi * r))
-        step = np.exp(1j * dlam * r)
-        for m0 in range(0, freqs.size, block):
-            n_m = min(block, freqs.size - m0)
-            for m in range(n_m):
-                green[m] = phase
-                phase *= step
-            values[i, m0:m0 + n_m, :] = green[:n_m] @ kernel.values.T
+    values = _green_sums(kernel, array.positions, freqs[0], dlam, freqs.size)
     return MonochromaticData(array=array, frequencies=freqs, values=values)
+
+
+def _green_sums(kernel, positions, lam0, dlam, n_f):
+    """values[i, m, j] of measure_monochromatic for lam_m = lam0 + m dlam,
+    by the two-level split of its docstring.  With more electrodes than V
+    has rows, the Q B product rows U[p] * V[q] are fewer than the n_el B
+    rows kernel * U, so the GEMM takes those against kernel^T instead."""
+    grid = kernel.grid
+    n_el, n_px = kernel.n_electrodes, grid.n_pixels
+    n_b = int(np.ceil(np.sqrt(n_f)))
+    n_q = -(-n_f // n_b)
+    by_kernel = n_el <= n_q
+    x = np.stack([m.ravel() for m in grid.mesh()])   # (dim, n_pixels)
+    # the 4e6 complex-value budget: the coordinate rows, the GEMM's result,
+    # its running sum and the output rows, and a ufunc buffer's worth for
+    # the casts and small objects come off first; each pixel of a block
+    # then holds U, V, step^B, r with one real scratch row, and the
+    # product rows (with the complex kernel rows the GEMM needs against
+    # them)
+    fixed = 0.5 * x.size + 3 * n_el * n_b * n_q + np.getbufsize()
+    n_rows = n_b + n_q + 2 + (n_el * n_b if by_kernel else n_q * n_b + n_el)
+    block = min(n_px, max(1, int((4e6 - fixed) // n_rows)))
+    work = np.empty(n_rows * block, dtype=complex)
+    values = np.empty((positions.shape[0], n_f, n_el), dtype=complex)
+    for i, z in enumerate(positions):
+        sums = 0.0
+        for p0 in range(0, n_px, block):
+            n = min(block, n_px - p0)
+            px = slice(p0, p0 + n)
+            # the work rows of this block: U, V, step^B, r and a scratch
+            # row as one complex row's floats, then the product rows
+            rows = work[:n_rows * n].reshape(n_rows, n)
+            U, V, ratio = rows[:n_b], rows[n_b:n_b + n_q], rows[n_b + n_q]
+            r, s = rows[n_b + n_q + 1].view(float).reshape(2, n)
+            prod = rows[n_b + n_q + 2:]
+            # r = sqrt(d0*d0 + d1*d1 + d2*d2) from the coordinate rows
+            np.subtract(x[0, px], z[0], out=r)
+            r *= r
+            for d in range(1, grid.dim):
+                np.subtract(x[d, px], z[d], out=s)
+                s *= s
+                r += s
+            np.sqrt(r, out=r)
+            np.multiply(r, 1j * lam0, out=V[0])
+            np.exp(V[0], out=V[0])
+            np.multiply(r, 4.0 * np.pi, out=s)
+            np.divide(grid.pixel_measure, s, out=s)
+            V[0] *= s
+            U[0] = 1.0
+            if n_b > 1:
+                np.multiply(r, 1j * dlam, out=U[1])
+                np.exp(U[1], out=U[1])
+            for p in range(2, n_b):
+                np.multiply(U[p - 1], U[1], out=U[p])
+            if n_q > 1:
+                np.multiply(U[n_b - 1], U[1], out=ratio)
+            for q in range(1, n_q):
+                np.multiply(V[q - 1], ratio, out=V[q])
+            if by_kernel:
+                np.multiply(kernel.values[:, None, px], U[None],
+                            out=prod.reshape(n_el, n_b, n))
+                sums = sums + prod @ V.T
+            else:
+                G, K = prod[:n_q * n_b], prod[n_q * n_b:]
+                np.multiply(V[:, None], U[None], out=G.reshape(n_q, n_b, n))
+                if i == 0 or n < n_px:   # one block keeps its kernel rows
+                    K[...] = kernel.values[:, px]
+                sums = sums + G @ K.T
+        # frequency q B + p of electrode j is sums[j B + p, q] by kernel,
+        # sums[q B + p, j] otherwise
+        if by_kernel:
+            sums = sums.reshape(n_el, n_b, n_q).transpose(2, 1, 0).reshape(-1, n_el)
+        values[i] = sums[:n_f]
+    return values
 
 
 def conjugate_lattice(grid):

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from synfocus.wavegen import (
     _cap_frame,
     _cap_indices,
     _cap_sizes,
+    _uniform_spacing,
     add_noise,
     conjugate_lattice,
     default_angles,
@@ -368,6 +372,15 @@ class TestSphericalCap:
                                     np.array([0.5, 1.0]), oversample=oversample)
 
 
+def _green(grid, positions, freqs):
+    """exp(i lam r) / (4 pi r) * pixel_measure by direct exponentials, shape
+    (n_transducers, n_freqs, n_pixels): the reference for the measure's
+    phase recurrences."""
+    r = np.linalg.norm(grid.centers()[None, :, :] - positions[:, None, :], axis=2)
+    return (np.exp(1j * freqs[None, :, None] * r[:, None, :])
+            / (4.0 * np.pi * r[:, None, :]) * grid.pixel_measure)
+
+
 class TestMonochromatic:
     def test_single_pixel_green_function(self):
         g = centered_grid(9, 3)
@@ -393,11 +406,67 @@ class TestMonochromatic:
         arr = make_transducer_array(5, radius=2.0)
         freqs = np.linspace(37.3, 97.3, 500)
         data = measure_monochromatic(_kernel(g, cols), arr, freqs)
-        r = np.linalg.norm(g.centers()[None, :, :] - arr.positions[:, None, :], axis=2)
-        green = (np.exp(1j * freqs[None, :, None] * r[:, None, :])
-                 / (4.0 * np.pi * r[:, None, :]) * g.pixel_measure)
-        expect = green @ cols.T
+        expect = _green(g, arr.positions, freqs) @ cols.T
         assert np.max(np.abs(data.values - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("n_f", [1, 2, 7, 16, 17, 500])
+    def test_split_against_direct_exponentials(self, dim, n_f, rng):
+        # B = ceil(sqrt(n_f)) rows of step powers times Q = ceil(n_f / B)
+        # rows of step^B powers: B * Q > n_f at 7, 17 and 500, prime counts
+        # 2, 7 and 17, squares 1 and 16
+        g = centered_grid(8 if dim == 2 else 6, dim)
+        cols = rng.standard_normal((2, g.n_pixels))
+        arr = make_transducer_array(5, radius=2.0, dim=dim)
+        freqs = np.linspace(37.3, 97.3, n_f)
+        data = measure_monochromatic(_kernel(g, cols), arr, freqs)
+        expect = _green(g, arr.positions, freqs) @ cols.T
+        assert np.max(np.abs(data.values - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize("n_el", [16, 64])
+    def test_pixel_blocks_stay_within_budget(self, n_el, rng):
+        # 400 frequencies on 24^3: the rows of all 13824 pixels exceed the
+        # 4e6 complex values, so the sums run over two pixel blocks.  16
+        # electrodes take the rows kernel * U (16 <= Q = 20), 64 the rows
+        # U * V against kernel^T.
+        g = centered_grid(24, 3)
+        cols = rng.standard_normal((n_el, g.n_pixels))
+        kern = _kernel(g, cols)
+        arr = make_transducer_array(4, radius=2.0)
+        freqs = np.linspace(37.3, 97.3, 400)
+        tracemalloc.start()
+        try:
+            data = measure_monochromatic(kern, arr, freqs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6 * 16 + data.values.nbytes
+        expect = np.concatenate(
+            [_green(g, arr.positions, freqs[m:m + 50]) @ cols.T for m in range(0, 400, 50)],
+            axis=1)
+        assert np.max(np.abs(data.values - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize("name", ["frequencies", "radii", "angles", "offsets"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_uniform_spacing_rejects_non_finite(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            _uniform_spacing(np.array([0.0, bad, 2.0]), name)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            _uniform_spacing(np.array([bad]), name)
+
+    @pytest.mark.parametrize("first", [np.nan, np.inf, -1.0])
+    def test_bad_frequencies_rejected_before_the_sums(self, first, monkeypatch):
+        def no_sums(*args):
+            raise AssertionError("the Green's sums ran")
+
+        monkeypatch.setattr(synfocus.wavegen, "_green_sums", no_sums)
+        g = centered_grid(6, 3)
+        arr = make_transducer_array(5, radius=2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="frequencies"):
+                measure_monochromatic(_kernel(g, np.ones(g.n_pixels)), arr,
+                                      first + np.arange(3.0))
 
     def test_transducer_inside_support_rejected(self):
         from synfocus.core import TransducerArray
@@ -724,8 +793,5 @@ class TestTransposes:
         k = rng.standard_normal((2, g.n_pixels))
         ak = measure_monochromatic(_kernel(g, k), arr, freqs).values
         y = rng.standard_normal(ak.shape) + 1j * rng.standard_normal(ak.shape)
-        r = np.linalg.norm(g.centers()[None, :, :] - arr.positions[:, None, :], axis=2)
-        green = (np.exp(1j * freqs[None, :, None] * r[:, None, :])
-                 / (4.0 * np.pi * r[:, None, :]) * g.pixel_measure)
-        aty = np.einsum("imp,imj->jp", green.conj(), y)
+        aty = np.einsum("imp,imj->jp", _green(g, arr.positions, freqs).conj(), y)
         assert _dot_gap(ak, y, k, aty) <= 1e-13
