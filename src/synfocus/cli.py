@@ -17,6 +17,7 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import focusing, io, wavegen
 from .core import (
@@ -456,6 +457,8 @@ def main(argv=None):
     logger.addHandler(handler)
     out_dir = Path(cfg.out)
     metrics = _config_echo(cfg)
+    metrics["numpy_version"] = np.__version__
+    metrics["scipy_version"] = scipy.__version__
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         try:

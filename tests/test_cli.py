@@ -8,7 +8,9 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
 import synfocus
 from synfocus.cli import DEFAULTS, ExperimentConfig, main, parse_config
@@ -227,6 +229,8 @@ ENDTOEND_METRIC_KEYS = [
     "config_noise",
     "config_seed",
     "config_out",
+    "numpy_version",
+    "scipy_version",
     "time_phantom",
     "residual",
     "time_forward",
@@ -237,7 +241,8 @@ ENDTOEND_METRIC_KEYS = [
 ]
 
 
-CONFIG_KEYS = [k for k in ENDTOEND_METRIC_KEYS if k.startswith("config_")]
+# the config echo and the library versions open every metrics.txt
+CONFIG_KEYS = ENDTOEND_METRIC_KEYS[:ENDTOEND_METRIC_KEYS.index("scipy_version") + 1]
 
 SMALL_CHAIN = "grid = 12\npixels = 6\n"
 CHAIN_MODES = {
@@ -291,6 +296,8 @@ class TestEndToEnd:
         metrics = read_metrics(tmp_path)
         # schema: every stage runtime and the full config echo, in order
         assert list(metrics) == ENDTOEND_METRIC_KEYS
+        assert metrics["numpy_version"] == np.__version__
+        assert metrics["scipy_version"] == scipy.__version__
         for key in metrics:
             if key.startswith("time_"):
                 assert float(metrics[key]) >= 0.0
