@@ -133,8 +133,7 @@ class Sinogram:
         object.__setattr__(self, "values", _frozen_array(self.values, ndim=3))
         if np.any(self.angles < 0) or np.any(self.angles >= np.pi):
             raise ValueError("angles must lie in [0, pi)")
-        if self.angles.size > 1:
-            _uniform_spacing(self.angles, "angles")
+        _uniform_spacing(self.angles, "angles")
         _uniform_spacing(self.offsets, "offsets")
         span = self.offsets + self.offsets[::-1]
         if np.max(np.abs(span)) > 1e-9 * max(abs(self.offsets[0]), abs(self.offsets[-1])):

@@ -15,6 +15,7 @@ from synfocus.core import (
     make_transducer_array,
 )
 from synfocus.wavegen import (
+    Sinogram,
     _cap_frame,
     _cap_indices,
     _cap_sizes,
@@ -446,14 +447,6 @@ class TestMonochromatic:
             axis=1)
         assert np.max(np.abs(data.values - expect)) <= 1e-13 * np.max(np.abs(expect))
 
-    @pytest.mark.parametrize("name", ["frequencies", "radii", "angles", "offsets"])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_uniform_spacing_rejects_non_finite(self, name, bad):
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
-            _uniform_spacing(np.array([0.0, bad, 2.0]), name)
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
-            _uniform_spacing(np.array([bad]), name)
-
     @pytest.mark.parametrize("first", [np.nan, np.inf, -1.0])
     def test_bad_frequencies_rejected_before_the_sums(self, first, monkeypatch):
         def no_sums(*args):
@@ -523,6 +516,21 @@ class TestMonochromatic:
             errs[n] = rel_l2(data.values[..., 0], exact)
         assert errs[16] <= 4.1e-8
         assert errs[32] <= 9.7e-10
+
+
+class TestAxisValidation:
+    @pytest.mark.parametrize("name", ["frequencies", "radii", "angles", "offsets"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_uniform_spacing_rejects_non_finite(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            _uniform_spacing(np.array([0.0, bad, 2.0]), name)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            _uniform_spacing(np.array([bad]), name)
+
+    def test_single_non_finite_angle_rejected(self):
+        with pytest.raises(ValueError, match="angles must be finite"):
+            Sinogram(angles=np.array([np.nan]), offsets=np.linspace(-1.0, 1.0, 5),
+                     values=np.zeros((1, 5, 1)))
 
 
 class TestPlaneWaves:
