@@ -34,6 +34,16 @@ def _uniform_spacing(x, name):
     return float((x[-1] - x[0]) / (x.size - 1))   # x[0] + k * mean stays near x[k]
 
 
+def _frequency_spacing(freqs):
+    """Spacing of a nonempty, finite, positive, uniform frequency lattice."""
+    if freqs.size == 0:
+        raise ValueError("need at least one frequency")
+    dlam = _uniform_spacing(freqs, "frequencies")
+    if freqs[0] <= 0:
+        raise ValueError("frequencies must be positive")
+    return dlam
+
+
 @dataclass(frozen=True, eq=False)
 class SphericalMeanData:
     """Spherical (2d: circular) surface integrals of the kernel columns.
@@ -75,11 +85,7 @@ class MonochromaticData:
         object.__setattr__(self, "frequencies", _frozen_array(self.frequencies, ndim=1))
         object.__setattr__(self, "values",
                            _frozen_array(self.values, dtype=complex, ndim=3))
-        if self.frequencies.size == 0:
-            raise ValueError("empty frequency list")
-        if self.frequencies[0] <= 0:
-            raise ValueError("frequencies must be positive")
-        _uniform_spacing(self.frequencies, "frequencies")
+        _frequency_spacing(self.frequencies)
         n_t, n_f, _ = self.values.shape
         if n_t != self.array.n or n_f != self.frequencies.size:
             raise ValueError("values shape must be (n_transducers, n_freqs, n_electrodes)")
@@ -313,13 +319,9 @@ def measure_monochromatic(kernel, array, frequencies):
     """
     grid = kernel.grid
     freqs = np.asarray(frequencies, dtype=float)
-    if freqs.size == 0:
-        raise ValueError("need at least one frequency")
+    dlam = _frequency_spacing(freqs)
     if array.dim != grid.dim:
         raise ValueError("transducer dimension must match the kernel grid")
-    dlam = _uniform_spacing(freqs, "frequencies")
-    if freqs[0] <= 0:
-        raise ValueError("frequencies must be positive")
     lo, hi = grid.bounds()
     outside = np.any((array.positions < lo[None, :]) | (array.positions > hi[None, :]),
                      axis=1)
@@ -332,23 +334,19 @@ def measure_monochromatic(kernel, array, frequencies):
 
 def _green_sums(kernel, positions, lam0, dlam, n_f):
     """values[i, m, j] of measure_monochromatic for lam_m = lam0 + m dlam,
-    by the two-level split of its docstring.  With more electrodes than V
-    has rows, the Q B product rows U[p] * V[q] are fewer than the n_el B
-    rows kernel * U, so the GEMM takes those against kernel^T instead."""
+    by the two-level split of its docstring."""
     grid = kernel.grid
     n_el, n_px = kernel.n_electrodes, grid.n_pixels
     n_b = int(np.ceil(np.sqrt(n_f)))
     n_q = -(-n_f // n_b)
-    by_kernel = n_el <= n_q
     x = np.stack([m.ravel() for m in grid.mesh()])   # (dim, n_pixels)
     # the 4e6 complex-value budget: the coordinate rows, the GEMM's result,
     # its running sum and the output rows, and a ufunc buffer's worth for
     # the casts and small objects come off first; each pixel of a block
-    # then holds U, V, step^B, r with one real scratch row, and the
-    # product rows (with the complex kernel rows the GEMM needs against
-    # them)
+    # then holds U, V, step^B, r with one real scratch row, and the n_el B
+    # product rows kernel * U
     fixed = 0.5 * x.size + 3 * n_el * n_b * n_q + np.getbufsize()
-    n_rows = n_b + n_q + 2 + (n_el * n_b if by_kernel else n_q * n_b + n_el)
+    n_rows = n_b + n_q + 2 + n_el * n_b
     block = min(n_px, max(1, int((4e6 - fixed) // n_rows)))
     work = np.empty(n_rows * block, dtype=complex)
     values = np.empty((positions.shape[0], n_f, n_el), dtype=complex)
@@ -386,21 +384,11 @@ def _green_sums(kernel, positions, lam0, dlam, n_f):
                 np.multiply(U[n_b - 1], U[1], out=ratio)
             for q in range(1, n_q):
                 np.multiply(V[q - 1], ratio, out=V[q])
-            if by_kernel:
-                np.multiply(kernel.values[:, None, px], U[None],
-                            out=prod.reshape(n_el, n_b, n))
-                sums = sums + prod @ V.T
-            else:
-                G, K = prod[:n_q * n_b], prod[n_q * n_b:]
-                np.multiply(V[:, None], U[None], out=G.reshape(n_q, n_b, n))
-                if i == 0 or n < n_px:   # one block keeps its kernel rows
-                    K[...] = kernel.values[:, px]
-                sums = sums + G @ K.T
-        # frequency q B + p of electrode j is sums[j B + p, q] by kernel,
-        # sums[q B + p, j] otherwise
-        if by_kernel:
-            sums = sums.reshape(n_el, n_b, n_q).transpose(2, 1, 0).reshape(-1, n_el)
-        values[i] = sums[:n_f]
+            np.multiply(kernel.values[:, None, px], U[None],
+                        out=prod.reshape(n_el, n_b, n))
+            sums = sums + prod @ V.T
+        # frequency q B + p of electrode j is sums[j B + p, q]
+        values[i] = sums.reshape(n_el, n_b, n_q).transpose(2, 1, 0).reshape(-1, n_el)[:n_f]
     return values
 
 
