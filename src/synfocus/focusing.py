@@ -27,41 +27,19 @@ PULSE_CONSTANT = 1.0 / (8.0 * np.pi**2)
 MONO_CONSTANT = -1.0 / (2.0 * np.pi**2)
 
 
-def _lerp_work(n_rows, n_points):
-    """Buffers for _lerp of n_rows rows at n_points points: u, j, two
-    masks, the inside weight, wr and the two gathers."""
-    return (np.empty(n_points), np.empty(n_points, dtype=np.intp),
-            np.empty(n_points, dtype=bool), np.empty(n_points, dtype=bool),
-            np.empty(n_points), np.empty(n_points),
-            np.empty((n_rows, n_points)), np.empty((n_rows, n_points)))
-
-
-def _lerp(f, x, xp, work=None):
+def _lerp(f, x, xp):
     """Linear interpolation of every row of f (n_rows, n_samples), sampled
     on the uniform lattice xp, at the points x; zero outside [xp[0], xp[-1]]
     as np.interp with left=right=0.  The weights are computed once for all
-    rows.  ``work`` from _lerp_work lets a loop of calls reuse its buffers;
-    the result is one of them."""
-    u, j, inside, below, weight, wr, lo, hi = work or _lerp_work(f.shape[0], x.size)
-    np.subtract(x, xp[0], out=u)
-    u /= xp[1] - xp[0]
-    np.greater_equal(u, 0.0, out=inside)
-    np.less_equal(u, xp.size - 1, out=below)
-    inside &= below
-    np.copyto(weight, inside)
-    # j = min(trunc(u), n - 2): truncation is floor where u >= 0; outside
-    # points get zero weights, so their indices only need clipping into
-    # range.  wr = u - j in floats, exact as trunc(u) is an integer
-    np.minimum(np.trunc(u, out=wr), xp.size - 2, out=wr)
-    np.copyto(j, wr, casting="unsafe")
-    np.subtract(u, wr, out=wr)
-    wr *= weight
-    np.take(f, j, axis=1, mode="clip", out=lo)
-    lo *= np.subtract(weight, wr, out=u)
-    np.take(f[:, 1:], j, axis=1, mode="clip", out=hi)
-    hi *= wr
-    lo += hi
-    return lo
+    rows."""
+    u = (x - xp[0]) / (xp[1] - xp[0])
+    # truncation is floor where u >= 0; outside points get zero weights, so
+    # their indices only need clipping into range
+    j = np.minimum(u.astype(np.intp), xp.size - 2)
+    inside = (u >= 0.0) & (u <= xp.size - 1)
+    wr = (u - j) * inside
+    return (np.take(f, j, axis=1, mode="clip") * (inside - wr)
+            + np.take(f[:, 1:], j, axis=1, mode="clip") * wr)
 
 
 def _backproject_divergence(array, t_samples, dprofiles, out, constant):
@@ -73,25 +51,15 @@ def _backproject_divergence(array, t_samples, dprofiles, out, constant):
     in closed form, sum_i w_i q_i'(r_i) n_i . (x - z_i) / r_i with
     r_i = |x - z_i|, so no field is built or differentiated on the output
     grid (linear interpolation in t, zero outside the sampled interval).
-    The pixel-sized buffers are allocated once, not per transducer.
     Result shape (n_electrodes, n_pixels), x-fastest.
     """
     x = np.stack([m.ravel() for m in out.mesh()])   # (3, n_pixels)
     recs = np.zeros((dprofiles.shape[0], out.n_pixels))
-    r, s = np.empty(out.n_pixels), np.empty(out.n_pixels)
-    work = _lerp_work(dprofiles.shape[0], out.n_pixels)
     for i, (p, n) in enumerate(zip(array.positions, array.normals)):
-        # r = sqrt((x0 - p0)**2 + (x1 - p1)**2 + (x2 - p2)**2)
-        np.square(np.subtract(x[0], p[0], out=r), out=r)
-        for d in (1, 2):
-            r += np.square(np.subtract(x[d], p[d], out=s), out=s)
-        np.sqrt(r, out=r)
-        q = _lerp(dprofiles[:, i], r, t_samples, work)
-        # q *= (n @ x - n @ p) * (w_i / r)
-        np.matmul(n, x, out=s)
-        s -= n @ p
-        s *= np.divide(array.weights[i], r, out=r)
-        q *= s
+        r = np.sqrt((x[0] - p[0]) ** 2 + (x[1] - p[1]) ** 2 + (x[2] - p[2]) ** 2)
+        q = _lerp(dprofiles[:, i], r, t_samples)
+        # in place: fewer pixel-sized temporaries per transducer
+        q *= (n @ x - n @ p) * (array.weights[i] / r)
         recs += q
     return constant * recs
 

@@ -136,40 +136,9 @@ def _tilted_array(rng, n=7, radius=1.3):
                            weights=w * 4.0 * np.pi * radius**2 / w.sum())
 
 
-def _backproject_reference(array, t_samples, dprofiles, out, constant):
-    """_backproject_divergence as a plain per-transducer formula with fresh
-    temporaries: the buffered loop must reproduce it bit for bit."""
-    x = np.stack([m.ravel() for m in out.mesh()])
-    recs = np.zeros((dprofiles.shape[0], out.n_pixels))
-    for i, (p, n) in enumerate(zip(array.positions, array.normals)):
-        r = np.sqrt((x[0] - p[0]) ** 2 + (x[1] - p[1]) ** 2 + (x[2] - p[2]) ** 2)
-        u = (r - t_samples[0]) / (t_samples[1] - t_samples[0])
-        j = np.minimum(u.astype(np.intp), t_samples.size - 2)
-        inside = (u >= 0.0) & (u <= t_samples.size - 1)
-        wr = (u - j) * inside
-        f = dprofiles[:, i]
-        q = (np.take(f, j, axis=1, mode="clip") * (inside - wr)
-             + np.take(f[:, 1:], j, axis=1, mode="clip") * wr)
-        q *= (n @ x - n @ p) * (array.weights[i] / r)
-        recs += q
-    return constant * recs
-
-
 class TestBackprojectDivergence:
     """The closed-form divergence sum_i w_i q_i'(r_i) n_i . (x - z_i) / r_i
     of the backprojected field sum_i w_i n_i q_i(|x - z_i|)."""
-
-    def test_buffered_loop_equals_the_formula_bitwise(self, rng):
-        # the t lattice covers only part of the radii, so both masks act
-        arr = _tilted_array(rng)
-        out = Grid(origin=(-0.31, 0.07, -0.2), spacing=(0.05, 0.04, 0.06),
-                   counts=(7, 6, 5))
-        t = np.linspace(1.1, 1.6, 40)
-        dq = rng.standard_normal((2, arr.n, t.size))
-        r = np.linalg.norm(out.centers()[None] - arr.positions[:, None], axis=2)
-        assert r.min() < t[0] and r.max() > t[-1]
-        got = _backproject_divergence(arr, t, dq, out, 0.7)
-        assert np.array_equal(got, _backproject_reference(arr, t, dq, out, 0.7))
 
     def test_linear_profile_matches_closed_form(self, rng):
         # q_ij = a_ij t^2, so q' = 2 a_ij t is linear and interpolates
