@@ -16,7 +16,6 @@ from .core import (
     ScalarField,
     TransducerArray,
     build_phantom_disks,
-    interp_field,
     make_transducer_array,
     square_boundary_electrodes,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "default_offsets",
     "default_radii",
     "focus_kernel",
-    "interp_field",
     "invert_fourier",
     "invert_monochromatic_3d",
     "invert_spherical_means_3d",

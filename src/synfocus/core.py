@@ -356,56 +356,52 @@ class KernelMatrix:
         return ScalarField(self.grid, self.values[j])
 
 
-def _stencil(grid, points):
-    """Multilinear interpolation stencil at ``points`` (n_points, dim).
+def _stencil(grid, u):
+    """Multilinear interpolation stencil at index coordinates ``u``
+    (n_points, dim), u = (x - origin) / spacing, on the grid padded by one
+    zero layer on every side (see _padded_rows).
 
     Returns (near, index, weight): the indices of the points within one
-    spacing of the pixel-center hull and, for each, the flat pixel indices
-    and weights of its 2^dim corners, shape (n_near, 2^dim), in
-    itertools.product((0, 1), repeat=dim) order.  Corners outside the grid
-    get weight 0 and a clipped index, so the hull rolls off linearly."""
-    u = points - grid.origin
-    u /= grid.spacing
+    spacing of the pixel-center hull (-1 < u < counts) and, for each, the
+    flat padded-grid indices and weights of its 2^dim corners, shape
+    (n_near, 2^dim), in itertools.product((0, 1), repeat=dim) order.
+    Corners outside the grid land on the zero layer, so the hull rolls off
+    linearly."""
     inside = (u > -1.0) & (u < grid.counts)
     near = np.flatnonzero(functools.reduce(operator.and_, inside.T))
-    u = np.ascontiguousarray(u[near].T)
+    u = np.ascontiguousarray(np.take(u, near, axis=0).T)
     lo = np.floor(u)
     frac = u - lo
-    lo = lo.astype(np.int64)
-    strides = np.cumprod(np.concatenate([[1], grid.counts[:-1]]))
-    # axis d of the (2,) * dim corner block holds the lower and upper
-    # neighbour along d; each axis multiplies in its factor and adds its index
-    weight = np.ones((2,) * grid.dim + (near.size,))
-    index = np.zeros(weight.shape, dtype=np.int64)
-    for d, n in enumerate(grid.counts):
-        shape = (1,) * d + (2,) + (1,) * (grid.dim - 1 - d) + (near.size,)
-        weight *= np.stack((np.where(lo[d] >= 0, 1.0 - frac[d], 0.0),
-                            np.where(lo[d] + 1 < n, frac[d], 0.0))).reshape(shape)
-        index += strides[d] * np.stack((np.maximum(lo[d], 0),
-                                        np.minimum(lo[d] + 1, n - 1))).reshape(shape)
-    return near, index.reshape(2 ** grid.dim, -1).T, weight.reshape(2 ** grid.dim, -1).T
+    strides = np.cumprod(np.concatenate([[1], grid.counts[:-1] + 2]))
+    # padded index lo + 1 of the lower corner; the corner block's axis d
+    # holds the lower and upper neighbour along d
+    base = (strides @ lo + strides.sum()).astype(np.int64)
+    weight = np.stack((1.0 - frac[0], frac[0]))
+    offset = np.array([0, 1])
+    for d in range(1, grid.dim):
+        weight = (weight[:, None] * np.stack((1.0 - frac[d], frac[d]))).reshape(2 << d, -1)
+        offset = (offset[:, None] + np.array([0, strides[d]])).ravel()
+    return near, (base + offset[:, None]).T, weight.T
 
 
-def _interp(grid, columns, points):
+def _padded_rows(grid, columns):
+    """``columns`` (n_cols, n_pixels) as one row per pixel of the grid
+    padded by one zero layer on every side, shape (prod(counts + 2), n_cols)."""
+    shape = tuple(grid.counts[::-1])
+    rows = np.zeros(tuple(np.add(shape, 2)) + (columns.shape[0],))
+    rows[(slice(1, -1),) * grid.dim] = np.moveaxis(columns.reshape((-1,) + shape), 0, -1)
+    return rows.reshape(-1, columns.shape[0])
+
+
+def _interp(grid, columns, u):
     """Multilinear interpolation of every row of ``columns`` (n_cols,
-    n_pixels) at ``points`` (n_points, dim), returned as (n_points, n_cols):
-    the weighted gather of the stencil (see _stencil for the roll-off)."""
-    rows = np.ascontiguousarray(columns.T)   # one row per pixel
-    out = np.zeros((points.shape[0], columns.shape[0]))
-    for p0 in range(0, points.shape[0], _GATHER_BLOCK):
-        near, index, weight = _stencil(grid, points[p0:p0 + _GATHER_BLOCK])
+    n_pixels) at index coordinates ``u`` (n_points, dim), returned as
+    (n_points, n_cols): the weighted gather of the stencil from the
+    zero-padded rows (see _stencil for the roll-off)."""
+    rows = _padded_rows(grid, columns)
+    out = np.zeros((u.shape[0], columns.shape[0]))
+    for p0 in range(0, u.shape[0], _GATHER_BLOCK):
+        near, index, weight = _stencil(grid, u[p0:p0 + _GATHER_BLOCK])
         out[p0 + near] = sum(weight[:, c, None] * np.take(rows, index[:, c], axis=0)
                              for c in range(index.shape[1]))
     return out
-
-
-def interp_field(field, points):
-    """Multilinear interpolation of a ScalarField at one point or at an
-    (n, dim) array of points.  Points outside the convex hull of the pixel
-    centers roll off linearly to zero within one spacing and are zero
-    beyond; the kernel is assumed supported inside the grid."""
-    pts = np.atleast_1d(np.asarray(points, dtype=float))
-    if pts.shape[-1] != field.grid.dim:
-        raise ValueError(f"points have dimension {pts.shape[-1]}, grid has {field.grid.dim}")
-    out = _interp(field.grid, field.values[None, :], np.atleast_2d(pts))[:, 0]
-    return out[0] if pts.ndim == 1 else out

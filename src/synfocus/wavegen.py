@@ -17,7 +17,7 @@ import numpy as np
 import scipy.fft
 import scipy.sparse
 
-from .core import Grid, _frozen_array, _interp, _stencil, _unit_lattice
+from .core import Grid, _frozen_array, _interp, _padded_rows, _stencil, _unit_lattice
 
 
 def _uniform_spacing(x, name):
@@ -227,7 +227,10 @@ def measure_spherical_pulse(kernel, array, radii, oversample=1):
     centre c of the support box (half-diagonal rho).  By the law of cosines
     only points with cos(theta) >= (D^2 + t^2 - rho^2) / (2 D t),
     D = |c - z_i|, can reach the box; only that cap (one Fibonacci index
-    range; 2d: an arc) is generated, once per radius and cap size.
+    range; 2d: an arc) is generated, once per radius and cap size.  The
+    turned points go to the stencil in index coordinates,
+    block @ (frame / spacing) + (z_i - origin) / spacing, and the grid's
+    zero layer gives the roll-off outside it (see core._stencil).
     """
     grid = kernel.grid
     radii = np.asarray(radii, dtype=float)
@@ -275,6 +278,8 @@ def measure_spherical_pulse(kernel, array, radii, oversample=1):
         d_max = np.linalg.norm(np.maximum(np.abs(z - box_lo), np.abs(z - box_hi)))
         active = np.nonzero((radii >= d_min) & (radii <= d_max))[0]
         frame, dist = _cap_frame(z, center)
+        # index coordinates of z + block @ frame, as one product and one add
+        scaled, shift = frame / grid.spacing, (z - grid.origin) / grid.spacing
         sizes = _cap_sizes(n_points[active], grid.dim, radii[active], dist, rho)
         begins = np.concatenate([[0], np.cumsum(sizes)])
         start = 0
@@ -287,7 +292,9 @@ def measure_spherical_pulse(kernel, array, radii, oversample=1):
                 [cap_block(k, size) for k, size in zip(ks.tolist(), sizes[start:stop].tolist())],
                 axis=0)
             offsets = begins[start:stop] - begins[start]
-            cols = _interp(grid, kernel.values, z[None, :] + block @ frame)
+            u = block @ scaled
+            u += shift
+            cols = _interp(grid, kernel.values, u)
             sums = np.add.reduceat(cols, offsets, axis=0)
             values[i, ks, :] = weights[ks, None] * sums
             start = stop
@@ -304,7 +311,9 @@ def measure_monochromatic(kernel, array, frequencies):
     B = ceil(sqrt(n_f)), Q = ceil(n_f / B) and m = q B + p, the phase
     splits as exp(i lam_m r) = step^p * exp(i lam_0 r) step^(q B) with
     step = exp(i dlam r).  Per transducer the sums take two complex
-    exponentials, the rows U[p] = step^p (p < B) and
+    exponentials (one when the lattice starts at its own spacing, lam_0 =
+    dlam to a few ulps as default_frequencies gives, since exp(i lam_0 r)
+    is then the step), the rows U[p] = step^p (p < B) and
     V[q] = area / (4 pi r) exp(i lam_0 r) (step^B)^q (q < Q) at one
     multiply each, with step^B continuing U's recurrence, and one complex
     GEMM (kernel * U)(n_el B, n_px) @ V^T(n_px, Q), cropped to n_f: about
@@ -349,6 +358,9 @@ def _green_sums(kernel, positions, lam0, dlam, n_f):
     n_rows = n_b + n_q + 2 + n_el * n_b
     block = min(n_px, max(1, int((4e6 - fixed) // n_rows)))
     work = np.empty(n_rows * block, dtype=complex)
+    # a lattice that starts at its own spacing (default_frequencies; the
+    # mean spacing can be a few ulps off lam0) has exp(i lam0 r) = step
+    start_is_step = n_f > 1 and abs(lam0 - dlam) <= 4 * np.spacing(dlam)
     values = np.empty((positions.shape[0], n_f, n_el), dtype=complex)
     for i, z in enumerate(positions):
         sums = 0.0
@@ -369,15 +381,16 @@ def _green_sums(kernel, positions, lam0, dlam, n_f):
                 s *= s
                 r += s
             np.sqrt(r, out=r)
-            np.multiply(r, 1j * lam0, out=V[0])
-            np.exp(V[0], out=V[0])
-            np.multiply(r, 4.0 * np.pi, out=s)
-            np.divide(grid.pixel_measure, s, out=s)
-            V[0] *= s
             U[0] = 1.0
             if n_b > 1:
                 np.multiply(r, 1j * dlam, out=U[1])
                 np.exp(U[1], out=U[1])
+            if not start_is_step:
+                np.multiply(r, 1j * lam0, out=V[0])
+                np.exp(V[0], out=V[0])
+            np.multiply(r, 4.0 * np.pi, out=s)
+            np.divide(grid.pixel_measure, s, out=s)
+            np.multiply(U[1] if start_is_step else V[0], s, out=V[0])
             for p in range(2, n_b):
                 np.multiply(U[p - 1], U[1], out=U[p])
             if n_q > 1:
@@ -447,9 +460,10 @@ def measure_line_integrals(kernel, angles, offsets):
     The line for (angle a, offset s) is {s*w + tau*d} with w = (cos a,
     sin a) and d = (-sin a, cos a), sampled at half-pixel steps with
     multilinear interpolation.  The tau-sum is linear, so the sinogram is
-    one sparse operator P applied to all electrodes, values = P @ kernel.T:
-    a row per line (angle-major), a column per pixel, entries dtau times
-    the summed stencil weights.  P is built and applied in row blocks of
+    one sparse operator P applied to all electrodes, values = P @ rows,
+    with rows the kernel columns on the zero-padded grid (see
+    core._padded_rows): a row per line (angle-major), a column per padded
+    pixel, entries dtau times the summed stencil weights.  P is built and applied in row blocks of
     whole angles, about 5e4 line points each, so memory stays bounded.
     """
     grid = kernel.grid
@@ -466,19 +480,20 @@ def measure_line_integrals(kernel, angles, offsets):
     dtau = 2.0 * half / n_tau
     tau = -half + (np.arange(n_tau) + 0.5) * dtau
     chunk = max(1, 50_000 // (offsets.size * n_tau))
+    rows = _padded_rows(grid, kernel.values)
     values = np.empty((angles.size, offsets.size, kernel.n_electrodes))
     for a0 in range(0, angles.size, chunk):
         ang = angles[a0:a0 + chunk, None, None]
         c, s = np.cos(ang), np.sin(ang)
         pts = np.stack((offsets[:, None] * c - tau * s, offsets[:, None] * s + tau * c), -1)
-        near, index, weight = _stencil(grid, pts.reshape(-1, 2))
+        near, index, weight = _stencil(grid, (pts.reshape(-1, 2) - grid.origin) / grid.spacing)
         # the rows of P for these angles; the CSR conversion sums the
         # entries a pixel collects along a line
         P = scipy.sparse.csr_matrix(
             (dtau * weight.ravel(), (np.repeat(near // n_tau, index.shape[1]), index.ravel())),
-            shape=(ang.size * offsets.size, grid.n_pixels))
+            shape=(ang.size * offsets.size, rows.shape[0]))
         P.eliminate_zeros()
-        values[a0:a0 + ang.size] = (P @ kernel.values.T).reshape(ang.size, offsets.size, -1)
+        values[a0:a0 + ang.size] = (P @ rows).reshape(ang.size, offsets.size, -1)
     return Sinogram(angles=angles, offsets=offsets, values=values)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from synfocus.core import (
     _interp,
+    _stencil,
     BoundaryElectrodes,
     Disk,
     Grid,
@@ -12,7 +13,6 @@ from synfocus.core import (
     ScalarField,
     TransducerArray,
     build_phantom_disks,
-    interp_field,
     make_transducer_array,
     square_boundary_electrodes,
 )
@@ -234,31 +234,57 @@ class TestKernelMatrix:
         assert f.grid is k.grid
 
 
+def _index(grid, points):
+    """Index coordinates (points - origin) / spacing, as _interp takes them."""
+    return (points - grid.origin) / grid.spacing
+
+
 class TestInterpField:
+    """_interp of one field in index coordinates."""
+
     @pytest.mark.invariant
     def test_multilinear_reproduces_linear_functions(self):
         g = centered_grid(6, 2)
         pts = g.centers()
-        f = ScalarField(grid=g, values=1.5 + 2.0 * pts[:, 0] - 0.5 * pts[:, 1])
+        vals = 1.5 + 2.0 * pts[:, 0] - 0.5 * pts[:, 1]
         rng = np.random.default_rng(3)
         q = rng.uniform(-0.35, 0.35, size=(50, 2))  # inside the center hull
         expect = 1.5 + 2.0 * q[:, 0] - 0.5 * q[:, 1]
-        assert np.allclose(interp_field(f, q), expect, atol=1e-13)
+        assert np.allclose(_interp(g, vals[None], _index(g, q))[:, 0], expect, atol=1e-13)
 
     def test_exact_at_centers(self):
         g = centered_grid(5, 3)
         vals = np.sin(np.arange(g.n_pixels, dtype=float))
-        f = ScalarField(grid=g, values=vals)
-        assert np.allclose(interp_field(f, g.centers()), vals, atol=1e-14)
+        got = _interp(g, vals[None], _index(g, g.centers()))[:, 0]
+        assert np.allclose(got, vals, atol=1e-14)
 
     def test_zero_outside_support(self):
         g = centered_grid(4, 2)
-        f = ScalarField(grid=g, values=np.ones(16))
+        ones = np.ones((1, 16))
         far = np.array([[2.0, 0.0], [0.0, -3.0]])
-        assert np.allclose(interp_field(f, far), 0.0)
+        assert np.allclose(_interp(g, ones, _index(g, far)), 0.0)
         # rolls off linearly: half a spacing beyond the last center -> 1/2
         edge = np.array([[0.375 + 0.125, 0.0]])
-        assert interp_field(f, edge)[0] == pytest.approx(0.5)
+        assert _interp(g, ones, _index(g, edge))[0, 0] == pytest.approx(0.5)
+
+    @pytest.mark.invariant
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_padded_stencil_weights_and_indices(self, dim):
+        # inside the center hull the corner weights are a partition of
+        # unity; every corner, also in the roll-off shell, indexes the grid
+        # padded by one layer
+        rng = np.random.default_rng(30 + dim)
+        g = Grid(origin=(-0.4, 0.1, -0.2)[:dim], spacing=(0.3, 0.2, 0.25)[:dim],
+                 counts=(5, 4, 3)[:dim])
+        hull = rng.uniform(0.0, 1.0, (500, dim)) * (g.counts - 1)
+        near, index, weight = _stencil(g, hull)
+        assert near.size == hull.shape[0]
+        assert index.shape == weight.shape == (hull.shape[0], 2 ** dim)
+        assert np.max(np.abs(weight.sum(axis=1) - 1.0)) <= 1e-15
+        shell = rng.uniform(-1.0, 1.0, (500, dim)) * (g.counts + 1) + 0.5 * (g.counts - 1)
+        _, index, weight = _stencil(g, np.concatenate([hull, shell]))
+        assert np.all(weight >= 0.0)
+        assert np.all(index >= 0) and np.all(index < np.prod(g.counts + 2))
 
 
 def _multilinear_loop(grid, columns, points):
@@ -315,7 +341,4 @@ class TestInterpRollOff:
         pts = np.concatenate(pts)
         expect = _multilinear_loop(g, columns, pts)
         assert np.count_nonzero(expect) == expect.size
-        assert np.max(np.abs(_interp(g, columns, pts) - expect)) <= 1e-13
-        for j in range(columns.shape[0]):
-            got = interp_field(ScalarField(grid=g, values=columns[j]), pts)
-            assert np.max(np.abs(got - expect[:, j])) <= 1e-13
+        assert np.max(np.abs(_interp(g, columns, _index(g, pts)) - expect)) <= 1e-13

@@ -19,6 +19,7 @@ from synfocus.wavegen import (
     _cap_frame,
     _cap_indices,
     _cap_sizes,
+    _frequency_spacing,
     _uniform_spacing,
     add_noise,
     conjugate_lattice,
@@ -191,9 +192,9 @@ class TestSphericalPulse:
         radii = default_radii(one, g, 400)
         gathered = []
 
-        def counting(grid, columns, points):
-            gathered.append(points.shape[0] * columns.shape[0])
-            return _interp(grid, columns, points)
+        def counting(grid, columns, u):
+            gathered.append(u.shape[0] * columns.shape[0])
+            return _interp(grid, columns, u)
 
         monkeypatch.setattr(synfocus.wavegen, "_interp", counting)
         data = measure_spherical_pulse(kern, one, radii, oversample=8)
@@ -302,7 +303,8 @@ class TestSphericalCap:
             frame, _ = _cap_frame(z, c)
             for k, t in enumerate(radii):
                 pts, weight = _turned_sphere(g, z, t, frame, oversample=1)
-                expect[i, k] = weight * np.sum(_interp(g, kern.values, pts), axis=0)
+                u = (pts - g.origin) / g.spacing
+                expect[i, k] = weight * np.sum(_interp(g, kern.values, u), axis=0)
         assert np.max(np.abs(data.values - expect)) <= 1e-12 * np.max(np.abs(expect))
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -339,7 +341,8 @@ class TestSphericalCap:
                 n, weight = _sphere_rule(g, t, oversample=1)
                 cap = _reference_cap(n, dim, t, dist, rho)
                 pts = z + t * _unit_lattice(n, dim, cap) @ frame
-                expect[i, k] = weight * np.sum(_interp(g, kern.values, pts), axis=0)
+                u = (pts - g.origin) / g.spacing
+                expect[i, k] = weight * np.sum(_interp(g, kern.values, u), axis=0)
                 sizes[i, k] = cap.size - n   # 0 for the full lattice
         # the case the cache key must tell apart: one transducer takes the
         # full lattice at a radius where another takes a strict cap
@@ -411,15 +414,23 @@ class TestMonochromatic:
         assert np.max(np.abs(data.values - expect)) <= 1e-12 * np.max(np.abs(expect))
 
     @pytest.mark.parametrize("dim", [2, 3])
-    @pytest.mark.parametrize("n_f", [1, 2, 7, 16, 17, 500])
+    @pytest.mark.parametrize("n_f", [1, 2, 7, 16, 17, 500, "default3", "default7", "default64"])
     def test_split_against_direct_exponentials(self, dim, n_f, rng):
         # B = ceil(sqrt(n_f)) rows of step powers times Q = ceil(n_f / B)
         # rows of step^B powers: B * Q > n_f at 7, 17 and 500, prime counts
-        # 2, 7 and 17, squares 1 and 16
+        # 2, 7 and 17, squares 1 and 16.  These lattices start away from
+        # their spacing and take two exponentials; default_frequencies on
+        # 16^3 starts at it (at n = 3 and 7 one ulp off the mean spacing,
+        # at 64 bitwise), where the step doubles as exp(i lam_0 r)
         g = centered_grid(8 if dim == 2 else 6, dim)
         cols = rng.standard_normal((2, g.n_pixels))
         arr = make_transducer_array(5, radius=2.0, dim=dim)
-        freqs = np.linspace(37.3, 97.3, n_f)
+        if isinstance(n_f, str):
+            freqs = default_frequencies(centered_grid(16, 3), int(n_f[len("default"):]))
+            offset = (freqs[0] - _frequency_spacing(freqs)) / np.spacing(freqs[0])
+            assert offset == (0.0 if n_f == "default64" else -1.0)
+        else:
+            freqs = np.linspace(37.3, 97.3, n_f)
         data = measure_monochromatic(_kernel(g, cols), arr, freqs)
         expect = _green(g, arr.positions, freqs) @ cols.T
         assert np.max(np.abs(data.values - expect)) <= 1e-13 * np.max(np.abs(expect))
@@ -654,7 +665,7 @@ class TestLineIntegrals:
                 w = np.array([np.cos(ang), np.sin(ang)])
                 d = np.array([-np.sin(ang), np.cos(ang)])
                 pts = offsets[:, None, None] * w + tau[None, :, None] * d
-                cols = _interp(g, kern.values, pts.reshape(-1, 2))
+                cols = _interp(g, kern.values, (pts.reshape(-1, 2) - g.origin) / g.spacing)
                 expect[a] = dtau * cols.reshape(offsets.size, tau.size, n_el).sum(axis=1)
             assert np.all(expect[:, [0, -1]] == 0.0)
             assert (np.max(np.abs(sino.values - expect))
@@ -782,13 +793,15 @@ class TestTransposes:
         ak = measure_spherical_pulse(_kernel(g, k), arr, radii).values
         y = rng.standard_normal(ak.shape)
         aty = np.zeros_like(k)
+        padded, inner = tuple(g.counts[::-1] + 2), (slice(1, -1),) * dim
         for i, z in enumerate(arr.positions):
             frame, _ = _cap_frame(z, _support_center(g))
             for r, t in enumerate(radii):
                 pts, weight = _turned_sphere(g, z, t, frame, oversample=1)
-                _, index, w = _stencil(g, pts)
+                _, index, w = _stencil(g, (pts - g.origin) / g.spacing)
+                # binned over the padded grid, the zero layer cropped off
                 spread = np.bincount(index.ravel(), weights=w.ravel(),
-                                     minlength=g.n_pixels)
+                                     minlength=np.prod(padded)).reshape(padded)[inner].ravel()
                 aty += weight * y[i, r][:, None] * spread[None, :]
         assert _dot_gap(ak, y, k, aty) <= 1e-13
 
