@@ -13,6 +13,7 @@ import warnings
 
 import numpy as np
 import scipy.fft
+import scipy.sparse
 
 from .core import KernelMatrix
 from .wavegen import (
@@ -25,6 +26,7 @@ from .wavegen import (
 
 PULSE_CONSTANT = 1.0 / (8.0 * np.pi**2)
 MONO_CONSTANT = -1.0 / (2.0 * np.pi**2)
+_XRAY_BLOCK = 2**20   # filtered values, and backprojection weights, per block of angles
 
 
 def _lerp(f, x, xp):
@@ -205,10 +207,15 @@ def invert_fourier(data, out, return_residue=False):
 def invert_xray_2d(data, out):
     """Reconstruct kernel columns from line-integral data (2D FBP).
 
-    Ramp-filters each projection in the offset variable (frequency-domain
-    ramp, band-limited at the offset Nyquist frequency, zero-padded to
-    avoid circular wrap), backprojects with linear interpolation, and
-    weights by pi / n_angles.
+    Ramp-filters over offsets with the Toeplitz matrix F[i, k] = c[|i - k|],
+    c the first n_off entries of Re IDFT(|fftfreq(n_pad, ds)|), n_pad >=
+    2 n_off (the Nyquist-limited ramp without circular wrap), backprojects
+    with linear interpolation in the offset and weights by pi / n_angles.
+    A block of angles (at most _XRAY_BLOCK filtered values and weights) is
+    one product F @ values and one CSR matrix with 1 - f and f at columns
+    a*n_off + j and a*n_off + j + 1 for a pixel's offset index j + f at
+    angle a.  The coverage check keeps j + f in [0, n_off - 1] up to
+    rounding, so no pixel needs an outside mask.
     """
     if not isinstance(data, Sinogram):
         raise TypeError("expected Sinogram")
@@ -229,18 +236,34 @@ def invert_xray_2d(data, out):
             f"not cover the output grid (circumradius {reach:.6g})"
         )
     ds = data.offsets[1] - data.offsets[0]
-    n_off = data.offsets.size
+    n_off, n_el, n_pix = data.offsets.size, data.values.shape[2], out.n_pixels
     n_pad = scipy.fft.next_fast_len(2 * n_off)
-    ramp = np.abs(scipy.fft.fftfreq(n_pad, d=ds))
-    x, y = (m.ravel() for m in out.mesh())
-    recs = np.zeros((data.values.shape[2], out.n_pixels))
-    for a, ang in enumerate(data.angles):
-        # ramp-filter every electrode's projection in one zero-padded FFT
-        q = scipy.fft.ifft(scipy.fft.fft(data.values[a].T, n=n_pad, axis=1) * ramp,
-                           axis=1).real[:, :n_off]
-        recs += _lerp(q, np.cos(ang) * x + np.sin(ang) * y, data.offsets)
-    recs *= np.pi / n_angles
-    return KernelMatrix(grid=out, values=recs)
+    c = scipy.fft.ifft(np.abs(scipy.fft.fftfreq(n_pad, d=ds))).real[:n_off]
+    F = c[np.abs(np.arange(n_off)[:, None] - np.arange(n_off))]
+    nb = min(n_angles, max(1, _XRAY_BLOCK // max(n_off * n_el, 2 * n_pix)))
+    xy1 = np.stack([*(m.ravel() for m in out.mesh()), np.ones(n_pix)], axis=1) / ds
+    q_buf, u_buf = np.empty((nb, n_off, n_el)), np.empty(nb * n_pix)
+    w_buf, j_buf = np.empty(2 * nb * n_pix), np.empty(2 * nb * n_pix, dtype=np.int32)
+    recs = np.zeros((n_pix, n_el))
+    for a0 in range(0, n_angles, nb):
+        ang = data.angles[a0:a0 + nb]
+        m = ang.size
+        q = np.matmul(F, data.values[a0:a0 + m], out=q_buf[:m])
+        u = np.matmul(xy1, [np.cos(ang), np.sin(ang), np.full(m, -data.offsets[0])],
+                      out=u_buf[:m * n_pix].reshape(n_pix, m))  # offset index per (pixel, angle)
+        w = w_buf[:2 * m * n_pix].reshape(n_pix, m, 2)
+        j = j_buf[:2 * m * n_pix].reshape(n_pix, m, 2)
+        np.clip(u, 0, n_off - 2, out=j[..., 0], casting="unsafe")  # j + 1 stays on the block
+        np.subtract(u, j[..., 0], out=w[..., 1])
+        np.subtract(1.0, w[..., 1], out=w[..., 0])
+        j[..., 0] += np.arange(0, m * n_off, n_off, dtype=np.int32)
+        np.add(j[..., 0], 1, out=j[..., 1])
+        # each row's columns increase and are distinct, so scipy takes B as built
+        B = scipy.sparse.csr_matrix(
+            (w.ravel(), j.ravel(), np.arange(0, 2 * m * n_pix + 1, 2 * m, dtype=np.int32)),
+            shape=(n_pix, m * n_off))
+        recs += B @ q.reshape(m * n_off, n_el)
+    return KernelMatrix(grid=out, values=recs.T * (np.pi / n_angles))
 
 
 _METHODS = {

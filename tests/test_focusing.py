@@ -2,11 +2,14 @@
 unfocused-wave responses via backprojection, frequency-domain
 backprojection, inverse DFT, and filtered backprojection."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.fft
 
+import synfocus.focusing
 from synfocus.core import Grid, KernelMatrix, TransducerArray, make_transducer_array
 from synfocus.focusing import (
     _backproject_divergence,
@@ -302,6 +305,29 @@ class TestFourierRoute:
         assert residue2[0] > 1e-3
 
 
+def _ramp_column(offsets):
+    """First column of the ramp filter: the frequency ramp |fftfreq| on a
+    lattice of at least twice the offsets, taken back to space."""
+    n_pad = scipy.fft.next_fast_len(2 * offsets.size)
+    return np.fft.ifft(np.abs(np.fft.fftfreq(n_pad, d=offsets[1] - offsets[0]))).real[:offsets.size]
+
+
+def _reference_fbp(data, out):
+    """FBP one angle and electrode at a time: np.convolve with the
+    symmetric filter, np.interp with zero outside the offsets."""
+    c = _ramp_column(data.offsets)
+    n_off = c.size
+    h = np.concatenate([c[:0:-1], c])
+    x, y = (m.ravel() for m in out.mesh())
+    recs = np.zeros((data.values.shape[2], out.n_pixels))
+    for a, ang in enumerate(data.angles):
+        s = np.cos(ang) * x + np.sin(ang) * y
+        for e in range(recs.shape[0]):
+            q = np.convolve(data.values[a, :, e], h)[n_off - 1:2 * n_off - 1]
+            recs[e] += np.interp(s, data.offsets, q, left=0.0, right=0.0)
+    return recs * (np.pi / data.angles.size)
+
+
 class TestXrayRoute:
     def test_zero_sinogram_gives_zero_field(self):
         out = centered_grid(16, 2)
@@ -335,6 +361,36 @@ class TestXrayRoute:
             assert rel_l2(rec, sym) <= 1e-3
         truth = gaussian_column(out, s=s)
         assert rel_l2(rec.ravel(), truth) <= 0.05
+
+    @pytest.mark.parametrize("block", [None, 1000, 1])
+    @pytest.mark.parametrize("n_off", [40, 41])
+    @pytest.mark.parametrize("n_el", [1, 3])
+    def test_matches_reference_fbp(self, n_off, n_el, block, rng, monkeypatch):
+        # blocks of 3 angles (the last one short) and of one angle take the
+        # same path as the default single block
+        if block is not None:
+            monkeypatch.setattr(synfocus.focusing, "_XRAY_BLOCK", block)
+        out = centered_grid(12, 2)  # circumradius 0.707, inside the offsets
+        data = Sinogram(angles=default_angles(25), offsets=np.linspace(-1.1, 1.1, n_off),
+                        values=rng.standard_normal((25, n_off, n_el)))
+        ref = _reference_fbp(data, out)
+        rec = invert_xray_2d(data, out).values
+        assert np.max(np.abs(rec - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_angle_blocks_stay_within_budget(self, rng):
+        # 64 angles x 129 offsets x 512 electrodes are 4.2e6 values (34 MB),
+        # four blocks of 2**20; the filtered values of one block take 8 MB, the
+        # result and its accumulators 1 MB each
+        out = centered_grid(16, 2)
+        data = Sinogram(angles=default_angles(64), offsets=np.linspace(-0.8, 0.8, 129),
+                        values=rng.standard_normal((64, 129, 512)))
+        tracemalloc.start()
+        try:
+            rec = invert_xray_2d(data, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20 + 6 * rec.values.nbytes
 
     def test_few_angles_warn(self):
         out = centered_grid(8, 2)
