@@ -12,7 +12,6 @@ data, so they commute with noise and superposition.
 import warnings
 
 import numpy as np
-import scipy.fft
 import scipy.sparse
 
 from .core import KernelMatrix
@@ -208,14 +207,14 @@ def invert_xray_2d(data, out):
     """Reconstruct kernel columns from line-integral data (2D FBP).
 
     Ramp-filters over offsets with the Toeplitz matrix F[i, k] = c[|i - k|],
-    c the first n_off entries of Re IDFT(|fftfreq(n_pad, ds)|), n_pad >=
-    2 n_off (the Nyquist-limited ramp without circular wrap), backprojects
-    with linear interpolation in the offset and weights by pi / n_angles.
-    A block of angles (at most _XRAY_BLOCK filtered values and weights) is
-    one product F @ values and one CSR matrix with 1 - f and f at columns
-    a*n_off + j and a*n_off + j + 1 for a pixel's offset index j + f at
-    angle a.  The coverage check keeps j + f in [0, n_off - 1] up to
-    rounding, so no pixel needs an outside mask.
+    c[k] = ds h(k ds) for the band-limited ramp kernel h (Kak & Slaney 1988,
+    ch. 3): 1/(4 ds) at k = 0, -1/(pi^2 k^2 ds) at odd k, 0 at even k > 0;
+    backprojects with linear interpolation in the offset; weights by
+    pi / n_angles.  A block of angles (at most _XRAY_BLOCK filtered values
+    and weights) is one product F @ values and one CSR matrix with 1 - f
+    and f at columns a*n_off + j and a*n_off + j + 1 for a pixel's offset
+    index j + f at angle a.  The coverage check keeps j + f in
+    [0, n_off - 1] up to rounding, so no pixel needs an outside mask.
     """
     if not isinstance(data, Sinogram):
         raise TypeError("expected Sinogram")
@@ -237,22 +236,20 @@ def invert_xray_2d(data, out):
         )
     ds = data.offsets[1] - data.offsets[0]
     n_off, n_el, n_pix = data.offsets.size, data.values.shape[2], out.n_pixels
-    n_pad = scipy.fft.next_fast_len(2 * n_off)
-    c = scipy.fft.ifft(np.abs(scipy.fft.fftfreq(n_pad, d=ds))).real[:n_off]
+    c = np.zeros(n_off)
+    c[0], c[1::2] = 0.25 / ds, -1.0 / (np.pi**2 * ds) / np.arange(1, n_off, 2) ** 2
     F = c[np.abs(np.arange(n_off)[:, None] - np.arange(n_off))]
     nb = min(n_angles, max(1, _XRAY_BLOCK // max(n_off * n_el, 2 * n_pix)))
     xy1 = np.stack([*(m.ravel() for m in out.mesh()), np.ones(n_pix)], axis=1) / ds
+    T = np.stack([np.cos(data.angles), np.sin(data.angles), np.full(n_angles, -data.offsets[0])])
     q_buf, u_buf = np.empty((nb, n_off, n_el)), np.empty(nb * n_pix)
     w_buf, j_buf = np.empty(2 * nb * n_pix), np.empty(2 * nb * n_pix, dtype=np.int32)
     recs = np.zeros((n_pix, n_el))
     for a0 in range(0, n_angles, nb):
-        ang = data.angles[a0:a0 + nb]
-        m = ang.size
+        m = min(nb, n_angles - a0)
         q = np.matmul(F, data.values[a0:a0 + m], out=q_buf[:m])
-        u = np.matmul(xy1, [np.cos(ang), np.sin(ang), np.full(m, -data.offsets[0])],
-                      out=u_buf[:m * n_pix].reshape(n_pix, m))  # offset index per (pixel, angle)
-        w = w_buf[:2 * m * n_pix].reshape(n_pix, m, 2)
-        j = j_buf[:2 * m * n_pix].reshape(n_pix, m, 2)
+        u = np.matmul(xy1, T[:, a0:a0 + m], out=u_buf[:m * n_pix].reshape(n_pix, m))
+        w, j = (b[:2 * m * n_pix].reshape(n_pix, m, 2) for b in (w_buf, j_buf))
         np.clip(u, 0, n_off - 2, out=j[..., 0], casting="unsafe")  # j + 1 stays on the block
         np.subtract(u, j[..., 0], out=w[..., 1])
         np.subtract(1.0, w[..., 1], out=w[..., 0])
