@@ -24,6 +24,8 @@ def _uniform_spacing(x, name):
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{name} must be finite")
+    if x.size == 0:
+        raise ValueError(f"{name} must not be empty")
     if x.size < 2:
         return 0.0
     d = np.diff(x)
@@ -36,8 +38,6 @@ def _uniform_spacing(x, name):
 
 def _frequency_spacing(freqs):
     """Spacing of a nonempty, finite, positive, uniform frequency lattice."""
-    if freqs.size == 0:
-        raise ValueError("need at least one frequency")
     dlam = _uniform_spacing(freqs, "frequencies")
     if freqs[0] <= 0:
         raise ValueError("frequencies must be positive")
@@ -59,9 +59,9 @@ class SphericalMeanData:
     def __post_init__(self):
         object.__setattr__(self, "radii", _frozen_array(self.radii, ndim=1))
         object.__setattr__(self, "values", _frozen_array(self.values, ndim=3))
+        _uniform_spacing(self.radii, "radii")
         if self.radii[0] <= 0:
             raise ValueError("radii must start above 0")
-        _uniform_spacing(self.radii, "radii")
         n_t, n_r, _ = self.values.shape
         if n_t != self.array.n or n_r != self.radii.size:
             raise ValueError("values shape must be (n_transducers, n_radii, n_electrodes)")

@@ -198,7 +198,7 @@ class TestMonochromaticRoute:
 
     def test_empty_frequency_list_rejected(self):
         arr = make_transducer_array(6, radius=1.0)
-        with pytest.raises(ValueError, match="frequency"):
+        with pytest.raises(ValueError, match="frequencies must not be empty"):
             MonochromaticData(
                 array=arr, frequencies=np.empty(0),
                 values=np.zeros((6, 0, 1), dtype=complex),

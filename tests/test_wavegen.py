@@ -15,7 +15,9 @@ from synfocus.core import (
     make_transducer_array,
 )
 from synfocus.wavegen import (
+    MonochromaticData,
     Sinogram,
+    SphericalMeanData,
     _cap_frame,
     _cap_indices,
     _cap_sizes,
@@ -535,6 +537,25 @@ class TestAxisValidation:
             _uniform_spacing(np.array([0.0, bad, 2.0]), name)
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             _uniform_spacing(np.array([bad]), name)
+
+    @pytest.mark.parametrize("axis", ["angles", "offsets", "radii", "frequencies"])
+    def test_empty_axis_rejected_by_name(self, axis):
+        # an empty angle axis used to be accepted (and the FBP divided by
+        # zero), empty offsets failed inside numpy, empty radii with IndexError
+        arr = make_transducer_array(4, radius=1.0)
+        empty = np.empty(0)
+        build = {
+            "angles": lambda: Sinogram(angles=empty, offsets=np.linspace(-1.0, 1.0, 5),
+                                       values=np.zeros((0, 5, 1))),
+            "offsets": lambda: Sinogram(angles=default_angles(8), offsets=empty,
+                                        values=np.zeros((8, 0, 1))),
+            "radii": lambda: SphericalMeanData(array=arr, radii=empty,
+                                               values=np.zeros((arr.n, 0, 1))),
+            "frequencies": lambda: MonochromaticData(array=arr, frequencies=empty,
+                                                     values=np.zeros((arr.n, 0, 1))),
+        }
+        with pytest.raises(ValueError, match=f"{axis} must not be empty"):
+            build[axis]()
 
     def test_single_non_finite_angle_rejected(self):
         with pytest.raises(ValueError, match="angles must be finite"):
