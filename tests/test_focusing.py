@@ -45,7 +45,37 @@ def small_pulse_setup(n_trans=6, n_out=12, n_radii=60):
     return arr, out, radii
 
 
+# the off-centre Gaussian of the observed-order tests; sigma <= 0.08 keeps
+# the box edge far enough out that truncating the Gaussian sets no floor
+ORDER_CENTER, ORDER_SIGMA = np.array([0.08, -0.05, 0.03]), 0.08
+
+
+def order_setup(n):
+    """N^3 output grid, 642 (N/48)^2 transducers and 400 N/48 radii, the
+    sampling of the 48^3 acceptance benchmark scaled to N."""
+    out = centered_grid(n, 3)
+    arr = make_transducer_array(round(642 * (n / 48) ** 2), radius=1.0)
+    return out, arr, default_radii(arr, out, round(400 * n / 48))
+
+
 class TestSphericalMeansRoute:
+    def test_observed_order_against_closed_form(self):
+        # the inversion alone on closed-form data (oracles.spherical_mean_exact).
+        # Measured 5.810e-2 and 1.676e-2 at 24^3 and 32^3 (order 4.3; the
+        # centred Gaussian gives 5.03e-2 and 1.53e-2); the bounds sit 10%
+        # above them
+        phantom = AnalyticPhantom(kind="gaussian", center=ORDER_CENTER, scale=ORDER_SIGMA)
+        errs = {}
+        for n in (24, 32):
+            out, arr, radii = order_setup(n)
+            g = spherical_mean_exact(phantom, arr.positions, radii)
+            data = SphericalMeanData(array=arr, radii=radii, values=g[:, :, None])
+            errs[n] = rel_l2(invert_spherical_means_3d(data, out).values[0],
+                             gaussian_column(out, ORDER_SIGMA, ORDER_CENTER))
+        assert np.log(errs[24] / errs[32]) / np.log(32 / 24) >= 1.8
+        assert errs[24] <= 6.4e-2
+        assert errs[32] <= 1.85e-2
+
     def test_zero_data_reconstructs_zero(self):
         arr, out, radii = small_pulse_setup()
         data = SphericalMeanData(
@@ -186,6 +216,21 @@ class TestBackprojectDivergence:
 
 
 class TestMonochromaticRoute:
+    def test_chain_observed_order(self):
+        # measure_monochromatic at the default frequencies, then the
+        # inversion, on the same grid.  Measured 5.687e-2 and 1.257e-2 at
+        # 24^3 and 32^3 (order 5.25); the bounds sit 10% above them
+        errs = {}
+        for n in (24, 32):
+            out, arr, _ = order_setup(n)
+            truth = gaussian_column(out, ORDER_SIGMA, ORDER_CENTER)
+            data = measure_monochromatic(KernelMatrix(grid=out, values=truth[None, :]), arr,
+                                         default_frequencies(out))
+            errs[n] = rel_l2(invert_monochromatic_3d(data, out).values[0], truth)
+        assert np.log(errs[24] / errs[32]) / np.log(32 / 24) >= 1.8
+        assert errs[24] <= 6.3e-2
+        assert errs[32] <= 1.39e-2
+
     def test_zero_data_reconstructs_zero(self):
         arr, out, _ = small_pulse_setup()
         freqs = np.linspace(1.0, 30.0, 16)
