@@ -25,7 +25,7 @@ from .wavegen import (
 
 PULSE_CONSTANT = 1.0 / (8.0 * np.pi**2)
 MONO_CONSTANT = -1.0 / (2.0 * np.pi**2)
-_XRAY_BLOCK = 2**20   # filtered values, and backprojection weights, per block of angles
+_XRAY_BLOCK = 2**20  # cap on the filtered values, and on the weights, of one block of x-ray angles
 
 
 def _lerp(f, x, xp):
