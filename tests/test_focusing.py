@@ -411,12 +411,12 @@ class TestXrayRoute:
         assert rel_l2(rec.ravel(), truth) <= 0.05
 
     def test_observed_order_against_closed_form(self):
-        # the FBP alone on the closed-form sinogram of a Gaussian (sigma 0.08,
-        # centre (0.08, -0.05)), 3N angles and the CLI's offsets at a quarter
+        # the FBP alone on the closed-form sinogram of the order tests'
+        # Gaussian in the plane, 3N angles and the CLI's offsets at a quarter
         # pixel.  Measured 1.111e-3 and 2.715e-4 at 32^2 and 64^2 (order
         # 2.03; 6.939e-5 at 128^2); the bounds sit 10% above them.  The
         # frequency-sampled ramp stopped at 1.87e-2 with a DC bias
-        c, s = np.array([0.08, -0.05]), 0.08
+        c, s = ORDER_CENTER[:2], ORDER_SIGMA
         errs = {}
         for n in (32, 64):
             out = centered_grid(n, 2)
