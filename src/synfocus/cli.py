@@ -116,7 +116,7 @@ def _check_interior(cfg):
     except ValueError as e:
         raise ValueError(f"invalid value for 'pixels': {e}") from None
     try:
-        make_transducer_array(cfg.transducers, radius=1.0, dim=3)
+        make_transducer_array(cfg.transducers, radius=1.0)
     except ValueError as e:
         raise ValueError(f"invalid value for 'transducers': {e}") from None
 
@@ -217,7 +217,7 @@ def _measure(cfg, kernel):
         n_off = 8 * int(np.ceil(kernel.grid.circumradius / h)) + 3
         offsets = wavegen.default_offsets(kernel.grid, n_off)
         return wavegen.measure_line_integrals(kernel, angles, offsets)
-    array = make_transducer_array(cfg.transducers, radius=1.0, dim=3)
+    array = make_transducer_array(cfg.transducers, radius=1.0)
     if cfg.family == "spherical":
         radii = wavegen.default_radii(array, kernel.grid, cfg.radii)
         return wavegen.measure_spherical_pulse(kernel, array, radii)
@@ -371,7 +371,7 @@ def _stage_validate_spherical(run):
     # its closed form 2 pi t s^2/d [e^{-(t-d)^2/2s^2} - e^{-(t+d)^2/2s^2}],
     # d = |z - centre|; measured 1.95e-2, and the bound leaves a 28% margin
     kernel = _synthetic_kernel_3d(16)
-    array = make_transducer_array(16, radius=1.0, dim=3)
+    array = make_transducer_array(16, radius=1.0)
     t = wavegen.default_radii(array, kernel.grid, 64)
     got = wavegen.measure_spherical_pulse(kernel, array, t).values[..., 0]
     s2 = SYNTHETIC_SCALE**2

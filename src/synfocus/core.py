@@ -195,36 +195,30 @@ def build_phantom_disks(grid, disks):
 
 @dataclass(frozen=True, eq=False)
 class TransducerArray:
-    """Point transducers on a circle (2d) or sphere (3d) centered at the origin.
+    """Point transducers on a sphere centered at the origin.
 
     Weights are quadrature weights for integrals over the aperture, so
-    they sum to its measure: 2*pi*R in 2d, 4*pi*R^2 in 3d.
+    they sum to its measure 4*pi*R^2.  The normals are outward radial.
     """
 
     positions: np.ndarray
-    normals: np.ndarray
     weights: np.ndarray
     radius: float
 
     def __post_init__(self):
         object.__setattr__(self, "positions", _frozen_array(self.positions, ndim=2))
-        object.__setattr__(self, "normals", _frozen_array(self.normals, ndim=2))
         object.__setattr__(self, "weights", _frozen_array(self.weights, ndim=1))
         object.__setattr__(self, "radius", float(self.radius))
-        n, dim = self.positions.shape
-        if dim not in (2, 3):
-            raise ValueError("transducer positions must be 2d or 3d points")
-        if self.normals.shape != (n, dim) or self.weights.size != n:
-            raise ValueError("positions, normals and weights must agree in length")
+        if self.positions.shape[1] != 3:
+            raise ValueError("transducer positions must be 3d points")
+        if self.weights.size != self.n:
+            raise ValueError("positions and weights must agree in length")
         if not self.radius > 0:
             raise ValueError("aperture radius must be positive")
         r = np.linalg.norm(self.positions, axis=1)
         if np.any(np.abs(r - self.radius) > 1e-12 * self.radius):
             raise ValueError("transducer positions must lie on the aperture, |z| = R")
-        nn = np.linalg.norm(self.normals, axis=1)
-        if np.any(np.abs(nn - 1.0) > 1e-12):
-            raise ValueError("transducer normals must be unit vectors")
-        measure = 2 * np.pi * self.radius if dim == 2 else 4 * np.pi * self.radius ** 2
+        measure = 4 * np.pi * self.radius ** 2
         if abs(self.weights.sum() - measure) > 1e-6 * measure:
             raise ValueError("quadrature weights must sum to the aperture measure")
 
@@ -233,36 +227,29 @@ class TransducerArray:
         return self.positions.shape[0]
 
     @property
-    def dim(self):
-        return self.positions.shape[1]
+    def normals(self):
+        return self.positions / self.radius
 
 
-def _unit_lattice(n, dim, k=None):
-    """n equally weighted unit vectors: uniform angles on the circle in 2d,
-    a Fibonacci lattice on the sphere in 3d; ``k`` picks indices (2d: any int)."""
-    k = np.arange(n) if k is None else k
-    if dim == 2:
-        ang = 2.0 * np.pi * k / n
-        return np.stack([np.cos(ang), np.sin(ang)], axis=1)
+def _unit_lattice(n, size=None):
+    """The first ``size`` (default all n) points of the n-point Fibonacci
+    lattice on the unit sphere, equally weighted."""
+    k = np.arange(n if size is None else size)
     z = 1.0 - (2.0 * k + 1.0) / n
     rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     phi = GOLDEN_ANGLE * k
     return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
 
 
-def make_transducer_array(n, radius, dim=3):
+def make_transducer_array(n, radius):
     """Equal-weight transducer layout on the unit lattice (see _unit_lattice)."""
     if n < 4:
         raise ValueError("need at least 4 transducers")
     if not radius > 0:
         raise ValueError("aperture radius must be positive")
-    if dim not in (2, 3):
-        raise ValueError("transducer arrays are 2d or 3d")
-    unit = _unit_lattice(n, dim)
-    measure = 2 * np.pi * radius if dim == 2 else 4 * np.pi * radius ** 2
-    weights = np.full(n, measure / n)
-    return TransducerArray(positions=radius * unit, normals=unit,
-                           weights=weights, radius=radius)
+    weights = np.full(n, 4 * np.pi * radius ** 2 / n)
+    return TransducerArray(positions=radius * _unit_lattice(n), weights=weights,
+                           radius=radius)
 
 
 @dataclass(frozen=True, eq=False)

@@ -67,8 +67,7 @@ def _backproject_divergence(array, t_samples, dprofiles, out, constant):
 
 def _check_inside_sphere(out, array):
     """Reject output grids not strictly inside the transducer sphere."""
-    reach = out.circumradius
-    radius = np.min(np.linalg.norm(array.positions, axis=1))
+    reach, radius = out.circumradius, array.radius
     if reach >= radius:
         raise ValueError(
             f"output grid reaches {reach:.6g} from the origin, outside the "
@@ -89,8 +88,8 @@ def invert_spherical_means_3d(data, out):
     """
     if not isinstance(data, SphericalMeanData):
         raise TypeError("expected SphericalMeanData")
-    if data.array.positions.shape[1] != 3 or out.dim != 3:
-        raise ValueError("spherical-means inversion requires 3D data and grid")
+    if out.dim != 3:
+        raise ValueError("spherical-means inversion requires a 3D output grid")
     if data.radii.size < 3:
         raise ValueError("spherical-means inversion needs at least 3 radii for its "
                          f"radial filter stencil, got {data.radii.size}")
@@ -160,8 +159,8 @@ def invert_monochromatic_3d(data, out):
     """
     if not isinstance(data, MonochromaticData):
         raise TypeError("expected MonochromaticData")
-    if data.array.positions.shape[1] != 3 or out.dim != 3:
-        raise ValueError("monochromatic inversion requires 3D data and grid")
+    if out.dim != 3:
+        raise ValueError("monochromatic inversion requires a 3D output grid")
     _, radius = _check_inside_sphere(out, data.array)
     t_max = radius + out.diameter
     # sample the fastest oscillation cos(lam_max t) at 4 points/period

@@ -46,7 +46,7 @@ def _frequency_spacing(freqs):
 
 @dataclass(frozen=True, eq=False)
 class SphericalMeanData:
-    """Spherical (2d: circular) surface integrals of the kernel columns.
+    """Spherical surface integrals of the kernel columns.
 
     values[i, k, j]: transducer i, radius k, electrode j.  These are raw
     integrals per Eq.-(3)-style measurements, not normalized averages.
@@ -180,79 +180,64 @@ def default_offsets(grid, n):
 
 
 def _cap_frame(z, c):
-    """Orthonormal rows turning the unit lattice's pole (3d: +z, 2d: angle
-    0) from z toward c, and the distance |c - z|; z = c keeps the lattice."""
+    """Orthonormal rows turning the unit lattice's pole +z from z toward c,
+    and the distance |c - z|; z = c keeps the lattice."""
     dist = float(np.linalg.norm(c - z))
     if dist == 0.0:
-        return np.eye(z.size), dist
+        return np.eye(3), dist
     a = (c - z) / dist
-    if z.size == 2:
-        return np.array([a, [-a[1], a[0]]]), dist
     e1 = np.cross(a, np.eye(3)[np.argmin(np.abs(a))])
     e1 /= np.linalg.norm(e1)
     return np.array([e1, np.cross(a, e1), a]), dist
 
 
-def _cap_sizes(n, dim, t, dist, rho):
+def _cap_sizes(n, t, dist, rho):
     """Point counts, one per sphere (arrays n, t), of the caps of the n-point
     lattices turned by _cap_frame whose points at radius t can lie within
-    rho of c (see measure_spherical_pulse), widened by one index."""
+    rho of c (see measure_spherical_pulse), widened by one index; a cap is
+    the lattice prefix of that many points."""
     if dist == 0.0:
         return n
     b = (dist * dist + t * t - rho * rho) / (2.0 * dist * t)
-    if dim == 2:
-        m = (n * np.arccos(np.clip(b, -1.0, 1.0)) / (2.0 * np.pi)).astype(np.int64) + 1
-        return np.where(2 * m + 1 < n, 2 * m + 1, n)
     # Fibonacci heights 1 - (2k + 1) / n fall with k, so the cap is k < k_max;
     # bounded in floats, so no huge ceiling reaches int64
     return np.minimum(n, np.maximum(0.0, np.ceil(0.5 * n * (1.0 - b))) + 1.0).astype(np.int64)
 
 
-def _cap_indices(n, dim, size):
-    """Indices of the cap of ``size`` points of the n-point lattice: the
-    prefix 0..size-1 in 3d, the arc -m..m in 2d, all n at size n."""
-    return np.arange(size) - (size // 2 if dim == 2 and size < n else 0)
-
-
 def measure_spherical_pulse(kernel, array, radii, oversample=1):
-    """Surface (2d: arc) integrals of each kernel column over the spheres
-    |x - z_i| = t_k.
+    """Surface integrals of each kernel column over the spheres
+    |x - z_i| = t_k on a 3d grid.
 
     Uniform angular quadrature with ceil(2 pi t / dx) * oversample points
     per great circle and multilinear interpolation; samples outside the
     grid contribute zero.  The default, one point per pixel spacing, is
     enough: the second-order interpolant sets the error, and against the
     closed form it is the same to 2% at oversample 1, 2 and 4.  Each
-    lattice is turned so that its pole (2d: angle 0) points from z_i at the
-    centre c of the support box (half-diagonal rho).  By the law of cosines
+    lattice is turned so that its pole points from z_i at the centre c of the support box (half-diagonal rho).  By the law of cosines
     only points with cos(theta) >= (D^2 + t^2 - rho^2) / (2 D t),
-    D = |c - z_i|, can reach the box; only that cap (one Fibonacci index
-    range; 2d: an arc) is generated, once per radius and cap size.  The
+    D = |c - z_i|, can reach the box; only that cap (a Fibonacci index
+    prefix) is generated, once per radius and cap size.  The
     turned points go to the stencil in index coordinates,
     block @ (frame / spacing) + (z_i - origin) / spacing, and the grid's
     zero layer gives the roll-off outside it (see core._stencil).
     """
     grid = kernel.grid
+    if grid.dim != 3:
+        raise ValueError("measure_spherical_pulse needs a 3d kernel grid")
     radii = np.asarray(radii, dtype=float)
     if np.any(radii <= 0):
         raise ValueError("radii must be positive")
     tmax = array.radius + grid.diameter
     if np.any(radii > tmax * (1 + 1e-12)):
         raise ValueError("radii must lie within (0, R + domain diameter]")
-    if array.dim != grid.dim:
-        raise ValueError("transducer dimension must match the kernel grid")
     if not isinstance(oversample, (int, np.integer)) or oversample < 1:
         raise ValueError("oversample must be a positive integer")
     dx = float(np.min(grid.spacing))
     # per radius: quadrature point count and weight; the points themselves
     # are generated chunk by chunk to keep memory bounded
     m = np.ceil(2.0 * np.pi * radii / dx).astype(np.int64) * oversample
-    if grid.dim == 2:
-        n_points, meas = np.maximum(m, 8), 2.0 * np.pi * radii
-    else:
-        n_points = np.maximum(np.ceil(m * m / np.pi).astype(np.int64), 32)
-        meas = 4.0 * np.pi * radii * radii
-    weights = meas / n_points
+    n_points = np.maximum(np.ceil(m * m / np.pi).astype(np.int64), 32)
+    weights = 4.0 * np.pi * radii * radii / n_points
 
     values = np.zeros((array.n, radii.size, kernel.n_electrodes))
     # interpolation support: pixel-center hull padded by one spacing
@@ -261,14 +246,12 @@ def measure_spherical_pulse(kernel, array, radii, oversample=1):
     center = 0.5 * (box_lo + box_hi)
     rho = 0.5 * float(np.linalg.norm(box_hi - box_lo))
     budget = 2_000_000 // kernel.n_electrodes   # 2 M gathered values per chunk
-    # cap blocks radii[k] * lattice[cap], by (k, cap size): an arc -m..m is
-    # shorter than the full circle 0..n-1, and a 3d cap is a prefix
+    # cap blocks radii[k] * lattice[:size], by (k, cap size)
     blocks = {}
 
     def cap_block(k, size):
         if (k, size) not in blocks:
-            n = int(n_points[k])
-            blocks[k, size] = radii[k] * _unit_lattice(n, grid.dim, _cap_indices(n, grid.dim, size))
+            blocks[k, size] = radii[k] * _unit_lattice(int(n_points[k]), size)
         return blocks[k, size]
 
     for i in range(array.n):
@@ -280,7 +263,7 @@ def measure_spherical_pulse(kernel, array, radii, oversample=1):
         frame, dist = _cap_frame(z, center)
         # index coordinates of z + block @ frame, as one product and one add
         scaled, shift = frame / grid.spacing, (z - grid.origin) / grid.spacing
-        sizes = _cap_sizes(n_points[active], grid.dim, radii[active], dist, rho)
+        sizes = _cap_sizes(n_points[active], radii[active], dist, rho)
         begins = np.concatenate([[0], np.cumsum(sizes)])
         start = 0
         while start < active.size:
@@ -327,10 +310,10 @@ def measure_monochromatic(kernel, array, frequencies):
     4e6 complex values.
     """
     grid = kernel.grid
+    if grid.dim != 3:
+        raise ValueError("measure_monochromatic needs a 3d kernel grid")
     freqs = np.asarray(frequencies, dtype=float)
     dlam = _frequency_spacing(freqs)
-    if array.dim != grid.dim:
-        raise ValueError("transducer dimension must match the kernel grid")
     lo, hi = grid.bounds()
     outside = np.any((array.positions < lo[None, :]) | (array.positions > hi[None, :]),
                      axis=1)

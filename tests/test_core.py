@@ -98,7 +98,7 @@ class TestArrayContainers:
             lambda: build_phantom_disks(grid(), []),
             lambda: Disk((0.0, 0.0), 0.5, 0.1),
             lambda: square_boundary_electrodes(grid(), left=1.0, right=-1.0),
-            lambda: make_transducer_array(8, 1.5, dim=2),
+            lambda: make_transducer_array(8, 1.5),
         ]
         for make in makers:
             x, y = make(), make()
@@ -161,23 +161,33 @@ class TestTransducerArray:
         assert np.allclose(arr.normals, arr.positions / 2.0)
         assert np.sum(arr.weights) == pytest.approx(4.0 * np.pi * 4.0)
 
-    def test_circle_2d(self):
-        arr = make_transducer_array(8, radius=1.5, dim=2)
-        assert arr.positions.shape == (8, 2)
-        assert np.allclose(np.linalg.norm(arr.positions, axis=1), 1.5)
-        assert np.sum(arr.weights) == pytest.approx(2.0 * np.pi * 1.5)
-
     def test_too_few_rejected(self):
         with pytest.raises(ValueError):
             make_transducer_array(3, radius=1.0)
 
     def test_off_sphere_rejected(self):
-        arr = make_transducer_array(6, radius=1.0, dim=2)
+        arr = make_transducer_array(6, radius=1.0)
         bad = arr.positions.copy()
         bad[0] *= 1.1
-        with pytest.raises(ValueError):
-            TransducerArray(positions=bad, normals=arr.normals,
-                            weights=arr.weights, radius=1.0)
+        with pytest.raises(ValueError, match=r"\|z\| = R"):
+            TransducerArray(positions=bad, weights=arr.weights, radius=1.0)
+
+    def test_planar_positions_rejected(self):
+        ang = 2.0 * np.pi * np.arange(6) / 6
+        pos = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        with pytest.raises(ValueError, match="must be 3d points"):
+            TransducerArray(positions=pos, weights=np.full(6, 4.0 * np.pi / 6), radius=1.0)
+
+    def test_normals_are_derived_radial(self):
+        # a sphere about the origin fixes the outward normal, so it is
+        # neither an argument nor settable
+        arr = make_transducer_array(12, radius=1.7)
+        assert np.array_equal(arr.normals, arr.positions / 1.7)
+        with pytest.raises(AttributeError):
+            arr.normals = arr.positions
+        with pytest.raises(TypeError):
+            TransducerArray(positions=arr.positions, normals=arr.normals,
+                            weights=arr.weights, radius=1.7)
 
 
 class TestBoundaryElectrodes:

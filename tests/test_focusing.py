@@ -156,15 +156,13 @@ class TestSphericalMeansRoute:
             invert_spherical_means_3d(mono, out)
 
 
-def _tilted_array(rng, n=7, radius=1.3):
-    """Transducers on |z| = R with unit normals that are not radial and
-    unequal weights summing to the aperture measure."""
+def _uneven_array(rng, n=7, radius=1.3):
+    """Transducers at random points of |z| = R with unequal weights
+    summing to the aperture measure."""
     pos = rng.standard_normal((n, 3))
     pos *= radius / np.linalg.norm(pos, axis=1)[:, None]
-    nrm = pos / radius + 0.6 * rng.standard_normal((n, 3))
-    nrm /= np.linalg.norm(nrm, axis=1)[:, None]
     w = rng.uniform(0.5, 1.5, n)
-    return TransducerArray(positions=pos, normals=nrm, radius=radius,
+    return TransducerArray(positions=pos, radius=radius,
                            weights=w * 4.0 * np.pi * radius**2 / w.sum())
 
 
@@ -175,7 +173,7 @@ class TestBackprojectDivergence:
     def test_linear_profile_matches_closed_form(self, rng):
         # q_ij = a_ij t^2, so q' = 2 a_ij t is linear and interpolates
         # exactly: the result is sum_i 2 a_ij w_i n_i . (x - z_i)
-        arr = _tilted_array(rng)
+        arr = _uneven_array(rng)
         out = Grid(origin=(-0.31, 0.07, -0.2), spacing=(0.05, 0.04, 0.06),
                    counts=(7, 6, 5))
         t = np.linspace(0.01, 3.0, 50)
@@ -189,7 +187,7 @@ class TestBackprojectDivergence:
     def test_matches_central_difference_of_the_field(self, rng):
         # q_i(t) = sin(k_i t + phi_i) + c_i t^3 on a fine t lattice; the
         # divergence of the backprojected field by central differences
-        arr = _tilted_array(rng)
+        arr = _uneven_array(rng)
         out = Grid(origin=(0.12, -0.27, -0.05), spacing=(0.07, 0.05, 0.06),
                    counts=(5, 6, 4))
         k = rng.uniform(2.0, 6.0, arr.n)
