@@ -225,6 +225,7 @@ def measure_spherical_pulse(kernel, array, radii, oversample=1):
     if grid.dim != 3:
         raise ValueError("measure_spherical_pulse needs a 3d kernel grid")
     radii = np.asarray(radii, dtype=float)
+    _uniform_spacing(radii, "radii")
     if np.any(radii <= 0):
         raise ValueError("radii must be positive")
     tmax = array.radius + grid.diameter
@@ -454,6 +455,8 @@ def measure_line_integrals(kernel, angles, offsets):
         raise ValueError("line integrals support 2d kernels only")
     angles = np.asarray(angles, dtype=float)
     offsets = np.asarray(offsets, dtype=float)
+    _uniform_spacing(angles, "angles")
+    _uniform_spacing(offsets, "offsets")
     rho = grid.circumradius
     if np.max(np.abs(offsets)) < rho * (1 - 1e-12):
         raise ValueError("offsets must cover the grid's circumscribed disk")
@@ -489,8 +492,8 @@ def add_noise(data, level, seed):
     pairs stay conjugate), so a real kernel stays real under inversion and
     the noise norm carries through the unitary inverse one to one.
     """
-    if level < 0:
-        raise ValueError("noise level must be nonnegative")
+    if not 0.0 <= level < np.inf:
+        raise ValueError(f"noise level must be finite and >= 0, got {level!r}")
     if level == 0:
         return data
     rng = np.random.default_rng(seed)

@@ -529,6 +529,30 @@ class TestAxisValidation:
         with pytest.raises(ValueError, match=f"{axis} must not be empty"):
             build[axis]()
 
+    @pytest.mark.parametrize("case", ["empty offsets", "nan radius", "uneven radii"])
+    def test_measures_check_axes_before_work(self, case, monkeypatch):
+        # the axis is named before any interpolation runs
+        def no_interp(*args):
+            raise AssertionError("the measure interpolated")
+
+        monkeypatch.setattr(synfocus.wavegen, "_interp", no_interp)
+        monkeypatch.setattr(synfocus.wavegen, "_stencil", no_interp)
+        g2, g3 = centered_grid(8, 2), centered_grid(8, 3)
+        arr = make_transducer_array(4, radius=2.0)
+        run, axis = {
+            "empty offsets": (lambda: measure_line_integrals(
+                _kernel(g2, np.ones(g2.n_pixels)), default_angles(4), np.empty(0)),
+                "offsets must not be empty"),
+            "nan radius": (lambda: measure_spherical_pulse(
+                _kernel(g3, np.ones(g3.n_pixels)), arr, np.array([0.5, np.nan, 1.5])),
+                "radii must be finite"),
+            "uneven radii": (lambda: measure_spherical_pulse(
+                _kernel(g3, np.ones(g3.n_pixels)), arr, np.array([0.5, 1.0, 2.0])),
+                "radii must be uniformly spaced"),
+        }[case]
+        with pytest.raises(ValueError, match=axis):
+            run()
+
     def test_single_non_finite_angle_rejected(self):
         with pytest.raises(ValueError, match="angles must be finite"):
             Sinogram(angles=np.array([np.nan]), offsets=np.linspace(-1.0, 1.0, 5),
@@ -716,6 +740,10 @@ class TestAddNoise:
             ratios.append(noise / signal)
         assert 0.008 <= np.mean(ratios) <= 0.012
 
+    @pytest.mark.parametrize("level", [np.nan, np.inf, -0.01])
+    def test_bad_level_rejected_by_name(self, level, rng):
+        with pytest.raises(ValueError, match="noise level must be finite and >= 0"):
+            add_noise(self._data(rng), level, seed=7)
 
 
 @pytest.mark.invariant
