@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.fft
 import scipy.sparse
 
 from .core import Grid, _frozen_array, _interp, _padded_rows, _stencil, _unit_lattice
@@ -428,7 +427,7 @@ def _inverse_dft(values, grid):
     spectra = (values.T / (phase * grid.pixel_measure)).reshape(
         (n_el,) + tuple(grid.counts[::-1]))
     axes = tuple(range(1, grid.dim + 1))
-    cols = scipy.fft.fftn(scipy.fft.ifftshift(spectra, axes=axes), axes=axes)
+    cols = np.fft.fftn(np.fft.ifftshift(spectra, axes=axes), axes=axes)
     return cols.reshape(n_el, -1) / grid.n_pixels
 
 
