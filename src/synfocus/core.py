@@ -198,7 +198,8 @@ class TransducerArray:
     """Point transducers on a sphere centered at the origin.
 
     Weights are quadrature weights for integrals over the aperture, so
-    they sum to its measure 4*pi*R^2.  The normals are outward radial.
+    they sum to its measure 4*pi*R^2.  The outward normals follow from the
+    positions, as positions / R.
     """
 
     positions: np.ndarray

@@ -212,11 +212,12 @@ def measure_spherical_pulse(kernel, array, radii, oversample=1):
     grid contribute zero.  The default, one point per pixel spacing, is
     enough: the second-order interpolant sets the error, and against the
     closed form it is the same to 2% at oversample 1, 2 and 4.  Each
-    lattice is turned so that its pole points from z_i at the centre c of the support box (half-diagonal rho).  By the law of cosines
-    only points with cos(theta) >= (D^2 + t^2 - rho^2) / (2 D t),
-    D = |c - z_i|, can reach the box; only that cap (a Fibonacci index
-    prefix) is generated, once per radius and cap size.  The
-    turned points go to the stencil in index coordinates,
+    lattice is turned so that its pole points from z_i at the centre c of
+    the support box (half-diagonal rho).  By the law of cosines only
+    points with cos(theta) >= (D^2 + t^2 - rho^2) / (2 D t), D = |c - z_i|,
+    can reach the box; only that cap (a Fibonacci index prefix) is
+    generated, once per radius and cap size.  The turned points go to the
+    stencil in index coordinates,
     block @ (frame / spacing) + (z_i - origin) / spacing, and the grid's
     zero layer gives the roll-off outside it (see core._stencil).
     """
