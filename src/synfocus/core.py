@@ -217,10 +217,11 @@ class TransducerArray:
         if not self.radius > 0:
             raise ValueError("aperture radius must be positive")
         r = np.linalg.norm(self.positions, axis=1)
-        if np.any(np.abs(r - self.radius) > 1e-12 * self.radius):
+        # written as "not within" so that NaN positions and weights fail too
+        if not np.all(np.abs(r - self.radius) <= 1e-12 * self.radius):
             raise ValueError("transducer positions must lie on the aperture, |z| = R")
         measure = 4 * np.pi * self.radius ** 2
-        if abs(self.weights.sum() - measure) > 1e-6 * measure:
+        if not abs(self.weights.sum() - measure) <= 1e-6 * measure:
             raise ValueError("quadrature weights must sum to the aperture measure")
 
     @property

@@ -172,6 +172,15 @@ class TestTransducerArray:
         with pytest.raises(ValueError, match=r"\|z\| = R"):
             TransducerArray(positions=bad, weights=arr.weights, radius=1.0)
 
+    @pytest.mark.parametrize("field, message", [("positions", "lie on the aperture"),
+                                                ("weights", "sum to the aperture measure")])
+    def test_nan_rejected(self, field, message):
+        arr = make_transducer_array(6, radius=1.0)
+        args = dict(positions=arr.positions.copy(), weights=arr.weights.copy(), radius=1.0)
+        args[field].flat[0] = np.nan
+        with pytest.raises(ValueError, match=message):
+            TransducerArray(**args)
+
     def test_planar_positions_rejected(self):
         ang = 2.0 * np.pi * np.arange(6) / 6
         pos = np.stack([np.cos(ang), np.sin(ang)], axis=1)
