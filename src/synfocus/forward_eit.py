@@ -14,7 +14,7 @@ SPD system is factored once per conductivity with a sparse LU, and for
 compatible data its solution, extended by the pinned zero, satisfies the
 full system.  Every result is then gauged by subtracting the mean of the
 boundary trace, or is a difference of potentials, so the pin never shows.
-``solve_conduction`` is the one place that assembles and factors; its
+``solve_conduction`` factors the matrix with SuperLU; its
 ``ConductionSolution`` holds the factored solve for further right-hand
 sides.
 
@@ -25,7 +25,11 @@ pixel changes the conduction matrix only near that pixel, so the exact
 change of the trace is a low-rank (Sherman-Morrison-Woodbury) update of
 the one factorization.  ``kernel_bruteforce`` takes a finite eps and is
 the finite-difference ground truth; ``kernel_adjoint`` is the eps -> 0
-limit of the same update, the exact discrete derivative.
+limit of the same update, the exact discrete derivative.  The update
+needs the blocks G_i of the pinned inverse on each pixel's cells and
+their face neighbours; the brute force takes them from a second
+factorization, one sweep over the grid rows of the block-tridiagonal
+matrix (``_row_sweep``), which the adjoint does not need.
 """
 
 from __future__ import annotations
@@ -229,6 +233,109 @@ def _green_blocks(solve, n, cells):
         yield j0, solve(e, pinned=True)[0]
 
 
+def _row_sweep(A, nx, ny, w):
+    """Blocks P[k, l], |k - l| <= w, of the pinned inverse by one sweep over
+    the grid rows (recursive Green's functions; Svizhenko et al., J. Appl.
+    Phys. 91, 2343, 2002).
+
+    The conduction matrix A is block tridiagonal over the ny grid rows of
+    nx cells, with tridiagonal row blocks D_k and the diagonal coupling
+    C_k of rows k and k + 1.  With cell 0 pinned as an identity row and
+    column (matrix A~, inverse P) the forward pass takes the Schur
+    complements S_k = D_k - C_{k-1} S_{k-1}^-1 C_{k-1}, and the backward
+    pass P[k, l] = -S_k^-1 C_k P[k+1, l] for k < l <= k + w and
+    P[k, k] = S_k^-1 - S_k^-1 C_k P[k+1, k], with P[k+1, k] = P[k, k+1]^T.
+
+    Yields (k, ring) for k = ny - 1, ..., 0 once band row k is done: ring
+    holds rows k, ..., k + w, row r being P[r, r], ..., P[r, r + w] side
+    by side in ring[r % (w + 1)].  After its yield, each band row's
+    residual (A~ P)[k, l] - delta_kl I, k <= l <= k + w, is checked
+    column-wise against ``_MAX_RESIDUAL``.
+    """
+    d = A.diagonal().reshape(ny, nx)
+    e = np.append(A.diagonal(1), 0.0).reshape(ny, nx)[:, :-1]
+    c = A.diagonal(nx).reshape(ny - 1, nx)
+    d[0, 0], e[0, :1], c[:1, 0] = 1.0, 0.0, 0.0
+
+    def block(k):
+        return np.diag(d[k]) + np.diag(e[k], 1) + np.diag(e[k], -1)
+
+    sinv = np.empty((ny, nx, nx))
+    sinv[0] = np.linalg.inv(block(0))
+    for k in range(1, ny):
+        sinv[k] = np.linalg.inv(block(k) - c[k - 1, :, None] * sinv[k - 1] * c[k - 1])
+
+    span = (w + 1) * nx
+    ring = np.zeros((w + 1, nx, span))
+    # band row k one block wider, P[k, k], ..., P[k, k + w + 1]: the last
+    # block only enters the residual of row k + 1
+    new = np.zeros((nx, span + nx))
+
+    def check(r):
+        t = min(w, ny - 1 - r) + 1
+        own = ring[r % (w + 1), :, :t * nx]
+        res = block(r) @ own
+        res[:, :nx] -= np.eye(nx)
+        if r:
+            res += c[r - 1, :, None] * new[:, nx:(t + 1) * nx]
+        if r < ny - 1:
+            res[:, :nx] += c[r, :, None] * own[:, nx:2 * nx].T
+            res[:, nx:] += c[r, :, None] * ring[(r + 1) % (w + 1), :, :(t - 1) * nx]
+        worst = float(np.max(np.sqrt(np.einsum("ij,ij->j", res, res))))
+        if not worst <= _MAX_RESIDUAL:
+            raise RuntimeError(
+                f"row sweep failed: residual {worst:g} in block row {r} "
+                f"(limit {_MAX_RESIDUAL:g})")
+
+    ring[(ny - 1) % (w + 1), :, :nx] = sinv[-1]
+    yield ny - 1, ring
+    for k in range(ny - 2, -1, -1):
+        t = min(w + 1, ny - 1 - k)
+        lk = sinv[k] * c[k]
+        new[:, nx:(t + 1) * nx] = -lk @ ring[(k + 1) % (w + 1), :, :t * nx]
+        new[:, :nx] = sinv[k] - lk @ new[:, nx:2 * nx].T
+        check(k + 1)
+        ring[k % (w + 1)] = new[:, :span]
+        yield k, ring
+    check(0)
+
+
+def _band_entries(ring, r, rows, cols):
+    """Blocks P[N_p, N_p] of a stack of pixels from the band rows of
+    _row_sweep in ``ring``, which holds rows r, ..., r + w.  Cell a of N_p
+    is (rows[p, a], cols[p, a]), its grid row counted from r; P[a, b] is
+    read from band row min(ra, rb) at block offset |ra - rb|, transposed
+    below the diagonal."""
+    ra, rb = rows[:, :, None], rows[:, None, :]
+    ca, cb = cols[:, :, None], cols[:, None, :]
+    up = ra <= rb
+    return ring[(r + np.minimum(ra, rb)) % ring.shape[0], np.where(up, ca, cb),
+                np.abs(ra - rb) * ring.shape[1] + np.where(up, cb, ca)]
+
+
+def _pixel_greens(grid, sigma, nb):
+    """The stack of G_p = P[N_p, N_p] for the neighbourhoods ``nb`` of
+    _neighbourhoods, from one _row_sweep.  w is the widest row span of any
+    N_p; the pixels whose N_p starts in grid row r are gathered as soon as
+    the sweep holds rows r, ..., r + w.  Cell 0, padding or pinned, gets
+    zero rows and columns."""
+    nx, ny = int(grid.counts[0]), int(grid.counts[1])
+    row, col = np.divmod(nb, nx)
+    pin = nb == 0
+    lo = np.where(pin, ny, row).min(axis=1)
+    w = int(np.max(np.where(pin, -1, row).max(axis=1) - lo))
+    row = np.where(pin, lo[:, None], row) - lo[:, None]
+    order = np.argsort(lo, kind="stable")
+    bounds = np.searchsorted(lo[order], np.arange(ny + 1))
+    n_pix, k = nb.shape
+    G = np.empty((n_pix, k, k))
+    for r, ring in _row_sweep(_assemble(grid, sigma), nx, ny, w):
+        sel = order[bounds[r]:bounds[r + 1]]
+        G[sel] = _band_entries(ring, r, row[sel], col[sel])
+    G[pin[:, :, None] | pin[:, None, :]] = 0.0
+    return G
+
+
 def _kernel(phantom, electrodes, interior, eps):
     """Kernel of kernel_bruteforce for eps >= 0, every per-pixel quantity
     written per unit eps so that eps = 0 is the exact derivative.  There
@@ -263,15 +370,7 @@ def _kernel(phantom, electrodes, interior, eps):
     # to G_p (cell 0) and so zero entries to z_p
     z = B @ u[nb][:, :, None]
     if eps:
-        # Green's columns at the cells of every N_p, in blocks of
-        # consecutive cells, fill the columns of the G_p holding them
-        G = np.empty((n_pix, k, k))
-        green = np.unique(nb)
-        for j0, x in _green_blocks(sol.solve, grid.n_pixels, green):
-            cs = green[j0:j0 + x.shape[1]]
-            i, l = np.nonzero((nb >= cs[0]) & (nb <= cs[-1]))
-            G[i, :, l] = x[nb[i], np.searchsorted(cs, nb[i, l])[:, None]]
-        z = np.linalg.solve(np.eye(k) + eps * (B @ G), z)
+        z = np.linalg.solve(np.eye(k) + eps * (B @ _pixel_greens(grid, sigma, nb)), z)
     Z = sp.csr_matrix((z.ravel(), (nb.ravel(), np.repeat(np.arange(n_pix), k))),
                       shape=(grid.n_pixels, n_pix))
 
@@ -308,12 +407,19 @@ def kernel_bruteforce(phantom, electrodes, interior, eps=DEFAULT_EPS):
         du / eps = -P S_i (I + eps B_i G_i)^-1 B_i u[N_i],   G_i = P[N_i, N_i],
 
     where S_i selects N_i; cell 0 adds nothing, as its row of P and u[0]
-    are zero.  Green's columns of the factorization of solve_conduction,
-    solved in blocks, supply G_i and the rows of P S_i at the electrode
-    cells (P is symmetric); no matrix is refactored per pixel.  The small
-    systems are solved as one stack, every N_i padded with cell 0.  The
-    trace also changes through the direct term (h/2) g / sigma of the
-    electrodes whose cell lies in pixel i.
+    are zero.  Green's columns of the SuperLU factorization of
+    solve_conduction, solved in blocks, supply the rows of P S_i at the
+    electrode cells (P is symmetric).  G_i comes from a second
+    factorization: one sweep over the ny grid rows of nx cells yields the
+    blocks of P within w block rows of the diagonal, w being the widest
+    row span of any N_i.  It costs ny dense nx x nx inverses plus about
+    w + 2 nx x nx GEMMs per row, and holds the ny inverses (ny nx^2
+    values) and a window of w + 1 band rows ((w + 1)^2 nx^2 values), never
+    the whole band; every block used is checked by its residual.  No
+    matrix is refactored per pixel.  The small systems are solved as one
+    stack, every N_i padded with cell 0.  The trace also changes through
+    the direct term (h/2) g / sigma of the electrodes whose cell lies in
+    pixel i.
     """
     if not eps > 0:
         raise ValueError("perturbation size eps must be positive")

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import synfocus.forward_eit
 from synfocus.cli import INTERIOR_MARGIN, default_phantom
@@ -47,6 +50,17 @@ def _flat(grid):
     return build_phantom_disks(grid, [])
 
 
+def _unit_square(nx, ny):
+    """nx x ny grid covering the unit square, hx != hy for nx != ny."""
+    return Grid(origin=(-0.5 + 0.5 / nx, -0.5 + 0.5 / ny), spacing=(1 / nx, 1 / ny),
+                counts=(nx, ny))
+
+
+def _phantom_grid(cells):
+    """centered_grid(cells, 2), or _unit_square(*cells) for a pair."""
+    return _unit_square(*cells) if isinstance(cells, tuple) else centered_grid(cells, 2)
+
+
 def _refactor_kernel(phantom, electrodes, interior, eps):
     """Brute-force kernel with one solve_conduction (one factorization)
     per perturbed pixel, cells assigned to pixels by center membership."""
@@ -65,12 +79,19 @@ def _refactor_kernel(phantom, electrodes, interior, eps):
     return out
 
 
-# (phantom cells, interior pixels, interior half-width, eps)
+# (phantom cells per axis or (nx, ny), interior pixels, interior
+# half-width, eps)
 _REFACTOR_CASES = [
     (14, 8, 0.5 - INTERIOR_MARGIN, 1e-3),  # uneven cells per pixel
     (12, 8, 0.5, 1e-3),   # pixels hold electrode cells and pinned cell 0
     (16, 8, 0.5, 2e-2),   # finite update away from the linear regime
+    ((24, 16), 8, 0.5, 1e-3),  # nx != ny and hx != hy: 3 x 2 cells per pixel
+    (24, 8, 0.5, 1e-3),   # 3 cells per pixel: N_p spans 5 grid rows, w = 4
 ]
+
+
+def _case_id(value):
+    return "x".join(map(str, value)) if isinstance(value, tuple) else None
 
 
 @pytest.fixture(scope="module")
@@ -87,9 +108,7 @@ class TestSolveConduction:
     def test_uniform_conductivity_linear_exact(self):
         # the non-square grid with hx != hy fails if the face layout swaps
         # nx/ny or the normal and tangential spacings
-        for g in (centered_grid(32, 2),
-                  Grid(origin=(-0.5 + 1 / 48, -0.5 + 1 / 32), spacing=(1 / 24, 1 / 16),
-                       counts=(24, 16))):
+        for g in (centered_grid(32, 2), _unit_square(24, 16)):
             el = left_right_current_pattern(g)
             sol = solve_conduction(_flat(g), el)
             exact = -el.points[:, 0]
@@ -130,15 +149,17 @@ class TestSolveConduction:
     def test_overflowed_conductivity_raises(self):
         # exp(800) is inf, so the faces of that cell carry NaN conductances;
         # the solvers must fail instead of returning NaNs
-        g = centered_grid(16, 2)
-        el = left_right_current_pattern(g)
-        log_sigma = np.zeros(g.n_pixels)
-        log_sigma[100] = 800.0
-        ph = Phantom(field=ScalarField(grid=g, values=log_sigma))
-        with pytest.raises(RuntimeError):
-            solve_conduction(ph, el)
-        with pytest.raises(RuntimeError):
-            kernel_adjoint(ph, el, centered_grid(8, 2))
+        for g in (centered_grid(16, 2), _unit_square(24, 16)):
+            el = left_right_current_pattern(g)
+            log_sigma = np.zeros(g.n_pixels)
+            log_sigma[100] = 800.0
+            ph = Phantom(field=ScalarField(grid=g, values=log_sigma))
+            with pytest.raises(RuntimeError):
+                solve_conduction(ph, el)
+            with pytest.raises(RuntimeError):
+                kernel_adjoint(ph, el, centered_grid(8, 2))
+            with pytest.raises(RuntimeError):
+                kernel_bruteforce(ph, el, centered_grid(8, 2))
 
     def test_disk_phantom_vs_fine_grid(self, fine_oracle):
         gf, elf, fine_disk, fine_flat = fine_oracle
@@ -178,9 +199,9 @@ class TestKernels:
         adj = kernel_adjoint(ph, el, interior)
         assert rel_l2(adj.values, brute.values) <= 0.02
 
-    @pytest.mark.parametrize("grid_n, pixels, half, eps", _REFACTOR_CASES)
+    @pytest.mark.parametrize("grid_n, pixels, half, eps", _REFACTOR_CASES, ids=_case_id)
     def test_bruteforce_matches_per_pixel_refactor(self, grid_n, pixels, half, eps):
-        phantom_grid = centered_grid(grid_n, 2)
+        phantom_grid = _phantom_grid(grid_n)
         interior = centered_grid(pixels, 2, half=half)
         ph = default_phantom(phantom_grid)
         el = left_right_current_pattern(phantom_grid)
@@ -188,11 +209,12 @@ class TestKernels:
         k = kernel_bruteforce(ph, el, interior, eps=eps).values
         assert rel_l2(k, ref) <= 1e-7
 
-    @pytest.mark.parametrize("grid_n, pixels, half", [c[:3] for c in _REFACTOR_CASES])
+    @pytest.mark.parametrize("grid_n, pixels, half", [c[:3] for c in _REFACTOR_CASES],
+                             ids=_case_id)
     def test_adjoint_matches_refactor_central_difference(self, grid_n, pixels, half):
         # the central difference of per-pixel refactoring is the derivative
         # to O(h^2)
-        phantom_grid = centered_grid(grid_n, 2)
+        phantom_grid = _phantom_grid(grid_n)
         interior = centered_grid(pixels, 2, half=half)
         ph = default_phantom(phantom_grid)
         el = left_right_current_pattern(phantom_grid)
@@ -203,24 +225,95 @@ class TestKernels:
         assert rel_l2(k, ref) <= 1e-7
 
     def test_each_call_factors_once(self, monkeypatch):
-        calls = []
+        # one SuperLU factorization per call; the brute force also runs the
+        # row sweep once for its G_i, the adjoint never
+        calls, sweeps = [], []
         splu = synfocus.forward_eit.splu
+        sweep = synfocus.forward_eit._row_sweep
 
         def counting_splu(*args, **kwargs):
             calls.append(1)
             return splu(*args, **kwargs)
 
+        def counting_sweep(*args):
+            sweeps.append(1)
+            return sweep(*args)
+
         monkeypatch.setattr(synfocus.forward_eit, "splu", counting_splu)
+        monkeypatch.setattr(synfocus.forward_eit, "_row_sweep", counting_sweep)
         phantom_grid = centered_grid(12, 2)
         interior = centered_grid(6, 2)
         ph = default_phantom(phantom_grid)
         el = left_right_current_pattern(phantom_grid)
-        for run in (lambda: solve_conduction(ph, el),
-                    lambda: kernel_bruteforce(ph, el, interior),
-                    lambda: kernel_adjoint(ph, el, interior)):
+        for run, n_sweeps in ((lambda: solve_conduction(ph, el), 0),
+                              (lambda: kernel_bruteforce(ph, el, interior), 1),
+                              (lambda: kernel_adjoint(ph, el, interior), 0)):
             calls.clear()
+            sweeps.clear()
             run()
             assert len(calls) == 1
+            assert len(sweeps) == n_sweeps
+
+    def test_row_sweep_band_matches_dense_inverse(self):
+        # every block P[k, l], |k - l| <= w, of the pinned inverse, on a
+        # grid with nx != ny
+        nx, ny, w = 7, 5, 2
+        g = _unit_square(nx, ny)
+        A = synfocus.forward_eit._assemble(g, default_phantom(g).conductivity()).toarray()
+        A[0, :] = A[:, 0] = 0.0
+        A[0, 0] = 1.0
+        P = np.linalg.inv(A)
+        for k, ring in synfocus.forward_eit._row_sweep(sp.csr_matrix(A), nx, ny, w):
+            for off in range(min(w, ny - 1 - k) + 1):
+                band = ring[k % (w + 1), :, off * nx:(off + 1) * nx]
+                exact = P[k * nx:(k + 1) * nx, (k + off) * nx:(k + off + 1) * nx]
+                assert np.max(np.abs(band - exact)) <= 1e-13 * np.max(np.abs(P))
+
+    def test_corrupted_band_block_raises(self, monkeypatch):
+        # a wrong entry in the widest band block of one row fails the
+        # residual check of the sweep
+        sweep = synfocus.forward_eit._row_sweep
+
+        def corrupted_sweep(*args):
+            for k, ring in sweep(*args):
+                if k == 8:
+                    ring[k % ring.shape[0], :, -ring.shape[1]:] *= 1.0 + 1e-6
+                yield k, ring
+
+        monkeypatch.setattr(synfocus.forward_eit, "_row_sweep", corrupted_sweep)
+        phantom_grid = centered_grid(16, 2)
+        el = left_right_current_pattern(phantom_grid)
+        with pytest.raises(RuntimeError, match="row sweep failed"):
+            kernel_bruteforce(default_phantom(phantom_grid), el, centered_grid(8, 2))
+
+    def test_row_sweep_memory(self, monkeypatch):
+        # the sweep holds S_k^-1 for every grid row (ny nx^2 values) and a
+        # window of w + 1 band rows ((w + 1)^2 nx^2); the row being built,
+        # its residual and the gathered indices stay below half of that.
+        # Storing the whole band, ny (w + 1) nx^2 values, exceeds the bound.
+        nx = ny = 64
+        w = 3  # two cells per pixel: every N_p spans four grid rows
+        bound = 1.5 * 8 * (ny * nx * nx + (w + 1) ** 2 * nx * nx)
+        growth = []
+        sweep = synfocus.forward_eit._row_sweep
+
+        def traced_sweep(*args):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            yield from sweep(*args)
+            growth.append(tracemalloc.get_traced_memory()[1] - start)
+
+        monkeypatch.setattr(synfocus.forward_eit, "_row_sweep", traced_sweep)
+        phantom_grid = centered_grid(nx, 2)
+        interior = centered_grid(32, 2, half=0.5 - INTERIOR_MARGIN)
+        el = left_right_current_pattern(phantom_grid)
+        tracemalloc.start()
+        try:
+            kernel_bruteforce(default_phantom(phantom_grid), el, interior)
+        finally:
+            tracemalloc.stop()
+        assert len(growth) == 1
+        assert growth[0] < bound
 
     @pytest.mark.parametrize("eps", [0.0, -1e-3, np.nan])
     def test_bruteforce_rejects_non_positive_eps(self, eps):
