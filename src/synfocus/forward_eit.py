@@ -420,9 +420,14 @@ def kernel_bruteforce(phantom, electrodes, interior, eps=DEFAULT_EPS):
     stack, every N_i padded with cell 0.  The trace also changes through
     the direct term (h/2) g / sigma of the electrodes whose cell lies in
     pixel i.
+
+    eps must be positive with exp(eps) finite; anything else is rejected
+    before any solve.
     """
-    if not eps > 0:
-        raise ValueError("perturbation size eps must be positive")
+    with np.errstate(over="ignore"):
+        if not (eps > 0 and np.isfinite(np.exp(eps))):
+            raise ValueError(
+                f"perturbation size eps must be positive with exp(eps) finite, got {eps!r}")
     return _kernel(phantom, electrodes, interior, eps)
 
 

@@ -315,8 +315,13 @@ class TestKernels:
         assert len(growth) == 1
         assert growth[0] < bound
 
-    @pytest.mark.parametrize("eps", [0.0, -1e-3, np.nan])
-    def test_bruteforce_rejects_non_positive_eps(self, eps):
+    @pytest.mark.parametrize("eps", [0.0, -1e-3, np.nan, np.inf, 1e300])
+    def test_bruteforce_rejects_non_positive_eps(self, eps, monkeypatch):
+        # rejected by name before any solve, also where exp(eps) overflows
+        def no_solve(*args, **kwargs):
+            raise AssertionError("factored before checking eps")
+
+        monkeypatch.setattr(synfocus.forward_eit, "splu", no_solve)
         phantom_grid = centered_grid(8, 2)
         el = left_right_current_pattern(phantom_grid)
         with pytest.raises(ValueError, match="eps must be positive"):
