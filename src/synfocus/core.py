@@ -147,6 +147,8 @@ class Disk:
         object.__setattr__(self, "center", _frozen_array(self.center, ndim=1))
         object.__setattr__(self, "radius", float(self.radius))
         object.__setattr__(self, "amplitude", float(self.amplitude))
+        if not np.all(np.isfinite(self.center)):
+            raise ValueError("disk center must be finite")
         if not self.radius > 0:
             raise ValueError("disk radius must be positive")
         if not abs(self.amplitude) <= 1.0:
@@ -284,6 +286,8 @@ class BoundaryElectrodes:
         if self.current.size != 2 * (nx + ny):
             raise ValueError(f"{self.current.size} currents for the "
                              f"{2 * (nx + ny)} boundary faces of the grid")
+        if not np.all(np.isfinite(self.current)):
+            raise ValueError("electrode current must be finite")
         hx, hy = float(grid.spacing[0]), float(grid.spacing[1])
         lo, hi = grid.bounds()
         ax, ay = grid.axes()

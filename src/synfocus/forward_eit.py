@@ -10,32 +10,29 @@ face of length L the discrete balance for each cell reads
 
 which is a symmetric positive-semidefinite system with the constants as
 null space.  Pinning cell 0 to zero removes the null space; the reduced
-SPD system is factored once per conductivity with a sparse LU, and for
+SPD system is factored with SuperLU in ``solve_conduction``, and for
 compatible data its solution, extended by the pinned zero, satisfies the
 full system.  Every result is then gauged by subtracting the mean of the
 boundary trace, or is a difference of potentials, so the pin never shows.
-``solve_conduction`` factors the matrix with SuperLU; its
-``ConductionSolution`` holds the factored solve for further right-hand
-sides.
 
 The measurement kernel is the linearization of the boundary trace with
 respect to local log-conductivity changes.  Both kernels start from one
 ``solve_conduction`` and share one routine: adding eps to log sigma on a
 pixel changes the conduction matrix only near that pixel, so the exact
 change of the trace is a low-rank (Sherman-Morrison-Woodbury) update of
-the one factorization.  ``kernel_bruteforce`` takes a finite eps and is
+the unperturbed system.  ``kernel_bruteforce`` takes a finite eps and is
 the finite-difference ground truth; ``kernel_adjoint`` is the eps -> 0
 limit of the same update, the exact discrete derivative.  The update
-needs the blocks G_i of the pinned inverse on each pixel's cells and
-their face neighbours; the brute force takes them from a second
-factorization, one sweep over the grid rows of the block-tridiagonal
-matrix (``_row_sweep``), which the adjoint does not need.
+needs the pinned inverse at the electrode cells (both kernels) and on
+each pixel's cells and their face neighbours (brute force only).  Both
+come from one block elimination over the grid rows (``_eliminate``), by
+substitution (``_electrode_columns``) and by a backward sweep
+(``_row_sweep``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,20 +46,15 @@ DEFAULT_EPS = 1e-3
 _MAX_RESIDUAL = 1e-9
 # relative residual above which a solve takes one iterative-refinement step
 _REFINE_ABOVE = 1e-12
-# right-hand sides per block solve; bounds the dense blocks' memory (per
-# column, splu solves 16-column blocks as fast as 64-column ones)
-_BLOCK = 16
 
 
 @dataclass(frozen=True, eq=False)
 class ConductionSolution:
-    """Interior potential, gauged boundary trace, solver residual and the
-    factored solve of the conduction matrix (see _factor)."""
+    """Interior potential, gauged boundary trace and solver residual."""
 
     potential: ScalarField
     boundary_trace: np.ndarray
     residual: float
-    solve: Callable = field(repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "boundary_trace", _frozen_array(self.boundary_trace, ndim=1))
@@ -118,69 +110,41 @@ def _check_electrodes(grid, electrodes):
         raise ValueError(f"incompatible Neumann data: net injected current {total:g} != 0")
 
 
-def _factor(A):
-    """Factor the conduction matrix once, with cell 0 pinned to zero.
-
-    Returns ``solve(b, pinned=False) -> (x, residual)`` for one right-hand
-    side or a column block, with x[0] = 0.  By default b is compatible and
-    ``residual`` is the worst relative residual of the full system
-    A x = b over the columns; the pinned row collects the rounding of the
-    whole solve, so a residual above ``_REFINE_ABOVE`` gets one step of
-    iterative refinement.  With ``pinned=True`` the residual is that of
-    the reduced system A[1:, 1:] x[1:] = b[1:], which needs no compatible
-    b (Green's columns).
-    """
-    lu = splu(A[1:, 1:].tocsc(), permc_spec="MMD_AT_PLUS_A",
-              diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
-
-    def solve(b, pinned=False):
-        rows = slice(int(pinned), None)
-        bnorm = np.linalg.norm(b[rows], axis=0)
-        bnorm = np.where(bnorm > 0, bnorm, 1.0)
-
-        def residual(x):
-            r = A @ x
-            r -= b
-            # column norms of the checked rows without squared temporaries
-            rr = r[rows]
-            return r, float(np.max(np.sqrt(np.einsum("i...,i...->...", rr, rr)) / bnorm))
-
-        x = np.zeros_like(b)
-        x[1:] = lu.solve(b[1:])
-        r, res = residual(x)
-        if res > _REFINE_ABOVE:
-            x[1:] -= lu.solve(r[1:])
-            res = residual(x)[1]
-        if not np.isfinite(res) or res > _MAX_RESIDUAL:
-            raise RuntimeError(
-                f"conduction solve failed: relative residual {res:g} "
-                f"(limit {_MAX_RESIDUAL:g})")
-        return x, res
-
-    return solve
-
-
 def solve_conduction(phantom, electrodes):
     """Solve the Neumann conduction problem for one current pattern.
 
     Returns the cell-centered potential and the boundary trace at the
-    electrode points, both gauged so the trace has zero mean, with the
-    factored solve of the conduction matrix.
+    electrode points, both gauged so the trace has zero mean, and the
+    relative residual of A u = b.  SuperLU factors the system with cell 0
+    pinned to zero; the pinned row collects the rounding of the whole
+    solve, so a residual above ``_REFINE_ABOVE`` gets one refinement step.
     """
     grid = phantom.grid
     _check_electrodes(grid, electrodes)
     sigma = phantom.conductivity()
-    solve = _factor(_assemble(grid, sigma))
+    A = _assemble(grid, sigma)
+    lu = splu(A[1:, 1:].tocsc(), permc_spec="MMD_AT_PLUS_A",
+              diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
     cells = electrodes.cells
     b = np.zeros(grid.n_pixels)
     np.add.at(b, cells, electrodes.current * electrodes.segment_length)
-    u, res = solve(b)
+    bnorm = np.linalg.norm(b) or 1.0
+    u = np.zeros_like(b)
+    u[1:] = lu.solve(b[1:])
+    r = A @ u - b
+    res = np.linalg.norm(r) / bnorm
+    if res > _REFINE_ABOVE:
+        u[1:] -= lu.solve(r[1:])
+        res = np.linalg.norm(A @ u - b) / bnorm
+    if not np.isfinite(res) or res > _MAX_RESIDUAL:
+        raise RuntimeError(f"conduction solve failed: relative residual {res:g} "
+                           f"(limit {_MAX_RESIDUAL:g})")
     # one-sided reconstruction of u at the boundary, u_cell + (h/2) g/sigma;
     # second order for the prescribed-flux boundary
     trace = u[cells] + 0.5 * electrodes.normal_spacing * electrodes.current / sigma[cells]
     shift = trace.mean()
     return ConductionSolution(potential=ScalarField(grid, u - shift),
-                              boundary_trace=trace - shift, residual=res, solve=solve)
+                              boundary_trace=trace - shift, residual=res)
 
 
 def _interior_map(phantom_grid, interior):
@@ -224,33 +188,16 @@ def _neighbourhoods(cell2pix, a, b, n_pixels):
     return f, p, loc[inv[:f.size]], loc[inv[f.size:]], nb
 
 
-def _green_blocks(solve, n, cells):
-    """Pinned Green's columns (length n) at ``cells``, in blocks of
-    ``_BLOCK``: yields (j0, x) with x[:, j] the column of cells[j0 + j]."""
-    for j0 in range(0, cells.size, _BLOCK):
-        e = np.zeros((n, min(_BLOCK, cells.size - j0)))
-        e[cells[j0:j0 + _BLOCK], np.arange(e.shape[1])] = 1.0
-        yield j0, solve(e, pinned=True)[0]
-
-
-def _row_sweep(A, nx, ny, w):
-    """Blocks P[k, l], |k - l| <= w, of the pinned inverse by one sweep over
-    the grid rows (recursive Green's functions; Svizhenko et al., J. Appl.
-    Phys. 91, 2343, 2002).
-
-    The conduction matrix A is block tridiagonal over the ny grid rows of
-    nx cells, with tridiagonal row blocks D_k and the diagonal coupling
-    C_k of rows k and k + 1.  With cell 0 pinned as an identity row and
-    column (matrix A~, inverse P) the forward pass takes the Schur
-    complements S_k = D_k - C_{k-1} S_{k-1}^-1 C_{k-1}, and the backward
-    pass P[k, l] = -S_k^-1 C_k P[k+1, l] for k < l <= k + w and
-    P[k, k] = S_k^-1 - S_k^-1 C_k P[k+1, k], with P[k+1, k] = P[k, k+1]^T.
-
-    Yields (k, ring) for k = ny - 1, ..., 0 once band row k is done: ring
-    holds rows k, ..., k + w, row r being P[r, r], ..., P[r, r + w] side
-    by side in ring[r % (w + 1)].  After its yield, each band row's
-    residual (A~ P)[k, l] - delta_kl I, k <= l <= k + w, is checked
-    column-wise against ``_MAX_RESIDUAL``.
+def _eliminate(A, nx, ny):
+    """Block forward elimination of the conduction matrix A over its ny grid
+    rows of nx cells (recursive Green's functions; Svizhenko et al., J.
+    Appl. Phys. 91, 2343, 2002).  A is block tridiagonal, with tridiagonal
+    row blocks D_k and diagonal couplings C_k of rows k and k + 1.  With
+    cell 0 pinned as an identity row and column (matrix A~, whose inverse
+    is the pinned inverse P but for a unit entry at cell 0) the Schur
+    complements are S_0 = D_0 and S_k = D_k - C_{k-1} S_{k-1}^-1 C_{k-1}.
+    Returns (block, c, sinv): block(k) is the dense D_k, c holds the
+    diagonals of the C_k and sinv the ny dense S_k^-1 (ny nx^2 values).
     """
     d = A.diagonal().reshape(ny, nx)
     e = np.append(A.diagonal(1), 0.0).reshape(ny, nx)[:, :-1]
@@ -264,7 +211,57 @@ def _row_sweep(A, nx, ny, w):
     sinv[0] = np.linalg.inv(block(0))
     for k in range(1, ny):
         sinv[k] = np.linalg.inv(block(k) - c[k - 1, :, None] * sinv[k - 1] * c[k - 1])
+    return block, c, sinv
 
+
+def _electrode_columns(A, elim, cells):
+    """Columns P[:, cells] of the pinned inverse, nx at a time, by block
+    forward substitution y_k = b_k - C_{k-1} S_{k-1}^-1 y_{k-1} and back
+    substitution x_k = S_k^-1 (y_k - C_k x_{k+1}) against the elimination
+    ``elim`` of A.  The unit right-hand sides are zeroed at cell 0, so
+    every x is zero there and the column of cell 0 is zero, as in P.
+    Yields (j0, x) with x[:, j] the column of cells[j0 + j], once every
+    column's residual in the reduced system A[1:, 1:] x[1:] = b[1:] is
+    within ``_MAX_RESIDUAL``; the next block overwrites x.
+    """
+    _, c, sinv = elim
+    ny, nx = sinv.shape[:2]
+    buf = np.empty(ny * nx * nx)
+    for j0 in range(0, cells.size, nx):
+        at = cells[j0:j0 + nx]
+        x = buf[:ny * nx * at.size].reshape(ny * nx, at.size)
+        x[...] = 0.0
+        x[at, np.arange(at.size)] = at != 0
+        y = x.reshape(ny, nx, -1)
+        for k in range(1, ny):
+            y[k] -= c[k - 1, :, None] * (sinv[k - 1] @ y[k - 1])
+        y[-1] = sinv[-1] @ y[-1]
+        for k in range(ny - 2, -1, -1):
+            y[k] = sinv[k] @ (y[k] - c[k, :, None] * y[k + 1])
+        r = A @ x
+        r[at, np.arange(at.size)] -= 1.0
+        r[0] = 0.0
+        worst = float(np.max(np.sqrt(np.einsum("ij,ij->j", r, r))))
+        del r
+        if not worst <= _MAX_RESIDUAL:
+            raise RuntimeError(f"electrode columns failed: residual {worst:g} in "
+                               f"block {j0 // nx} (limit {_MAX_RESIDUAL:g})")
+        yield j0, x
+
+
+def _row_sweep(elim, w):
+    """Blocks P[k, l], |k - l| <= w, of the pinned inverse by one backward
+    sweep over the grid rows of the elimination ``elim`` of _eliminate:
+    P[k, l] = -S_k^-1 C_k P[k+1, l] for k < l <= k + w and
+    P[k, k] = S_k^-1 - S_k^-1 C_k P[k+1, k], with P[k+1, k] = P[k, k+1]^T.
+    Yields (k, ring) for k = ny - 1, ..., 0 once band row k is done: ring
+    holds rows k, ..., k + w, row r being P[r, r], ..., P[r, r + w] side
+    by side in ring[r % (w + 1)].  After its yield, each band row's
+    residual (A~ P)[k, l] - delta_kl I, k <= l <= k + w, is checked
+    column-wise against ``_MAX_RESIDUAL``.
+    """
+    block, c, sinv = elim
+    ny, nx = sinv.shape[:2]
     span = (w + 1) * nx
     ring = np.zeros((w + 1, nx, span))
     # band row k one block wider, P[k, k], ..., P[k, k + w + 1]: the last
@@ -313,13 +310,13 @@ def _band_entries(ring, r, rows, cols):
                 np.abs(ra - rb) * ring.shape[1] + np.where(up, cb, ca)]
 
 
-def _pixel_greens(grid, sigma, nb):
+def _pixel_greens(elim, nb):
     """The stack of G_p = P[N_p, N_p] for the neighbourhoods ``nb`` of
-    _neighbourhoods, from one _row_sweep.  w is the widest row span of any
-    N_p; the pixels whose N_p starts in grid row r are gathered as soon as
-    the sweep holds rows r, ..., r + w.  Cell 0, padding or pinned, gets
-    zero rows and columns."""
-    nx, ny = int(grid.counts[0]), int(grid.counts[1])
+    _neighbourhoods, from one _row_sweep of the elimination ``elim``.  w
+    is the widest row span of any N_p; the pixels whose N_p starts in grid
+    row r are gathered as soon as the sweep holds rows r, ..., r + w.
+    Cell 0, padding or pinned, gets zero rows and columns."""
+    ny, nx = elim[2].shape[:2]
     row, col = np.divmod(nb, nx)
     pin = nb == 0
     lo = np.where(pin, ny, row).min(axis=1)
@@ -329,7 +326,7 @@ def _pixel_greens(grid, sigma, nb):
     bounds = np.searchsorted(lo[order], np.arange(ny + 1))
     n_pix, k = nb.shape
     G = np.empty((n_pix, k, k))
-    for r, ring in _row_sweep(_assemble(grid, sigma), nx, ny, w):
+    for r, ring in _row_sweep(elim, w):
         sel = order[bounds[r]:bounds[r + 1]]
         G[sel] = _band_entries(ring, r, row[sel], col[sel])
     G[pin[:, :, None] | pin[:, None, :]] = 0.0
@@ -345,10 +342,12 @@ def _kernel(phantom, electrodes, interior, eps):
     n_pix = interior.n_pixels
     cell2pix = _interior_map(grid, interior)
     sol = solve_conduction(phantom, electrodes)
-    # the factorization solves for the potential pinned to zero at cell 0
+    # the update acts on the potential pinned to zero at cell 0
     u = sol.potential.values - sol.potential.values[0]
     sigma = phantom.conductivity()
     a, b, cond = _faces(grid, sigma)
+    A = _assemble(grid, sigma)
+    elim = _eliminate(A, int(grid.counts[0]), int(grid.counts[1]))
 
     f, p, la, lb, nb = _neighbourhoods(cell2pix, a, b, n_pix)
     # exact change per unit eps of each touched face conductance: the
@@ -370,14 +369,14 @@ def _kernel(phantom, electrodes, interior, eps):
     # to G_p (cell 0) and so zero entries to z_p
     z = B @ u[nb][:, :, None]
     if eps:
-        z = np.linalg.solve(np.eye(k) + eps * (B @ _pixel_greens(grid, sigma, nb)), z)
+        z = np.linalg.solve(np.eye(k) + eps * (B @ _pixel_greens(elim, nb)), z)
     Z = sp.csr_matrix((z.ravel(), (nb.ravel(), np.repeat(np.arange(n_pix), k))),
                       shape=(grid.n_pixels, n_pix))
 
     # du / eps at the electrode cells
     cells = electrodes.cells
     values = np.empty((electrodes.n, n_pix))
-    for j0, x in _green_blocks(sol.solve, grid.n_pixels, cells):
+    for j0, x in _electrode_columns(A, elim, cells):
         values[j0:j0 + x.shape[1]] = -(Z.T @ x).T
 
     # direct term (h/2) g / sigma of the electrodes whose cell lies in the
@@ -407,19 +406,18 @@ def kernel_bruteforce(phantom, electrodes, interior, eps=DEFAULT_EPS):
         du / eps = -P S_i (I + eps B_i G_i)^-1 B_i u[N_i],   G_i = P[N_i, N_i],
 
     where S_i selects N_i; cell 0 adds nothing, as its row of P and u[0]
-    are zero.  Green's columns of the SuperLU factorization of
-    solve_conduction, solved in blocks, supply the rows of P S_i at the
-    electrode cells (P is symmetric).  G_i comes from a second
-    factorization: one sweep over the ny grid rows of nx cells yields the
-    blocks of P within w block rows of the diagonal, w being the widest
-    row span of any N_i.  It costs ny dense nx x nx inverses plus about
-    w + 2 nx x nx GEMMs per row, and holds the ny inverses (ny nx^2
-    values) and a window of w + 1 band rows ((w + 1)^2 nx^2 values), never
-    the whole band; every block used is checked by its residual.  No
-    matrix is refactored per pixel.  The small systems are solved as one
-    stack, every N_i padded with cell 0.  The trace also changes through
-    the direct term (h/2) g / sigma of the electrodes whose cell lies in
-    pixel i.
+    are zero.  All of P comes from one block elimination over the ny grid
+    rows of nx cells (ny dense nx x nx inverses): block forward and back
+    substitution gives the rows of P S_i at the electrode cells (P is
+    symmetric), nx at a time, and a backward sweep the blocks of P within
+    w block rows of the diagonal, w being the widest row span of any N_i,
+    which hold every G_i.  The kernel holds the ny inverses, one block of
+    columns (ny nx^2 values each) and a window of w + 1 band rows
+    ((w + 1)^2 nx^2), never the whole band; every column and band block
+    used is checked by its residual.  No matrix is refactored per pixel.
+    The small systems are solved as one stack, every N_i padded with cell
+    0.  The trace also changes through the direct term (h/2) g / sigma of
+    the electrodes whose cell lies in pixel i.
 
     eps must be positive with exp(eps) finite; anything else is rejected
     before any solve.
@@ -440,6 +438,7 @@ def kernel_adjoint(phantom, electrodes, interior):
     plus the derivative of the direct term, B_i being the derivative of
     the conduction matrix.  The rows P[c_j, :], the adjoint solutions of
     the trace functionals, are the Green's columns at the electrode cells,
-    solved against the factorization that the ConductionSolution holds.
+    taken by block substitution from the same elimination over the grid
+    rows; the adjoint needs no backward sweep.
     """
     return _kernel(phantom, electrodes, interior, 0.0)

@@ -35,6 +35,18 @@ def _uniform_spacing(x, name):
     return float((x[-1] - x[0]) / (x.size - 1))   # x[0] + k * mean stays near x[k]
 
 
+def _check_sinogram_axes(angles, offsets):
+    """Check sinogram axes: uniform angles in [0, pi) and uniform offsets
+    symmetric about zero."""
+    if np.any(angles < 0) or np.any(angles >= np.pi):
+        raise ValueError("angles must lie in [0, pi)")
+    _uniform_spacing(angles, "angles")
+    _uniform_spacing(offsets, "offsets")
+    span = offsets + offsets[::-1]
+    if np.max(np.abs(span)) > 1e-9 * max(abs(offsets[0]), abs(offsets[-1])):
+        raise ValueError("offsets must be symmetric about zero")
+
+
 def _frequency_spacing(freqs):
     """Spacing of a nonempty, finite, positive, uniform frequency lattice."""
     dlam = _uniform_spacing(freqs, "frequencies")
@@ -136,13 +148,7 @@ class Sinogram:
         object.__setattr__(self, "angles", _frozen_array(self.angles, ndim=1))
         object.__setattr__(self, "offsets", _frozen_array(self.offsets, ndim=1))
         object.__setattr__(self, "values", _frozen_array(self.values, ndim=3))
-        if np.any(self.angles < 0) or np.any(self.angles >= np.pi):
-            raise ValueError("angles must lie in [0, pi)")
-        _uniform_spacing(self.angles, "angles")
-        _uniform_spacing(self.offsets, "offsets")
-        span = self.offsets + self.offsets[::-1]
-        if np.max(np.abs(span)) > 1e-9 * max(abs(self.offsets[0]), abs(self.offsets[-1])):
-            raise ValueError("offsets must be symmetric about zero")
+        _check_sinogram_axes(self.angles, self.offsets)
         if self.values.shape[:2] != (self.angles.size, self.offsets.size):
             raise ValueError("values shape must be (n_angles, n_offsets, n_electrodes)")
         if not np.all(np.isfinite(self.values)):
@@ -455,8 +461,7 @@ def measure_line_integrals(kernel, angles, offsets):
         raise ValueError("line integrals support 2d kernels only")
     angles = np.asarray(angles, dtype=float)
     offsets = np.asarray(offsets, dtype=float)
-    _uniform_spacing(angles, "angles")
-    _uniform_spacing(offsets, "offsets")
+    _check_sinogram_axes(angles, offsets)
     rho = grid.circumradius
     if np.max(np.abs(offsets)) < rho * (1 - 1e-12):
         raise ValueError("offsets must cover the grid's circumscribed disk")

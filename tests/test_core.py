@@ -150,6 +150,15 @@ class TestPhantom:
         with pytest.raises(ValueError):
             Disk(center=(0.0, 0.0), radius=0.1, amplitude=1.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_center_rejected(self, bad):
+        # a NaN center used to pass the domain-box check of
+        # build_phantom_disks and rasterize to an all-zero phantom
+        with pytest.raises(ValueError, match="disk center must be finite"):
+            Disk(center=(bad, 0.0), radius=0.1, amplitude=0.05)
+        with pytest.raises(ValueError, match="disk center must be finite"):
+            build_phantom_disks(centered_grid(8, 2), [((0.0, bad), 0.1, 0.05)])
+
 
 class TestTransducerArray:
     def test_fibonacci_on_sphere(self):

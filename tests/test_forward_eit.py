@@ -7,6 +7,7 @@ import scipy.sparse as sp
 import synfocus.forward_eit
 from synfocus.cli import INTERIOR_MARGIN, default_phantom
 from synfocus.core import (
+    BoundaryElectrodes,
     Grid,
     Phantom,
     ScalarField,
@@ -144,6 +145,20 @@ class TestSolveConduction:
         with pytest.raises(ValueError, match="incompatible Neumann data"):
             solve_conduction(_flat(g), el)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_current_rejected_before_factoring(self, bad, monkeypatch):
+        # named when the electrodes are built; a NaN current used to pass
+        # the compatibility test and fail only after factoring
+        def no_solve(*args, **kwargs):
+            raise AssertionError("factored a non-finite current")
+
+        monkeypatch.setattr(synfocus.forward_eit, "splu", no_solve)
+        g = centered_grid(8, 2)
+        current = left_right_current_pattern(g).current.copy()
+        current[3] = bad
+        with pytest.raises(ValueError, match="electrode current must be finite"):
+            solve_conduction(_flat(g), BoundaryElectrodes(grid=g, current=current))
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
     def test_overflowed_conductivity_raises(self):
@@ -225,34 +240,26 @@ class TestKernels:
         assert rel_l2(k, ref) <= 1e-7
 
     def test_each_call_factors_once(self, monkeypatch):
-        # one SuperLU factorization per call; the brute force also runs the
-        # row sweep once for its G_i, the adjoint never
-        calls, sweeps = [], []
-        splu = synfocus.forward_eit.splu
-        sweep = synfocus.forward_eit._row_sweep
+        # one SuperLU factorization per call, for the potential; each kernel
+        # also runs the block elimination once, and only the brute force
+        # sweeps its band for the G_i
+        counts = {"splu": 0, "_eliminate": 0, "_row_sweep": 0}
+        for name in counts:
+            def counting(*args, _name=name, _f=getattr(synfocus.forward_eit, name), **kwargs):
+                counts[_name] += 1
+                return _f(*args, **kwargs)
 
-        def counting_splu(*args, **kwargs):
-            calls.append(1)
-            return splu(*args, **kwargs)
-
-        def counting_sweep(*args):
-            sweeps.append(1)
-            return sweep(*args)
-
-        monkeypatch.setattr(synfocus.forward_eit, "splu", counting_splu)
-        monkeypatch.setattr(synfocus.forward_eit, "_row_sweep", counting_sweep)
+            monkeypatch.setattr(synfocus.forward_eit, name, counting)
         phantom_grid = centered_grid(12, 2)
         interior = centered_grid(6, 2)
         ph = default_phantom(phantom_grid)
         el = left_right_current_pattern(phantom_grid)
-        for run, n_sweeps in ((lambda: solve_conduction(ph, el), 0),
-                              (lambda: kernel_bruteforce(ph, el, interior), 1),
-                              (lambda: kernel_adjoint(ph, el, interior), 0)):
-            calls.clear()
-            sweeps.clear()
+        for run, expected in ((lambda: solve_conduction(ph, el), (1, 0, 0)),
+                              (lambda: kernel_bruteforce(ph, el, interior), (1, 1, 1)),
+                              (lambda: kernel_adjoint(ph, el, interior), (1, 1, 0))):
+            counts.update(dict.fromkeys(counts, 0))
             run()
-            assert len(calls) == 1
-            assert len(sweeps) == n_sweeps
+            assert tuple(counts.values()) == expected
 
     def test_row_sweep_band_matches_dense_inverse(self):
         # every block P[k, l], |k - l| <= w, of the pinned inverse, on a
@@ -263,11 +270,49 @@ class TestKernels:
         A[0, :] = A[:, 0] = 0.0
         A[0, 0] = 1.0
         P = np.linalg.inv(A)
-        for k, ring in synfocus.forward_eit._row_sweep(sp.csr_matrix(A), nx, ny, w):
+        elim = synfocus.forward_eit._eliminate(sp.csr_matrix(A), nx, ny)
+        for k, ring in synfocus.forward_eit._row_sweep(elim, w):
             for off in range(min(w, ny - 1 - k) + 1):
                 band = ring[k % (w + 1), :, off * nx:(off + 1) * nx]
                 exact = P[k * nx:(k + 1) * nx, (k + off) * nx:(k + off + 1) * nx]
                 assert np.max(np.abs(band - exact)) <= 1e-13 * np.max(np.abs(P))
+
+    def test_electrode_columns_match_dense_inverse(self):
+        # P[:, cells] at every electrode cell of a grid with nx != ny, in
+        # blocks of nx = 7 columns, the last one partial; the corner
+        # electrodes of the left and bottom edges sit at pinned cell 0,
+        # whose column and row of P are zero
+        nx, ny = 7, 5
+        g = _unit_square(nx, ny)
+        A = synfocus.forward_eit._assemble(g, default_phantom(g).conductivity())
+        P = np.zeros((nx * ny, nx * ny))
+        P[1:, 1:] = np.linalg.inv(A[1:, 1:].toarray())
+        cells = left_right_current_pattern(g).cells
+        assert np.count_nonzero(cells == 0) == 2
+        got = np.empty((nx * ny, cells.size))
+        elim = synfocus.forward_eit._eliminate(A, nx, ny)
+        for j0, x in synfocus.forward_eit._electrode_columns(A, elim, cells):
+            assert x.shape[1] == min(nx, cells.size - j0)
+            got[:, j0:j0 + x.shape[1]] = x
+        assert np.max(np.abs(got - P[:, cells])) <= 1e-13 * np.max(np.abs(P))
+        assert not np.any(got[:, cells == 0]) and not np.any(got[0])
+
+    def test_corrupted_column_block_raises(self, monkeypatch):
+        # a wrong entry in one Schur inverse corrupts the column blocks,
+        # which fail their reduced-system residual check; the adjoint runs
+        # no band sweep, so the column check is the one that fires
+        eliminate = synfocus.forward_eit._eliminate
+
+        def corrupted_eliminate(*args):
+            block, c, sinv = eliminate(*args)
+            sinv[5, 3, 4] *= 1.0 + 1e-6
+            return block, c, sinv
+
+        monkeypatch.setattr(synfocus.forward_eit, "_eliminate", corrupted_eliminate)
+        phantom_grid = centered_grid(16, 2)
+        el = left_right_current_pattern(phantom_grid)
+        with pytest.raises(RuntimeError, match="electrode columns failed"):
+            kernel_adjoint(default_phantom(phantom_grid), el, centered_grid(8, 2))
 
     def test_corrupted_band_block_raises(self, monkeypatch):
         # a wrong entry in the widest band block of one row fails the
@@ -287,22 +332,38 @@ class TestKernels:
             kernel_bruteforce(default_phantom(phantom_grid), el, centered_grid(8, 2))
 
     def test_row_sweep_memory(self, monkeypatch):
-        # the sweep holds S_k^-1 for every grid row (ny nx^2 values) and a
-        # window of w + 1 band rows ((w + 1)^2 nx^2); the row being built,
-        # its residual and the gathered indices stay below half of that.
-        # Storing the whole band, ny (w + 1) nx^2 values, exceeds the bound.
+        # The elimination holds S_k^-1 for every grid row, ny nx^2 values
+        # (64 nx^2 here), and the backward sweep a window of w + 1 band
+        # rows, (w + 1)^2 nx^2 (16 nx^2).  The rest, the diagonals (3 ny nx),
+        # the row being built ((w + 2) nx^2), its residual ((w + 1) nx^2)
+        # and the indices gathered for one grid row of pixels, stays below
+        # half of those two terms.  Storing the whole band, ny (w + 1) nx^2
+        # values, exceeds the bound.  The window runs from the start of the
+        # elimination to the end of the sweep and leaves out B_i and G_i,
+        # which are allocated between the two and belong to the update.
         nx = ny = 64
         w = 3  # two cells per pixel: every N_p spans four grid rows
         bound = 1.5 * 8 * (ny * nx * nx + (w + 1) ** 2 * nx * nx)
-        growth = []
+        marks, growth = [], []
+        eliminate = synfocus.forward_eit._eliminate
         sweep = synfocus.forward_eit._row_sweep
+
+        def traced_eliminate(*args):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            elim = eliminate(*args)
+            current, peak = tracemalloc.get_traced_memory()
+            marks.append((current - start, peak - start))
+            return elim
 
         def traced_sweep(*args):
             start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             yield from sweep(*args)
-            growth.append(tracemalloc.get_traced_memory()[1] - start)
+            held, peak = marks[0]
+            growth.append(max(peak, held + tracemalloc.get_traced_memory()[1] - start))
 
+        monkeypatch.setattr(synfocus.forward_eit, "_eliminate", traced_eliminate)
         monkeypatch.setattr(synfocus.forward_eit, "_row_sweep", traced_sweep)
         phantom_grid = centered_grid(nx, 2)
         interior = centered_grid(32, 2, half=0.5 - INTERIOR_MARGIN)
@@ -312,7 +373,8 @@ class TestKernels:
             kernel_bruteforce(default_phantom(phantom_grid), el, interior)
         finally:
             tracemalloc.stop()
-        assert len(growth) == 1
+        assert len(marks) == len(growth) == 1
+        assert marks[0][0] >= 8 * ny * nx * nx  # the S_k^-1 are held
         assert growth[0] < bound
 
     @pytest.mark.parametrize("eps", [0.0, -1e-3, np.nan, np.inf, 1e300])

@@ -529,20 +529,33 @@ class TestAxisValidation:
         with pytest.raises(ValueError, match=f"{axis} must not be empty"):
             build[axis]()
 
-    @pytest.mark.parametrize("case", ["empty offsets", "nan radius", "uneven radii"])
+    @pytest.mark.parametrize("case", ["empty offsets", "angle at pi", "asymmetric offsets",
+                                      "nan radius", "uneven radii"])
     def test_measures_check_axes_before_work(self, case, monkeypatch):
-        # the axis is named before any interpolation runs
+        # the axis is named before any interpolation runs, and before the
+        # line integrals gather the padded kernel rows (the angle range and
+        # the offsets' symmetry used to be checked only by Sinogram, after
+        # the whole operator was built and applied)
         def no_interp(*args):
             raise AssertionError("the measure interpolated")
 
         monkeypatch.setattr(synfocus.wavegen, "_interp", no_interp)
         monkeypatch.setattr(synfocus.wavegen, "_stencil", no_interp)
+        monkeypatch.setattr(synfocus.wavegen, "_padded_rows", no_interp)
         g2, g3 = centered_grid(8, 2), centered_grid(8, 3)
         arr = make_transducer_array(4, radius=2.0)
         run, axis = {
             "empty offsets": (lambda: measure_line_integrals(
                 _kernel(g2, np.ones(g2.n_pixels)), default_angles(4), np.empty(0)),
                 "offsets must not be empty"),
+            "angle at pi": (lambda: measure_line_integrals(
+                _kernel(g2, np.ones(g2.n_pixels)), np.pi * np.arange(1, 5) / 4,
+                np.linspace(-1.0, 1.0, 9)),
+                "angles must lie in"),
+            "asymmetric offsets": (lambda: measure_line_integrals(
+                _kernel(g2, np.ones(g2.n_pixels)), default_angles(4),
+                np.linspace(-1.0, 2.0, 9)),
+                "offsets must be symmetric about zero"),
             "nan radius": (lambda: measure_spherical_pulse(
                 _kernel(g3, np.ones(g3.n_pixels)), arr, np.array([0.5, np.nan, 1.5])),
                 "radii must be finite"),
