@@ -16,8 +16,7 @@ full system.  Every result is then gauged by subtracting the mean of the
 boundary trace, or is a difference of potentials, so the pin never shows.
 
 The measurement kernel is the linearization of the boundary trace with
-respect to local log-conductivity changes.  Both kernels start from one
-``solve_conduction`` and share one routine: adding eps to log sigma on a
+respect to local log-conductivity changes.  Adding eps to log sigma on a
 pixel changes the conduction matrix only near that pixel, so the exact
 change of the trace is a low-rank (Sherman-Morrison-Woodbury) update of
 the unperturbed system.  ``kernel_bruteforce`` takes a finite eps and is
@@ -28,6 +27,14 @@ each pixel's cells and their face neighbours (brute force only).  Both
 come from one block elimination over the grid rows (``_eliminate``), by
 substitution (``_electrode_columns``) and by a backward sweep
 (``_row_sweep``).
+
+One conduction pass (``_kernels``: one ``solve_conduction``, one
+elimination, one sweep and one stream of electrode columns) serves both
+kernels: ``kernel_bruteforce`` also computes the exact derivative and
+leaves it in a one-entry memo, which the next ``kernel_adjoint`` takes
+out and returns when it gets the same phantom and electrodes objects
+and an equal interior grid.  A lone ``kernel_adjoint`` makes its own
+pass without the sweep.
 """
 
 from __future__ import annotations
@@ -46,6 +53,12 @@ DEFAULT_EPS = 1e-3
 _MAX_RESIDUAL = 1e-9
 # relative residual above which a solve takes one iterative-refinement step
 _REFINE_ABOVE = 1e-12
+# grid rows per slab of the electrode columns' residual check
+_SLAB_ROWS = 8
+
+# (phantom, electrodes, interior, exact kernel) of the last successful
+# kernel_bruteforce call, until the next kernel_adjoint takes it out
+_adjoint_memo = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,10 +235,18 @@ def _electrode_columns(A, elim, cells):
     every x is zero there and the column of cell 0 is zero, as in P.
     Yields (j0, x) with x[:, j] the column of cells[j0 + j], once every
     column's residual in the reduced system A[1:, 1:] x[1:] = b[1:] is
-    within ``_MAX_RESIDUAL``; the next block overwrites x.
+    within ``_MAX_RESIDUAL``; the next block overwrites x.  The residual
+    is summed over slabs of _SLAB_ROWS grid rows, whose rows of A reach
+    only the cells of the slab and of the grid rows next to it, so no
+    block-sized residual is ever held.
     """
     _, c, sinv = elim
     ny, nx = sinv.shape[:2]
+    slabs = []
+    for r0 in range(0, ny, _SLAB_ROWS):
+        lo, hi = r0 * nx, min(r0 + _SLAB_ROWS, ny) * nx
+        near = slice(max(lo - nx, 0), min(hi + nx, ny * nx))
+        slabs.append((lo, hi, near, A[lo:hi, near]))
     buf = np.empty(ny * nx * nx)
     for j0 in range(0, cells.size, nx):
         at = cells[j0:j0 + nx]
@@ -238,11 +259,15 @@ def _electrode_columns(A, elim, cells):
         y[-1] = sinv[-1] @ y[-1]
         for k in range(ny - 2, -1, -1):
             y[k] = sinv[k] @ (y[k] - c[k, :, None] * y[k + 1])
-        r = A @ x
-        r[at, np.arange(at.size)] -= 1.0
-        r[0] = 0.0
-        worst = float(np.max(np.sqrt(np.einsum("ij,ij->j", r, r))))
-        del r
+        squares = np.zeros(at.size)
+        for lo, hi, near, a in slabs:
+            r = a @ x[near]
+            own = np.flatnonzero((at >= lo) & (at < hi))
+            r[at[own] - lo, own] -= 1.0
+            if lo == 0:
+                r[0] = 0.0
+            squares += np.einsum("ij,ij->j", r, r)
+        worst = float(np.max(np.sqrt(squares)))
         if not worst <= _MAX_RESIDUAL:
             raise RuntimeError(f"electrode columns failed: residual {worst:g} in "
                                f"block {j0 // nx} (limit {_MAX_RESIDUAL:g})")
@@ -333,11 +358,16 @@ def _pixel_greens(elim, nb):
     return G
 
 
-def _kernel(phantom, electrodes, interior, eps):
-    """Kernel of kernel_bruteforce for eps >= 0, every per-pixel quantity
-    written per unit eps so that eps = 0 is the exact derivative.  There
-    the Woodbury factor is the identity, and neither G_i nor the small
-    solves are needed."""
+def _kernels(phantom, electrodes, interior, epss):
+    """Kernels of kernel_bruteforce for each eps >= 0 of ``epss``, from one
+    conduction pass: one solve_conduction, one elimination, at most one
+    band sweep and one stream of electrode columns.  Every per-pixel
+    quantity is written per unit eps, so that eps = 0 is the exact
+    derivative; there the Woodbury factor is the identity, and it needs
+    neither G_i nor the small solves.  Each eps has its own B_i, as the
+    change of the face conductances depends on it; the z stacks are the
+    column groups of one sparse Z, so each column block takes one product.
+    """
     grid = phantom.grid
     n_pix = interior.n_pixels
     cell2pix = _interior_map(grid, interior)
@@ -350,44 +380,58 @@ def _kernel(phantom, electrodes, interior, eps):
     elim = _eliminate(A, int(grid.counts[0]), int(grid.counts[1]))
 
     f, p, la, lb, nb = _neighbourhoods(cell2pix, a, b, n_pix)
-    # exact change per unit eps of each touched face conductance: the
-    # harmonic mean with sigma scaled by e^eps on the sides in pixel p
-    ka, kb = cell2pix[a[f]] == p, cell2pix[b[f]] == p
-    sa = sigma[a[f]] * np.where(ka, np.exp(eps), 1.0)
-    sb = sigma[b[f]] * np.where(kb, np.exp(eps), 1.0)
-    growth = np.expm1(eps) / eps if eps else 1.0
-    dc = cond[f] * growth * (kb * sa + ka * sb) / (sa + sb)
-
-    # B_p = sum over its faces of dc (e_a - e_b)(e_a - e_b)^T on N_p
     k = nb.shape[1]
-    B = np.zeros((n_pix, k, k))
-    np.add.at(B, (np.tile(p, 4), np.concatenate([la, lb, la, lb]),
-                  np.concatenate([la, lb, lb, la])), np.concatenate([dc, dc, -dc, -dc]))
-
-    # z_p = (I + eps B_p G_p)^-1 B_p u[N_p], so du / eps = -P Z with z_p in
-    # column p; the padding adds zero rows to B_p, zero rows and columns
-    # to G_p (cell 0) and so zero entries to z_p
-    z = B @ u[nb][:, :, None]
-    if eps:
-        z = np.linalg.solve(np.eye(k) + eps * (B @ _pixel_greens(elim, nb)), z)
-    Z = sp.csr_matrix((z.ravel(), (nb.ravel(), np.repeat(np.arange(n_pix), k))),
-                      shape=(grid.n_pixels, n_pix))
+    ka, kb = cell2pix[a[f]] == p, cell2pix[b[f]] == p
+    at = (np.tile(p, 4), np.concatenate([la, lb, la, lb]), np.concatenate([la, lb, lb, la]))
+    G = _pixel_greens(elim, nb) if any(epss) else None
+    growths = [np.expm1(eps) / eps if eps else 1.0 for eps in epss]
+    z = np.empty((len(epss), n_pix, k))
+    for zi, eps, growth in zip(z, epss, growths):
+        # exact change per unit eps of each touched face conductance: the
+        # harmonic mean with sigma scaled by e^eps on the sides in pixel p
+        sa = sigma[a[f]] * np.where(ka, np.exp(eps), 1.0)
+        sb = sigma[b[f]] * np.where(kb, np.exp(eps), 1.0)
+        dc = cond[f] * growth * (kb * sa + ka * sb) / (sa + sb)
+        # B_p = sum over its faces of dc (e_a - e_b)(e_a - e_b)^T on N_p
+        B = np.zeros((n_pix, k, k))
+        np.add.at(B, at, np.concatenate([dc, dc, -dc, -dc]))
+        # z_p = (I + eps B_p G_p)^-1 B_p u[N_p], so du / eps = -P Z with
+        # z_p in column p; the padding adds zero rows to B_p, zero rows and
+        # columns to G_p (cell 0) and so zero entries to z_p
+        w = B @ u[nb][:, :, None]
+        if eps:
+            w = np.linalg.solve(np.eye(k) + eps * (B @ G), w)
+        zi[...] = w[:, :, 0]
+    del B, G, w
+    Z = sp.csr_matrix((z.ravel(), (np.tile(nb.ravel(), len(epss)),
+                                   np.repeat(np.arange(len(epss) * n_pix), k))),
+                      shape=(grid.n_pixels, len(epss) * n_pix))
+    del z, zi
 
     # du / eps at the electrode cells
     cells = electrodes.cells
-    values = np.empty((electrodes.n, n_pix))
+    values = [np.empty((electrodes.n, n_pix)) for _ in epss]
     for j0, x in _electrode_columns(A, elim, cells):
-        values[j0:j0 + x.shape[1]] = -(Z.T @ x).T
+        zx = Z.T @ x
+        for i, v in enumerate(values):
+            np.negative(zx[i * n_pix:(i + 1) * n_pix].T, out=v[j0:j0 + x.shape[1]])
+    # the column block, its product and the S_k^-1 go before the copies
+    # the kernels make of values
+    del x, zx, elim
 
     # direct term (h/2) g / sigma of the electrodes whose cell lies in the
     # pixel, times expm1(-eps) / eps
     pix = cell2pix[cells]
     on = np.flatnonzero(pix >= 0)
-    values[on, pix[on]] -= (0.5 * electrodes.normal_spacing[on] * electrodes.current[on]
-                            / sigma[cells[on]] * (np.exp(-eps) * growth))
-    values -= values.mean(axis=0, keepdims=True)
-    values /= interior.pixel_measure
-    return KernelMatrix(grid=interior, values=values)
+    direct = 0.5 * electrodes.normal_spacing[on] * electrodes.current[on] / sigma[cells[on]]
+    kernels = []
+    for eps, growth in zip(epss, growths):
+        v = values.pop(0)
+        v[on, pix[on]] -= direct * (np.exp(-eps) * growth)
+        v -= v.mean(axis=0, keepdims=True)
+        v /= interior.pixel_measure
+        kernels.append(KernelMatrix(grid=interior, values=v))
+    return kernels
 
 
 def kernel_bruteforce(phantom, electrodes, interior, eps=DEFAULT_EPS):
@@ -419,14 +463,25 @@ def kernel_bruteforce(phantom, electrodes, interior, eps=DEFAULT_EPS):
     0.  The trace also changes through the direct term (h/2) g / sigma of
     the electrodes whose cell lies in pixel i.
 
+    One conduction pass serves this kernel and the exact derivative of
+    kernel_adjoint: each block of electrode columns is multiplied by both
+    sets of z_i.  The derivative is left in a one-entry memo with the
+    phantom, electrodes and interior it belongs to, for the next
+    kernel_adjoint call (see there).  Every call sets or clears that
+    entry, also when it raises.
+
     eps must be positive with exp(eps) finite; anything else is rejected
     before any solve.
     """
+    global _adjoint_memo
+    _adjoint_memo = None
     with np.errstate(over="ignore"):
         if not (eps > 0 and np.isfinite(np.exp(eps))):
             raise ValueError(
                 f"perturbation size eps must be positive with exp(eps) finite, got {eps!r}")
-    return _kernel(phantom, electrodes, interior, eps)
+    brute, exact = _kernels(phantom, electrodes, interior, (eps, 0.0))
+    _adjoint_memo = (phantom, electrodes, interior, exact)
+    return brute
 
 
 def kernel_adjoint(phantom, electrodes, interior):
@@ -440,5 +495,18 @@ def kernel_adjoint(phantom, electrodes, interior):
     the trace functionals, are the Green's columns at the electrode cells,
     taken by block substitution from the same elimination over the grid
     rows; the adjoint needs no backward sweep.
+
+    kernel_bruteforce computes this kernel in its own pass and leaves it
+    in a one-entry memo.  Every call takes that entry out and returns it
+    when it was made for the same phantom and electrodes objects (by
+    identity) and an equal interior Grid; otherwise the kernel is
+    computed here.  Phantom and BoundaryElectrodes are frozen, compare by
+    identity and hold read-only arrays, so the same objects still
+    describe the same problem.
     """
-    return _kernel(phantom, electrodes, interior, 0.0)
+    global _adjoint_memo
+    memo, _adjoint_memo = _adjoint_memo, None
+    if (memo is not None and memo[0] is phantom and memo[1] is electrodes
+            and memo[2] == interior):
+        return memo[3]
+    return _kernels(phantom, electrodes, interior, (0.0,))[0]

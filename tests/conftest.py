@@ -15,6 +15,19 @@ def centered_grid(n, dim, half=0.5):
     return Grid(origin=(-half + h / 2,) * dim, spacing=(h,) * dim, counts=(n,) * dim)
 
 
+def count_calls(monkeypatch, module, names):
+    """Calls of each of ``module``'s functions ``names`` from now on, as a
+    dict the caller may reset."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(*args, _name=name, _f=getattr(module, name), **kwargs):
+            counts[_name] += 1
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    return counts
+
+
 def gaussian_column(grid, s, center=None):
     c = np.zeros(grid.dim) if center is None else np.asarray(center, dtype=float)
     pts = grid.centers()

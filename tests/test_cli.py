@@ -13,7 +13,12 @@ import pytest
 import scipy
 
 import synfocus
-from synfocus.cli import DEFAULTS, ExperimentConfig, main, parse_config
+from synfocus import forward_eit
+from synfocus.cli import (DEFAULTS, ExperimentConfig, _centered_grid, default_phantom, main,
+                          parse_config)
+from synfocus.io import load_kernel_csv
+
+from conftest import count_calls
 
 
 def read_metrics(out_dir):
@@ -274,6 +279,22 @@ class TestChainModes:
         for name in files + ["metrics.txt"]:
             assert (out / name).stat().st_size > 0, name
         assert list(read_metrics(out)) == CONFIG_KEYS + keys
+
+    def test_kernel_mode_makes_one_conduction_pass(self, tmp_path, monkeypatch):
+        # the brute force and the adjoint share one factorization, one
+        # elimination, one band sweep and one stream of electrode columns;
+        # the adjoint written is bitwise the one computed on its own
+        counts = count_calls(monkeypatch, forward_eit,
+                             ("splu", "_eliminate", "_row_sweep", "_electrode_columns"))
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("grid = 16\npixels = 8\n")
+        assert run_cli(["kernel", "--config", str(cfg)], tmp_path) == 0
+        assert counts == dict.fromkeys(counts, 1)
+        saved = load_kernel_csv(tmp_path / "kernel_adjoint.csv")
+        phantom = default_phantom(_centered_grid((16, 16)))
+        fresh = forward_eit.kernel_adjoint(
+            phantom, forward_eit.left_right_current_pattern(phantom.grid), saved.grid)
+        assert np.array_equal(saved.values, fresh.values)
 
 
 class TestEndToEnd:

@@ -76,6 +76,21 @@ class TestSphericalMeansRoute:
         assert errs[24] <= 6.4e-2
         assert errs[32] <= 1.85e-2
 
+    def test_chain_observed_order(self):
+        # measure_spherical_pulse at the order_setup radii, then the
+        # inversion, on the same grid.  Measured 2.550e-1 and 7.786e-2 at
+        # 16^3 and 24^3 (order 2.93); the bounds sit 10% above them
+        errs = {}
+        for n in (16, 24):
+            out, arr, radii = order_setup(n)
+            truth = gaussian_column(out, ORDER_SIGMA, ORDER_CENTER)
+            data = measure_spherical_pulse(KernelMatrix(grid=out, values=truth[None, :]), arr,
+                                           radii)
+            errs[n] = rel_l2(invert_spherical_means_3d(data, out).values[0], truth)
+        assert np.log(errs[16] / errs[24]) / np.log(24 / 16) >= 1.8
+        assert errs[16] <= 2.81e-1
+        assert errs[24] <= 8.57e-2
+
     def test_zero_data_reconstructs_zero(self):
         arr, out, radii = small_pulse_setup()
         data = SphericalMeanData(

@@ -21,7 +21,7 @@ from synfocus.forward_eit import (
     solve_conduction,
 )
 
-from conftest import centered_grid, rel_l2
+from conftest import centered_grid, count_calls, rel_l2
 
 
 def _edge_slices(nx, ny):
@@ -240,26 +240,93 @@ class TestKernels:
         assert rel_l2(k, ref) <= 1e-7
 
     def test_each_call_factors_once(self, monkeypatch):
-        # one SuperLU factorization per call, for the potential; each kernel
-        # also runs the block elimination once, and only the brute force
-        # sweeps its band for the G_i
-        counts = {"splu": 0, "_eliminate": 0, "_row_sweep": 0}
-        for name in counts:
-            def counting(*args, _name=name, _f=getattr(synfocus.forward_eit, name), **kwargs):
-                counts[_name] += 1
-                return _f(*args, **kwargs)
-
-            monkeypatch.setattr(synfocus.forward_eit, name, counting)
+        # one SuperLU factorization per computed kernel, for the potential;
+        # each kernel also runs the block elimination once, and only the
+        # brute force sweeps its band for the G_i.  The brute force leaves
+        # the exact derivative for the adjoint that follows it on the same
+        # objects, which then solves nothing; the next adjoint computes it
+        counts = count_calls(monkeypatch, synfocus.forward_eit,
+                             ("splu", "_eliminate", "_row_sweep"))
         phantom_grid = centered_grid(12, 2)
         interior = centered_grid(6, 2)
         ph = default_phantom(phantom_grid)
         el = left_right_current_pattern(phantom_grid)
         for run, expected in ((lambda: solve_conduction(ph, el), (1, 0, 0)),
                               (lambda: kernel_bruteforce(ph, el, interior), (1, 1, 1)),
+                              (lambda: kernel_adjoint(ph, el, interior), (0, 0, 0)),
                               (lambda: kernel_adjoint(ph, el, interior), (1, 1, 0))):
             counts.update(dict.fromkeys(counts, 0))
             run()
             assert tuple(counts.values()) == expected
+
+    @pytest.mark.parametrize("cells, pixels, half", [(48, 24, 0.5 - INTERIOR_MARGIN),
+                                                     ((24, 16), 8, 0.5)], ids=_case_id)
+    def test_memo_adjoint_equals_fresh_adjoint(self, cells, pixels, half, monkeypatch):
+        # the adjoint that kernel_bruteforce leaves behind, taken with an
+        # equal interior built anew, is bitwise the one computed on its own
+        counts = count_calls(monkeypatch, synfocus.forward_eit, ("splu", "_eliminate"))
+        phantom_grid = _phantom_grid(cells)
+        ph = default_phantom(phantom_grid)
+        el = left_right_current_pattern(phantom_grid)
+        kernel_bruteforce(ph, el, centered_grid(pixels, 2, half=half))
+        counts.update(dict.fromkeys(counts, 0))
+        memo = kernel_adjoint(ph, el, centered_grid(pixels, 2, half=half))
+        assert tuple(counts.values()) == (0, 0)
+        fresh = kernel_adjoint(ph, el, centered_grid(pixels, 2, half=half))
+        assert tuple(counts.values()) == (1, 1)
+        assert np.array_equal(memo.values, fresh.values)
+
+    @pytest.mark.parametrize("other", ["phantom", "electrodes", "interior", "used"])
+    def test_memo_misses_other_inputs(self, other, monkeypatch):
+        # a new phantom object with equal values, another electrodes object
+        # or an unequal interior computes the adjoint anew, as does a second
+        # adjoint call after the memo's one hit
+        counts = count_calls(monkeypatch, synfocus.forward_eit, ("splu", "_eliminate"))
+        phantom_grid = centered_grid(12, 2)
+        ph = default_phantom(phantom_grid)
+        el = left_right_current_pattern(phantom_grid)
+        interior = centered_grid(6, 2)
+        kernel_bruteforce(ph, el, interior)
+        if other == "used":
+            kernel_adjoint(ph, el, interior)
+        args = {"phantom": (default_phantom(phantom_grid), el, interior),
+                "electrodes": (ph, left_right_current_pattern(phantom_grid), interior),
+                "interior": (ph, el, centered_grid(6, 2, half=0.4)),
+                "used": (ph, el, interior)}[other]
+        counts.update(dict.fromkeys(counts, 0))
+        got = kernel_adjoint(*args)
+        assert tuple(counts.values()) == (1, 1)
+        assert got.grid == args[2]
+        assert np.array_equal(got.values, kernel_adjoint(*args).values)
+
+    @pytest.mark.parametrize("failure", ["corrupted sweep", "rejected eps"])
+    def test_raising_bruteforce_leaves_no_memo(self, failure, monkeypatch):
+        # a brute force that raises clears the entry its predecessor on the
+        # same objects left
+        phantom_grid = centered_grid(16, 2)
+        ph = default_phantom(phantom_grid)
+        el = left_right_current_pattern(phantom_grid)
+        interior = centered_grid(8, 2)
+        kernel_bruteforce(ph, el, interior)
+        with monkeypatch.context() as patch:
+            if failure == "corrupted sweep":
+                sweep = synfocus.forward_eit._row_sweep
+
+                def corrupted_sweep(*args):
+                    for k, ring in sweep(*args):
+                        if k == 8:
+                            ring[k % ring.shape[0], :, -ring.shape[1]:] *= 1.0 + 1e-6
+                        yield k, ring
+
+                patch.setattr(synfocus.forward_eit, "_row_sweep", corrupted_sweep)
+                with pytest.raises(RuntimeError, match="row sweep failed"):
+                    kernel_bruteforce(ph, el, interior)
+            else:
+                with pytest.raises(ValueError, match="eps must be positive"):
+                    kernel_bruteforce(ph, el, interior, eps=-1e-3)
+        counts = count_calls(monkeypatch, synfocus.forward_eit, ("splu",))
+        kernel_adjoint(ph, el, interior)
+        assert counts["splu"] == 1
 
     def test_row_sweep_band_matches_dense_inverse(self):
         # every block P[k, l], |k - l| <= w, of the pinned inverse, on a
@@ -376,6 +443,30 @@ class TestKernels:
         assert len(marks) == len(growth) == 1
         assert marks[0][0] >= 8 * ny * nx * nx  # the S_k^-1 are held
         assert growth[0] < bound
+
+    def test_electrode_columns_memory(self):
+        # A block of nx electrode columns holds ny nx^2 values.  Its
+        # residual is summed over slabs of 8 grid rows: at most two slab
+        # residuals are alive, 2 * 8 nx^2 values (ny nx^2 / 6 at ny = 96),
+        # and the slices of A taken for them hold its ~5 ny nx entries at
+        # 12 bytes each (ny nx^2 / 12.8).  With the substitution's nx^2
+        # temporaries that stays below half of the block, so the bound is
+        # 1.5 ny nx^2 values; a whole residual A @ x, another ny nx^2,
+        # exceeds it.
+        nx = ny = 96
+        g = centered_grid(nx, 2)
+        A = synfocus.forward_eit._assemble(g, default_phantom(g).conductivity())
+        elim = synfocus.forward_eit._eliminate(A, nx, ny)
+        cells = left_right_current_pattern(g).cells
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            blocks = sum(1 for _ in synfocus.forward_eit._electrode_columns(A, elim, cells))
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert blocks == 4
+        assert peak < 1.5 * 8 * ny * nx * nx
 
     @pytest.mark.parametrize("eps", [0.0, -1e-3, np.nan, np.inf, 1e300])
     def test_bruteforce_rejects_non_positive_eps(self, eps, monkeypatch):
