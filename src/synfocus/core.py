@@ -7,8 +7,9 @@ Conventions shared by every module in the package:
 * a grid's origin is the coordinate of the first pixel center; pixel i
   sits at origin + i*spacing and the domain box extends half a spacing
   beyond the outermost centers
-* containers are frozen after construction and their arrays are read-only;
-  a Grid compares by value, every container holding an array by identity
+* containers are frozen after construction and their arrays are read-only
+  and finite, both enforced by _frozen_array; a Grid compares by value,
+  every container holding an array by identity
 """
 
 from __future__ import annotations
@@ -24,10 +25,18 @@ GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 _GATHER_BLOCK = 1 << 15   # points per stencil in _interp, bounding its memory
 
 
-def _frozen_array(a, dtype=float, ndim=None):
-    out = np.array(a, dtype=dtype, copy=True, order="C")
+def _frozen_array(a, name, dtype=float, ndim=None):
+    """C-ordered, read-only copy of ``a`` as ``dtype`` (of rank ``ndim`` if given),
+    rejected under ``name`` unless every entry is finite, and whole for integers."""
+    integer = np.issubdtype(dtype, np.integer)
+    out = np.array(a, dtype=float if integer else dtype, copy=True, order="C")
     if ndim is not None and out.ndim != ndim:
         raise ValueError(f"expected a {ndim}-d array, got shape {out.shape}")
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{name} must be finite")
+    if integer and not np.all((out == np.trunc(out)) & (np.abs(out) < np.iinfo(dtype).max)):
+        raise ValueError(f"{name} must be integers")
+    out = out.astype(dtype, copy=False)
     out.flags.writeable = False
     return out
 
@@ -42,16 +51,15 @@ class Grid:
     counts: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "origin", _frozen_array(self.origin, ndim=1))
-        object.__setattr__(self, "spacing", _frozen_array(self.spacing, ndim=1))
-        object.__setattr__(self, "counts", _frozen_array(self.counts, dtype=np.int64, ndim=1))
+        object.__setattr__(self, "origin", _frozen_array(self.origin, "grid origin", ndim=1))
+        object.__setattr__(self, "spacing", _frozen_array(self.spacing, "grid spacing", ndim=1))
+        object.__setattr__(self, "counts",
+                           _frozen_array(self.counts, "grid counts", dtype=np.int64, ndim=1))
         dim = self.origin.size
         if dim not in (2, 3):
             raise ValueError(f"grid dimension must be 2 or 3, got {dim}")
         if self.spacing.size != dim or self.counts.size != dim:
             raise ValueError("origin, spacing and counts must have equal length")
-        if not np.all(np.isfinite(self.origin)) or not np.all(np.isfinite(self.spacing)):
-            raise ValueError("grid origin and spacing must be finite")
         if np.any(self.spacing <= 0):
             raise ValueError("grid spacing must be positive on every axis")
         if np.any(self.counts < 2):
@@ -122,13 +130,11 @@ class ScalarField:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_array(self.values, ndim=1))
+        object.__setattr__(self, "values", _frozen_array(self.values, "field values", ndim=1))
         if self.values.size != self.grid.n_pixels:
             raise ValueError(
                 f"field has {self.values.size} values for a grid of "
                 f"{self.grid.n_pixels} pixels")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("field values must be finite")
 
     def reshape(self):
         """View shaped counts[::-1], so arr[..., iy, ix] indexes the field."""
@@ -144,11 +150,9 @@ class Disk:
     amplitude: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", _frozen_array(self.center, ndim=1))
+        object.__setattr__(self, "center", _frozen_array(self.center, "disk center", ndim=1))
         object.__setattr__(self, "radius", float(self.radius))
         object.__setattr__(self, "amplitude", float(self.amplitude))
-        if not np.all(np.isfinite(self.center)):
-            raise ValueError("disk center must be finite")
         if not self.radius > 0:
             raise ValueError("disk radius must be positive")
         if not abs(self.amplitude) <= 1.0:
@@ -209,17 +213,18 @@ class TransducerArray:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "positions", _frozen_array(self.positions, ndim=2))
-        object.__setattr__(self, "weights", _frozen_array(self.weights, ndim=1))
         object.__setattr__(self, "radius", float(self.radius))
+        if not 0 < self.radius < np.inf:
+            raise ValueError("aperture radius must be positive and finite")
+        object.__setattr__(self, "positions",
+                           _frozen_array(self.positions, "transducer positions", ndim=2))
+        object.__setattr__(self, "weights",
+                           _frozen_array(self.weights, "transducer weights", ndim=1))
         if self.positions.shape[1] != 3:
             raise ValueError("transducer positions must be 3d points")
         if self.weights.size != self.n:
             raise ValueError("positions and weights must agree in length")
-        if not self.radius > 0:
-            raise ValueError("aperture radius must be positive")
         r = np.linalg.norm(self.positions, axis=1)
-        # written as "not within" so that NaN positions and weights fail too
         if not np.all(np.abs(r - self.radius) <= 1e-12 * self.radius):
             raise ValueError("transducer positions must lie on the aperture, |z| = R")
         measure = 4 * np.pi * self.radius ** 2
@@ -249,8 +254,6 @@ def make_transducer_array(n, radius):
     """Equal-weight transducer layout on the unit lattice (see _unit_lattice)."""
     if n < 4:
         raise ValueError("need at least 4 transducers")
-    if not radius > 0:
-        raise ValueError("aperture radius must be positive")
     weights = np.full(n, 4 * np.pi * radius ** 2 / n)
     return TransducerArray(positions=radius * _unit_lattice(n), weights=weights,
                            radius=radius)
@@ -282,12 +285,11 @@ class BoundaryElectrodes:
         if grid.dim != 2:
             raise ValueError("boundary electrodes require a 2d grid")
         nx, ny = int(grid.counts[0]), int(grid.counts[1])
-        object.__setattr__(self, "current", _frozen_array(self.current, ndim=1))
+        object.__setattr__(self, "current",
+                           _frozen_array(self.current, "electrode current", ndim=1))
         if self.current.size != 2 * (nx + ny):
             raise ValueError(f"{self.current.size} currents for the "
                              f"{2 * (nx + ny)} boundary faces of the grid")
-        if not np.all(np.isfinite(self.current)):
-            raise ValueError("electrode current must be finite")
         hx, hy = float(grid.spacing[0]), float(grid.spacing[1])
         lo, hi = grid.bounds()
         ax, ay = grid.axes()
@@ -300,10 +302,10 @@ class BoundaryElectrodes:
             np.concatenate([ay, ay, np.full(nx, lo[1]), np.full(nx, hi[1])])], axis=1)
         across = np.repeat([hx, hy], [2 * ny, 2 * nx])
         along = np.repeat([hy, hx], [2 * ny, 2 * nx])
-        object.__setattr__(self, "cells", _frozen_array(ix + nx * iy, dtype=np.int64))
-        object.__setattr__(self, "points", _frozen_array(points))
-        object.__setattr__(self, "normal_spacing", _frozen_array(across))
-        object.__setattr__(self, "segment_length", _frozen_array(along))
+        object.__setattr__(self, "cells", _frozen_array(ix + nx * iy, "electrode cells", np.int64))
+        object.__setattr__(self, "points", _frozen_array(points, "electrode points"))
+        object.__setattr__(self, "normal_spacing", _frozen_array(across, "normal spacing"))
+        object.__setattr__(self, "segment_length", _frozen_array(along, "segment length"))
 
     @property
     def n(self):
@@ -332,13 +334,11 @@ class KernelMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_array(self.values, ndim=2))
+        object.__setattr__(self, "values", _frozen_array(self.values, "kernel entries", ndim=2))
         if self.values.shape[1] != self.grid.n_pixels:
             raise ValueError(
                 f"kernel has {self.values.shape[1]} columns for a grid of "
                 f"{self.grid.n_pixels} pixels")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("kernel entries must be finite")
 
     @property
     def n_electrodes(self):

@@ -70,7 +70,8 @@ class ConductionSolution:
     residual: float
 
     def __post_init__(self):
-        object.__setattr__(self, "boundary_trace", _frozen_array(self.boundary_trace, ndim=1))
+        object.__setattr__(self, "boundary_trace",
+                           _frozen_array(self.boundary_trace, "boundary trace", ndim=1))
         object.__setattr__(self, "residual", float(self.residual))
 
 

@@ -55,6 +55,13 @@ def _frequency_spacing(freqs):
     return dlam
 
 
+def _check_radii(radii):
+    """Reject radii unless nonempty, finite, positive and uniformly spaced."""
+    _uniform_spacing(radii, "radii")
+    if radii[0] <= 0:
+        raise ValueError("radii must be positive")
+
+
 @dataclass(frozen=True, eq=False)
 class SphericalMeanData:
     """Spherical surface integrals of the kernel columns.
@@ -68,16 +75,12 @@ class SphericalMeanData:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "radii", _frozen_array(self.radii, ndim=1))
-        object.__setattr__(self, "values", _frozen_array(self.values, ndim=3))
-        _uniform_spacing(self.radii, "radii")
-        if self.radii[0] <= 0:
-            raise ValueError("radii must start above 0")
+        object.__setattr__(self, "radii", _frozen_array(self.radii, "radii", ndim=1))
+        object.__setattr__(self, "values", _frozen_array(self.values, "values", ndim=3))
+        _check_radii(self.radii)
         n_t, n_r, _ = self.values.shape
         if n_t != self.array.n or n_r != self.radii.size:
             raise ValueError("values shape must be (n_transducers, n_radii, n_electrodes)")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("values must be finite")
 
     def axes(self):
         return [("radius", self.radii)]
@@ -93,15 +96,14 @@ class MonochromaticData:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "frequencies", _frozen_array(self.frequencies, ndim=1))
+        object.__setattr__(self, "frequencies",
+                           _frozen_array(self.frequencies, "frequencies", ndim=1))
         object.__setattr__(self, "values",
-                           _frozen_array(self.values, dtype=complex, ndim=3))
+                           _frozen_array(self.values, "values", dtype=complex, ndim=3))
         _frequency_spacing(self.frequencies)
         n_t, n_f, _ = self.values.shape
         if n_t != self.array.n or n_f != self.frequencies.size:
             raise ValueError("values shape must be (n_transducers, n_freqs, n_electrodes)")
-        if not np.all(np.isfinite(self.values.view(float))):
-            raise ValueError("values must be finite")
 
     def axes(self):
         return [("frequency", self.frequencies)]
@@ -121,11 +123,9 @@ class FourierData:
 
     def __post_init__(self):
         object.__setattr__(self, "values",
-                           _frozen_array(self.values, dtype=complex, ndim=2))
+                           _frozen_array(self.values, "values", dtype=complex, ndim=2))
         if self.values.shape[0] != self.grid.n_pixels:
             raise ValueError("values rows must match the k-lattice size")
-        if not np.all(np.isfinite(self.values.view(float))):
-            raise ValueError("values must be finite")
 
     @property
     def kgrid(self):
@@ -145,14 +145,12 @@ class Sinogram:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "angles", _frozen_array(self.angles, ndim=1))
-        object.__setattr__(self, "offsets", _frozen_array(self.offsets, ndim=1))
-        object.__setattr__(self, "values", _frozen_array(self.values, ndim=3))
+        object.__setattr__(self, "angles", _frozen_array(self.angles, "angles", ndim=1))
+        object.__setattr__(self, "offsets", _frozen_array(self.offsets, "offsets", ndim=1))
+        object.__setattr__(self, "values", _frozen_array(self.values, "values", ndim=3))
         _check_sinogram_axes(self.angles, self.offsets)
         if self.values.shape[:2] != (self.angles.size, self.offsets.size):
             raise ValueError("values shape must be (n_angles, n_offsets, n_electrodes)")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("values must be finite")
 
     def axes(self):
         return [("angle", self.angles), ("offset", self.offsets)]
@@ -231,9 +229,7 @@ def measure_spherical_pulse(kernel, array, radii, oversample=1):
     if grid.dim != 3:
         raise ValueError("measure_spherical_pulse needs a 3d kernel grid")
     radii = np.asarray(radii, dtype=float)
-    _uniform_spacing(radii, "radii")
-    if np.any(radii <= 0):
-        raise ValueError("radii must be positive")
+    _check_radii(radii)
     tmax = array.radius + grid.diameter
     if np.any(radii > tmax * (1 + 1e-12)):
         raise ValueError("radii must lie within (0, R + domain diameter]")

@@ -16,7 +16,8 @@ from synfocus.core import (
     make_transducer_array,
     square_boundary_electrodes,
 )
-from synfocus.forward_eit import left_right_current_pattern
+from synfocus.forward_eit import ConductionSolution, left_right_current_pattern
+from synfocus.wavegen import FourierData, MonochromaticData, Sinogram, SphericalMeanData
 
 from conftest import centered_grid
 
@@ -66,6 +67,14 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(origin=(0.0, 0.0), spacing=(1.0, 1.0), counts=(4, 1))
 
+    def test_counts_must_be_whole_numbers(self):
+        # 2.9 used to truncate to 2, and 1e30 to raise OverflowError
+        for counts in ((2.9, 3), (1e30, 3)):
+            with pytest.raises(ValueError, match="grid counts must be integers"):
+                Grid(origin=(0.0, 0.0), spacing=(1.0, 1.0), counts=counts)
+        g = Grid(origin=(0.0, 0.0), spacing=(1.0, 1.0), counts=(64.0, 3))
+        assert g.counts.dtype == np.int64 and g.counts.tolist() == [64, 3]
+
     def test_arrays_are_read_only(self):
         g = centered_grid(4, 2)
         with pytest.raises(ValueError):
@@ -105,6 +114,62 @@ class TestArrayContainers:
             assert x == x and not x != x
             assert x != y and not x == y
             assert hash(x) == hash(x)
+
+    @staticmethod
+    def _valid_args(container):
+        """Valid constructor arguments of ``container``."""
+        g = Grid(origin=(0.0, 1.0), spacing=(0.5, 0.25), counts=(3, 2))
+        arr = make_transducer_array(6, 1.0)
+        return {
+            Grid: dict(origin=(0.0, 1.0), spacing=(0.5, 0.25), counts=(3, 2)),
+            ScalarField: dict(grid=g, values=np.ones(6)),
+            Disk: dict(center=(0.0, 0.0), radius=0.1, amplitude=0.05),
+            TransducerArray: dict(positions=arr.positions, weights=arr.weights, radius=1.0),
+            BoundaryElectrodes: dict(grid=g, current=np.zeros(10)),
+            KernelMatrix: dict(grid=g, values=np.ones((2, 6))),
+            ConductionSolution: dict(potential=ScalarField(g, np.zeros(6)),
+                                     boundary_trace=np.zeros(10), residual=0.0),
+            SphericalMeanData: dict(array=arr, radii=(0.5, 1.0, 1.5),
+                                    values=np.zeros((6, 3, 1))),
+            MonochromaticData: dict(array=arr, frequencies=(2.0, 4.0),
+                                    values=np.zeros((6, 2, 1), complex)),
+            FourierData: dict(grid=g, values=np.zeros((6, 1), complex)),
+            Sinogram: dict(angles=(0.0, np.pi / 2), offsets=(-1.0, 0.0, 1.0),
+                           values=np.zeros((2, 3, 1))),
+        }[container]
+
+    @pytest.mark.parametrize("container, field, name", [
+        (Grid, "origin", "grid origin"),
+        (Grid, "spacing", "grid spacing"),
+        (Grid, "counts", "grid counts"),
+        (ScalarField, "values", "field values"),
+        (Disk, "center", "disk center"),
+        (TransducerArray, "positions", "transducer positions"),
+        (TransducerArray, "weights", "transducer weights"),
+        (BoundaryElectrodes, "current", "electrode current"),
+        (KernelMatrix, "values", "kernel entries"),
+        (ConductionSolution, "boundary_trace", "boundary trace"),
+        (SphericalMeanData, "radii", "radii"),
+        (SphericalMeanData, "values", "values"),
+        (MonochromaticData, "frequencies", "frequencies"),
+        (MonochromaticData, "values", "values"),
+        (FourierData, "values", "values"),
+        (Sinogram, "angles", "angles"),
+        (Sinogram, "offsets", "offsets"),
+        (Sinogram, "values", "values"),
+    ], ids=lambda v: v.__name__ if isinstance(v, type) else v)
+    def test_non_finite_array_rejected_by_name(self, container, field, name):
+        args = self._valid_args(container)
+        container(**args)
+        base = np.asarray(args[field]) + 0.0   # integer counts become float
+        bads = [np.nan, np.inf, -np.inf]
+        if base.dtype.kind == "c":
+            bads.append(complex(0.0, np.nan))
+        for bad in bads:
+            values = base.copy()
+            values.flat[-1] = bad
+            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                container(**{**args, field: values})
 
 
 class TestScalarField:
@@ -181,14 +246,26 @@ class TestTransducerArray:
         with pytest.raises(ValueError, match=r"\|z\| = R"):
             TransducerArray(positions=bad, weights=arr.weights, radius=1.0)
 
-    @pytest.mark.parametrize("field, message", [("positions", "lie on the aperture"),
-                                                ("weights", "sum to the aperture measure")])
+    @pytest.mark.parametrize("field, message", [
+        ("positions", "transducer positions must be finite"),
+        ("weights", "transducer weights must be finite")])
     def test_nan_rejected(self, field, message):
         arr = make_transducer_array(6, radius=1.0)
         args = dict(positions=arr.positions.copy(), weights=arr.weights.copy(), radius=1.0)
         args[field].flat[0] = np.nan
         with pytest.raises(ValueError, match=message):
             TransducerArray(**args)
+
+    @pytest.mark.parametrize("radius", [np.inf, np.nan, 0.0, -1.0])
+    def test_radius_must_be_positive_and_finite(self, radius):
+        # an infinite radius used to pass both aperture tests (they
+        # compare against inf) and give all-zero normals
+        arr = make_transducer_array(6, radius=1.0)
+        with pytest.raises(ValueError, match="aperture radius must be positive and finite"):
+            TransducerArray(positions=arr.positions, weights=arr.weights, radius=radius)
+        if not np.isinf(radius):   # inf times the lattice's zeros warns first
+            with pytest.raises(ValueError, match="aperture radius must be positive and finite"):
+                make_transducer_array(6, radius=radius)
 
     def test_planar_positions_rejected(self):
         ang = 2.0 * np.pi * np.arange(6) / 6
