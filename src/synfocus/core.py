@@ -153,8 +153,8 @@ class Disk:
         object.__setattr__(self, "center", _frozen_array(self.center, "disk center", ndim=1))
         object.__setattr__(self, "radius", float(self.radius))
         object.__setattr__(self, "amplitude", float(self.amplitude))
-        if not self.radius > 0:
-            raise ValueError("disk radius must be positive")
+        if not 0 < self.radius < np.inf:
+            raise ValueError("disk radius must be positive and finite")
         if not abs(self.amplitude) <= 1.0:
             raise ValueError("disk amplitude must lie in [-1, 1]")
 
@@ -255,8 +255,9 @@ def make_transducer_array(n, radius):
     if n < 4:
         raise ValueError("need at least 4 transducers")
     weights = np.full(n, 4 * np.pi * radius ** 2 / n)
-    return TransducerArray(positions=radius * _unit_lattice(n), weights=weights,
-                           radius=radius)
+    with np.errstate(invalid="ignore"):  # inf * 0: TransducerArray rejects the radius
+        positions = radius * _unit_lattice(n)
+    return TransducerArray(positions=positions, weights=weights, radius=radius)
 
 
 @dataclass(frozen=True, eq=False)

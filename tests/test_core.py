@@ -211,6 +211,13 @@ class TestPhantom:
         with pytest.raises(ValueError, match="disk 0"):
             build_phantom_disks(g, [Disk(center=(0.45, 0.0), radius=0.2, amplitude=0.1)])
 
+    @pytest.mark.parametrize("radius", [np.inf, np.nan, 0.0, -0.1])
+    def test_radius_must_be_positive_and_finite(self, radius):
+        # an infinite radius used to pass and be rejected only by
+        # build_phantom_disks, as a disk outside the domain box
+        with pytest.raises(ValueError, match="disk radius must be positive and finite"):
+            Disk(center=(0.0, 0.0), radius=radius, amplitude=0.1)
+
     def test_amplitude_bound(self):
         with pytest.raises(ValueError):
             Disk(center=(0.0, 0.0), radius=0.1, amplitude=1.5)
@@ -263,9 +270,9 @@ class TestTransducerArray:
         arr = make_transducer_array(6, radius=1.0)
         with pytest.raises(ValueError, match="aperture radius must be positive and finite"):
             TransducerArray(positions=arr.positions, weights=arr.weights, radius=radius)
-        if not np.isinf(radius):   # inf times the lattice's zeros warns first
-            with pytest.raises(ValueError, match="aperture radius must be positive and finite"):
-                make_transducer_array(6, radius=radius)
+        # inf times the lattice's zeros must not warn before the check
+        with pytest.raises(ValueError, match="aperture radius must be positive and finite"):
+            make_transducer_array(6, radius=radius)
 
     def test_planar_positions_rejected(self):
         ang = 2.0 * np.pi * np.arange(6) / 6

@@ -1,4 +1,6 @@
+import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -203,16 +205,35 @@ class TestValueFormat:
         save_table_csv(p, [], [], values[:3 * cols].reshape(3, cols))
         _assert_value_lines(p, texts[:3 * cols], cols)
 
-    def test_without_extended_precision(self, tmp_path, monkeypatch, patterns):
-        """Where longdouble has no 64-bit mantissa every nonzero value
-        takes the '%.16e' path; the bytes stay the same."""
-        monkeypatch.setattr(synfocus.io, "_FAST", False)
-        values, texts = patterns
-        vals = np.concatenate([values[:2**14], _edge_values()])
-        texts = np.concatenate([texts[:2**14], ["%.16e" % v for v in _edge_values().tolist()]])
-        p = tmp_path / "s.csv"
+    def test_exact_ties_and_the_edges_of_the_fast_range(self, tmp_path):
+        """Values whose 17-digit product x * 10**(16 - e) lies exactly on a
+        half, 1 + (2j+1) * 2**-17 and odd m * 2**-(17 - e) in every decade
+        e = -6..15, and the 64 doubles on each side of 1e-07, 1e-06, 1e16
+        and 1e17, where the decimal exponent leaves -6..16 (1e-06 itself
+        is a little below 10**-6)."""
+        rng = np.random.default_rng(5)
+        ties = [1 + (2 * j + 1) * 2.0**-17 for j in range(256)]
+        for e in range(-6, 16):
+            q = 17 - e
+            lo = math.ceil(Fraction(10)**e * 2**q)
+            hi = min(math.floor(Fraction(10)**(e + 1) * 2**q), 2**53)
+            ties += [math.ldexp(m | 1, -q) for m in rng.integers(lo, hi - 1, 64).tolist()]
+        for x in ties:
+            e = math.floor(math.log10(x))
+            assert (Fraction(x) * Fraction(10)**(16 - e)).denominator == 2
+        edges = []
+        for power in (1e-7, 1e-6, 1e16, 1e17):
+            below = above = power
+            for _ in range(64):
+                below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+                edges += [below, above]
+            edges.append(power)
+        vals = np.array(ties + edges)
+        vals = np.concatenate([vals, -vals])
+        p = tmp_path / "t.csv"
         save_table_csv(p, [], [], vals.reshape(-1, 2))
-        _assert_value_lines(p, texts, 2)
+        _assert_value_lines(p, ["%.16e" % v for v in vals.tolist()], 2)
+        _assert_same_bits(load_table_csv(p)[1], vals)
 
     @pytest.mark.parametrize("shape", [(0, 5), (3, 0), (0, 0), (2, 0, 4), (4, 2, 0)])
     @pytest.mark.parametrize("dtype", [float, complex])
