@@ -7,6 +7,9 @@ Conventions shared by every module in the package:
 * a grid's origin is the coordinate of the first pixel center; pixel i
   sits at origin + i*spacing and the domain box extends half a spacing
   beyond the outermost centers
+* index coordinates u = (x - origin) / spacing of points on a grid are
+  coordinate-major, shape (dim, n_points), so each axis is one contiguous
+  row (see _stencil)
 * containers are frozen after construction and their arrays are read-only
   and finite, both enforced by _frozen_array; a Grid compares by value,
   every container holding an array by identity
@@ -23,6 +26,7 @@ import numpy as np
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 _GATHER_BLOCK = 1 << 15   # points per stencil in _interp, bounding its memory
+_MAX_APERTURE_RADIUS = 1e150   # squares of coordinates and 4 pi R^2 stay finite
 
 
 def _frozen_array(a, name, dtype=float, ndim=None):
@@ -213,9 +217,7 @@ class TransducerArray:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "radius", float(self.radius))
-        if not 0 < self.radius < np.inf:
-            raise ValueError("aperture radius must be positive and finite")
+        object.__setattr__(self, "radius", self._checked_radius(self.radius))
         object.__setattr__(self, "positions",
                            _frozen_array(self.positions, "transducer positions", ndim=2))
         object.__setattr__(self, "weights",
@@ -230,6 +232,16 @@ class TransducerArray:
         measure = 4 * np.pi * self.radius ** 2
         if not abs(self.weights.sum() - measure) <= 1e-6 * measure:
             raise ValueError("quadrature weights must sum to the aperture measure")
+
+    @staticmethod
+    def _checked_radius(radius):
+        """``radius`` as a float, rejected unless positive and at most
+        _MAX_APERTURE_RADIUS, where R^2 and 4 pi R^2 are still finite."""
+        radius = float(radius)
+        if not 0 < radius <= _MAX_APERTURE_RADIUS:
+            raise ValueError("aperture radius must be positive and finite, "
+                             f"at most {_MAX_APERTURE_RADIUS:g}")
+        return radius
 
     @property
     def n(self):
@@ -254,10 +266,9 @@ def make_transducer_array(n, radius):
     """Equal-weight transducer layout on the unit lattice (see _unit_lattice)."""
     if n < 4:
         raise ValueError("need at least 4 transducers")
+    radius = TransducerArray._checked_radius(radius)
     weights = np.full(n, 4 * np.pi * radius ** 2 / n)
-    with np.errstate(invalid="ignore"):  # inf * 0: TransducerArray rejects the radius
-        positions = radius * _unit_lattice(n)
-    return TransducerArray(positions=positions, weights=weights, radius=radius)
+    return TransducerArray(positions=radius * _unit_lattice(n), weights=weights, radius=radius)
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,7 +363,7 @@ class KernelMatrix:
 
 def _stencil(grid, u):
     """Multilinear interpolation stencil at index coordinates ``u``
-    (n_points, dim), u = (x - origin) / spacing, on the grid padded by one
+    (dim, n_points), u = (x - origin) / spacing, on the grid padded by one
     zero layer on every side (see _padded_rows).
 
     Returns (near, index, weight): the indices of the points within one
@@ -361,9 +372,9 @@ def _stencil(grid, u):
     (n_near, 2^dim), in itertools.product((0, 1), repeat=dim) order.
     Corners outside the grid land on the zero layer, so the hull rolls off
     linearly."""
-    inside = (u > -1.0) & (u < grid.counts)
-    near = np.flatnonzero(functools.reduce(operator.and_, inside.T))
-    u = np.ascontiguousarray(np.take(u, near, axis=0).T)
+    inside = (u > -1.0) & (u < grid.counts[:, None])
+    near = np.flatnonzero(functools.reduce(operator.and_, inside))
+    u = np.take(u, near, axis=1)
     lo = np.floor(u)
     frac = u - lo
     strides = np.cumprod(np.concatenate([[1], grid.counts[:-1] + 2]))
@@ -389,13 +400,13 @@ def _padded_rows(grid, columns):
 
 def _interp(grid, columns, u):
     """Multilinear interpolation of every row of ``columns`` (n_cols,
-    n_pixels) at index coordinates ``u`` (n_points, dim), returned as
+    n_pixels) at index coordinates ``u`` (dim, n_points), returned as
     (n_points, n_cols): the weighted gather of the stencil from the
     zero-padded rows (see _stencil for the roll-off)."""
     rows = _padded_rows(grid, columns)
-    out = np.zeros((u.shape[0], columns.shape[0]))
-    for p0 in range(0, u.shape[0], _GATHER_BLOCK):
-        near, index, weight = _stencil(grid, u[p0:p0 + _GATHER_BLOCK])
+    out = np.zeros((u.shape[1], columns.shape[0]))
+    for p0 in range(0, u.shape[1], _GATHER_BLOCK):
+        near, index, weight = _stencil(grid, u[:, p0:p0 + _GATHER_BLOCK])
         out[p0 + near] = sum(weight[:, c, None] * np.take(rows, index[:, c], axis=0)
                              for c in range(index.shape[1]))
     return out

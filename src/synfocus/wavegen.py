@@ -183,28 +183,33 @@ def default_offsets(grid, n):
 
 
 def _cap_frame(z, c):
-    """Orthonormal rows turning the unit lattice's pole +z from z toward c,
-    and the distance |c - z|; z = c keeps the lattice."""
-    dist = float(np.linalg.norm(c - z))
-    if dist == 0.0:
-        return np.eye(3), dist
-    a = (c - z) / dist
-    e1 = np.cross(a, np.eye(3)[np.argmin(np.abs(a))])
-    e1 /= np.linalg.norm(e1)
-    return np.array([e1, np.cross(a, e1), a]), dist
+    """Orthonormal rows, shape (..., 3, 3), turning the unit lattice's pole
+    +z from each point z (..., 3) toward c, and the distances |c - z|;
+    z = c keeps the lattice."""
+    d = c - z
+    dist = np.linalg.norm(d, axis=-1)
+    turned = dist > 0.0
+    # the pole stands in for the direction where z = c, so nothing divides by 0
+    a = np.where(turned[..., None], d, (0.0, 0.0, 1.0)) / np.where(turned, dist, 1.0)[..., None]
+    e1 = np.cross(a, np.eye(3)[np.argmin(np.abs(a), axis=-1)])
+    e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
+    frame = np.stack([e1, np.cross(a, e1), a], axis=-2)
+    frame[~turned] = np.eye(3)
+    return frame, dist
 
 
 def _cap_sizes(n, t, dist, rho):
-    """Point counts, one per sphere (arrays n, t), of the caps of the n-point
-    lattices turned by _cap_frame whose points at radius t can lie within
-    rho of c (see measure_spherical_pulse), widened by one index; a cap is
-    the lattice prefix of that many points."""
-    if dist == 0.0:
-        return n
-    b = (dist * dist + t * t - rho * rho) / (2.0 * dist * t)
+    """Point counts, one per sphere (arrays n, t and distances ``dist``,
+    broadcast), of the caps of the n-point lattices turned by _cap_frame
+    whose points at radius t can lie within rho of c (see
+    measure_spherical_pulse), widened by one index; a cap is the lattice
+    prefix of that many points, the whole lattice at dist = 0."""
+    turned = dist != 0.0
+    b = (dist * dist + t * t - rho * rho) / (2.0 * np.where(turned, dist, 1.0) * t)
     # Fibonacci heights 1 - (2k + 1) / n fall with k, so the cap is k < k_max;
     # bounded in floats, so no huge ceiling reaches int64
-    return np.minimum(n, np.maximum(0.0, np.ceil(0.5 * n * (1.0 - b))) + 1.0).astype(np.int64)
+    size = np.minimum(n, np.maximum(0.0, np.ceil(0.5 * n * (1.0 - b))) + 1.0)
+    return np.where(turned, size, n).astype(np.int64)
 
 
 def measure_spherical_pulse(kernel, array, radii, oversample=1):
@@ -221,9 +226,10 @@ def measure_spherical_pulse(kernel, array, radii, oversample=1):
     points with cos(theta) >= (D^2 + t^2 - rho^2) / (2 D t), D = |c - z_i|,
     can reach the box; only that cap (a Fibonacci index prefix) is
     generated, once per radius and cap size.  The turned points go to the
-    stencil in index coordinates,
-    block @ (frame / spacing) + (z_i - origin) / spacing, and the grid's
-    zero layer gives the roll-off outside it (see core._stencil).
+    stencil in coordinate-major index coordinates, one product and one add
+    (frame / spacing)^T @ block + (z_i - origin) / spacing per (3, size)
+    block of caps, and the grid's zero layer gives the roll-off outside it
+    (see core._stencil).
     """
     grid = kernel.grid
     if grid.dim != 3:
@@ -249,24 +255,28 @@ def measure_spherical_pulse(kernel, array, radii, oversample=1):
     center = 0.5 * (box_lo + box_hi)
     rho = 0.5 * float(np.linalg.norm(box_hi - box_lo))
     budget = 2_000_000 // kernel.n_electrodes   # 2 M gathered values per chunk
-    # cap blocks radii[k] * lattice[:size], by (k, cap size)
+    # cap blocks radii[k] * lattice[:size], coordinate-major, by (k, cap size)
     blocks = {}
 
     def cap_block(k, size):
         if (k, size) not in blocks:
-            blocks[k, size] = radii[k] * _unit_lattice(int(n_points[k]), size)
+            blocks[k, size] = np.ascontiguousarray(
+                radii[k] * _unit_lattice(int(n_points[k]), size).T)
         return blocks[k, size]
 
+    z = array.positions
+    # spheres that miss the support box or enclose it integrate to zero
+    d_min = np.linalg.norm(z - np.clip(z, box_lo, box_hi), axis=1)
+    d_max = np.linalg.norm(np.maximum(np.abs(z - box_lo), np.abs(z - box_hi)), axis=1)
+    hits = (radii >= d_min[:, None]) & (radii <= d_max[:, None])
+    frames, dist = _cap_frame(z, center)
+    all_sizes = _cap_sizes(n_points, radii, dist[:, None], rho)
+    # index coordinates of z + frame^T block, as one product and one add
+    scaled = np.swapaxes(frames / grid.spacing, 1, 2)
+    shifts = ((z - grid.origin) / grid.spacing)[:, :, None]
     for i in range(array.n):
-        z = array.positions[i]
-        # spheres that miss the support box or enclose it integrate to zero
-        d_min = np.linalg.norm(z - np.clip(z, box_lo, box_hi))
-        d_max = np.linalg.norm(np.maximum(np.abs(z - box_lo), np.abs(z - box_hi)))
-        active = np.nonzero((radii >= d_min) & (radii <= d_max))[0]
-        frame, dist = _cap_frame(z, center)
-        # index coordinates of z + block @ frame, as one product and one add
-        scaled, shift = frame / grid.spacing, (z - grid.origin) / grid.spacing
-        sizes = _cap_sizes(n_points[active], radii[active], dist, rho)
+        active = np.flatnonzero(hits[i])
+        sizes = all_sizes[i, active]
         begins = np.concatenate([[0], np.cumsum(sizes)])
         start = 0
         while start < active.size:
@@ -276,10 +286,10 @@ def measure_spherical_pulse(kernel, array, radii, oversample=1):
             ks = active[start:stop]
             block = np.concatenate(
                 [cap_block(k, size) for k, size in zip(ks.tolist(), sizes[start:stop].tolist())],
-                axis=0)
+                axis=1)
             offsets = begins[start:stop] - begins[start]
-            u = block @ scaled
-            u += shift
+            u = scaled[i] @ block
+            u += shifts[i]
             cols = _interp(grid, kernel.values, u)
             sums = np.add.reduceat(cols, offsets, axis=0)
             values[i, ks, :] = weights[ks, None] * sums
@@ -299,11 +309,12 @@ def measure_monochromatic(kernel, array, frequencies):
     step = exp(i dlam r).  Per transducer the sums take two complex
     exponentials (one when the lattice starts at its own spacing, lam_0 =
     dlam to a few ulps as default_frequencies gives, since exp(i lam_0 r)
-    is then the step), the rows U[p] = step^p (p < B) and
-    V[q] = area / (4 pi r) exp(i lam_0 r) (step^B)^q (q < Q) at one
-    multiply each, with step^B continuing U's recurrence, and one complex
-    GEMM (kernel * U)(n_el B, n_px) @ V^T(n_px, Q), cropped to n_f: about
-    (2 + n_el) sqrt(n_f) pixel-length row operations where a recurrence
+    is then the step), the rows U[p] = step^p (p < B) and, per electrode
+    j with the real amplitude row a_j = kernel_j area / (4 pi r),
+    V_j[q] = exp(i lam_0 r) a_j (step^B)^q (q < Q) at one multiply each,
+    with step^B continuing U's recurrence, and one complex GEMM
+    U(B, n_px) @ V^T(n_px, n_el Q), cropped to n_f: about
+    (1 + n_el) sqrt(n_f) pixel-length row operations where a recurrence
     over the frequencies takes 2 n_f.  Entry q B + p carries p roundings
     from U and q from V, but step^B carries B of its own, so the
     worst-case phase error is still of order n_f roundings, as for the
@@ -329,7 +340,9 @@ def measure_monochromatic(kernel, array, frequencies):
 
 def _green_sums(kernel, positions, lam0, dlam, n_f):
     """values[i, m, j] of measure_monochromatic for lam_m = lam0 + m dlam,
-    by the two-level split of its docstring."""
+    by the two-level split of its docstring, with each electrode's kernel
+    row folded into its own rows V_j rather than multiplied onto U: about
+    (1 + n_el) sqrt(n_f) row multiplies per pixel block."""
     grid = kernel.grid
     n_el, n_px = kernel.n_electrodes, grid.n_pixels
     n_b = int(np.ceil(np.sqrt(n_f)))
@@ -338,10 +351,10 @@ def _green_sums(kernel, positions, lam0, dlam, n_f):
     # the 4e6 complex-value budget: the coordinate rows, the GEMM's result,
     # its running sum and the output rows, and a ufunc buffer's worth for
     # the casts and small objects come off first; each pixel of a block
-    # then holds U, V, step^B, r with one real scratch row, and the n_el B
-    # product rows kernel * U
+    # then holds U, the n_el Q rows V, step^B and, as one complex row's
+    # floats each pair, r, a scratch row and the n_el amplitude rows a
     fixed = 0.5 * x.size + 3 * n_el * n_b * n_q + np.getbufsize()
-    n_rows = n_b + n_q + 2 + n_el * n_b
+    n_rows = n_b + n_el * n_q + 1 + -(-(n_el + 2) // 2)
     block = min(n_px, max(1, int((4e6 - fixed) // n_rows)))
     work = np.empty(n_rows * block, dtype=complex)
     # a lattice that starts at its own spacing (default_frequencies; the
@@ -353,12 +366,13 @@ def _green_sums(kernel, positions, lam0, dlam, n_f):
         for p0 in range(0, n_px, block):
             n = min(block, n_px - p0)
             px = slice(p0, p0 + n)
-            # the work rows of this block: U, V, step^B, r and a scratch
-            # row as one complex row's floats, then the product rows
+            # the work rows of this block: U, V (q-major), step^B, then r,
+            # a scratch row and the amplitude rows as complex rows' floats
             rows = work[:n_rows * n].reshape(n_rows, n)
-            U, V, ratio = rows[:n_b], rows[n_b:n_b + n_q], rows[n_b + n_q]
-            r, s = rows[n_b + n_q + 1].view(float).reshape(2, n)
-            prod = rows[n_b + n_q + 2:]
+            U, ratio = rows[:n_b], rows[n_b + n_el * n_q]
+            V = rows[n_b:n_b + n_el * n_q].reshape(n_q, n_el, n)
+            reals = rows[n_b + n_el * n_q + 1:].view(float).reshape(-1, n)
+            r, s, a = reals[0], reals[1], reals[2:2 + n_el]
             # r = sqrt(d0*d0 + d1*d1 + d2*d2) from the coordinate rows
             np.subtract(x[0, px], z[0], out=r)
             r *= r
@@ -371,23 +385,25 @@ def _green_sums(kernel, positions, lam0, dlam, n_f):
             if n_b > 1:
                 np.multiply(r, 1j * dlam, out=U[1])
                 np.exp(U[1], out=U[1])
+            # exp(i lam0 r), in step^B's row until step^B is formed
+            phase = U[1] if start_is_step else ratio
             if not start_is_step:
-                np.multiply(r, 1j * lam0, out=V[0])
-                np.exp(V[0], out=V[0])
+                np.multiply(r, 1j * lam0, out=phase)
+                np.exp(phase, out=phase)
+            # a_j = k_j area / (4 pi r) and V_j[0] = exp(i lam0 r) a_j
             np.multiply(r, 4.0 * np.pi, out=s)
             np.divide(grid.pixel_measure, s, out=s)
-            np.multiply(U[1] if start_is_step else V[0], s, out=V[0])
+            np.multiply(kernel.values[:, px], s, out=a)
+            np.multiply(a, phase, out=V[0])
             for p in range(2, n_b):
                 np.multiply(U[p - 1], U[1], out=U[p])
             if n_q > 1:
                 np.multiply(U[n_b - 1], U[1], out=ratio)
             for q in range(1, n_q):
                 np.multiply(V[q - 1], ratio, out=V[q])
-            np.multiply(kernel.values[:, None, px], U[None],
-                        out=prod.reshape(n_el, n_b, n))
-            sums = sums + prod @ V.T
-        # frequency q B + p of electrode j is sums[j B + p, q]
-        values[i] = sums.reshape(n_el, n_b, n_q).transpose(2, 1, 0).reshape(-1, n_el)[:n_f]
+            sums = sums + U @ V.reshape(n_q * n_el, n).T
+        # frequency q B + p of electrode j is sums[p, q n_el + j]
+        values[i] = sums.reshape(n_b, n_q, n_el).transpose(1, 0, 2).reshape(-1, n_el)[:n_f]
     return values
 
 
@@ -472,8 +488,9 @@ def measure_line_integrals(kernel, angles, offsets):
     for a0 in range(0, angles.size, chunk):
         ang = angles[a0:a0 + chunk, None, None]
         c, s = np.cos(ang), np.sin(ang)
-        pts = np.stack((offsets[:, None] * c - tau * s, offsets[:, None] * s + tau * c), -1)
-        near, index, weight = _stencil(grid, (pts.reshape(-1, 2) - grid.origin) / grid.spacing)
+        pts = np.stack((offsets[:, None] * c - tau * s, offsets[:, None] * s + tau * c))
+        u = (pts.reshape(2, -1) - grid.origin[:, None]) / grid.spacing[:, None]
+        near, index, weight = _stencil(grid, u)
         # the rows of P for these angles; the CSR conversion sums the
         # entries a pixel collects along a line
         P = scipy.sparse.csr_matrix(

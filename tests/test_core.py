@@ -274,6 +274,22 @@ class TestTransducerArray:
         with pytest.raises(ValueError, match="aperture radius must be positive and finite"):
             make_transducer_array(6, radius=radius)
 
+    @pytest.mark.parametrize("radius", [1e200, np.float64(1e200), 1.5e150])
+    def test_huge_finite_radius_rejected_by_name(self, radius):
+        # finite radii above 1e150; at 1e200, R^2 used to overflow (an
+        # OverflowError from the float power, a RuntimeWarning from numpy's
+        # squares) before the radius was named
+        arr = make_transducer_array(6, radius=1.0)
+        with pytest.raises(ValueError, match="aperture radius .* at most 1e\\+150"):
+            TransducerArray(positions=radius * arr.positions, weights=arr.weights, radius=radius)
+        with pytest.raises(ValueError, match="aperture radius .* at most 1e\\+150"):
+            make_transducer_array(6, radius=radius)
+
+    def test_largest_radius_accepted(self):
+        arr = make_transducer_array(6, radius=1e150)
+        assert arr.radius == 1e150
+        assert np.allclose(arr.weights.sum(), 4.0 * np.pi * 1e300)
+
     def test_planar_positions_rejected(self):
         ang = 2.0 * np.pi * np.arange(6) / 6
         pos = np.stack([np.cos(ang), np.sin(ang)], axis=1)
@@ -348,7 +364,7 @@ class TestKernelMatrix:
 
 def _index(grid, points):
     """Index coordinates (points - origin) / spacing, as _interp takes them."""
-    return (points - grid.origin) / grid.spacing
+    return ((points - grid.origin) / grid.spacing).T
 
 
 class TestInterpField:
@@ -389,12 +405,12 @@ class TestInterpField:
         g = Grid(origin=(-0.4, 0.1, -0.2)[:dim], spacing=(0.3, 0.2, 0.25)[:dim],
                  counts=(5, 4, 3)[:dim])
         hull = rng.uniform(0.0, 1.0, (500, dim)) * (g.counts - 1)
-        near, index, weight = _stencil(g, hull)
+        near, index, weight = _stencil(g, hull.T)
         assert near.size == hull.shape[0]
         assert index.shape == weight.shape == (hull.shape[0], 2 ** dim)
         assert np.max(np.abs(weight.sum(axis=1) - 1.0)) <= 1e-15
         shell = rng.uniform(-1.0, 1.0, (500, dim)) * (g.counts + 1) + 0.5 * (g.counts - 1)
-        _, index, weight = _stencil(g, np.concatenate([hull, shell]))
+        _, index, weight = _stencil(g, np.concatenate([hull, shell]).T)
         assert np.all(weight >= 0.0)
         assert np.all(index >= 0) and np.all(index < np.prod(g.counts + 2))
 

@@ -113,8 +113,8 @@ def _edge_values():
 def patterns():
     """2**20 random 64-bit patterns and their '%.16e' texts.  Every other
     pattern gets a binary exponent in [-40, 150], so the decimal exponents
-    also cover -10..42, which the writer formats in numpy, and both sides of
-    that range."""
+    also cover -6..16, which the writer formats in numpy (io._digits), and
+    both sides of that range."""
     bits = np.random.default_rng(12).integers(0, 2**64, size=2**20, dtype=np.uint64)
     exponent = np.random.default_rng(13).integers(1023 - 40, 1023 + 150, size=2**19,
                                                   dtype=np.uint64)

@@ -172,7 +172,7 @@ class TestSphericalPulse:
         gathered = []
 
         def counting(grid, columns, u):
-            gathered.append(u.shape[0] * columns.shape[0])
+            gathered.append(u.shape[1] * columns.shape[0])
             return _interp(grid, columns, u)
 
         monkeypatch.setattr(synfocus.wavegen, "_interp", counting)
@@ -277,7 +277,7 @@ class TestSphericalCap:
             frame, _ = _cap_frame(z, c)
             for k, t in enumerate(radii):
                 pts, weight = _turned_sphere(g, z, t, frame, oversample=1)
-                u = (pts - g.origin) / g.spacing
+                u = ((pts - g.origin) / g.spacing).T
                 expect[i, k] = weight * np.sum(_interp(g, kern.values, u), axis=0)
         assert np.max(np.abs(data.values - expect)) <= 1e-12 * np.max(np.abs(expect))
 
@@ -314,7 +314,7 @@ class TestSphericalCap:
                 n, weight = _sphere_rule(g, t, oversample=1)
                 cap = _reference_cap(n, t, dist, rho)
                 pts = z + t * _unit_lattice(n, cap.size) @ frame
-                u = (pts - g.origin) / g.spacing
+                u = ((pts - g.origin) / g.spacing).T
                 expect[i, k] = weight * np.sum(_interp(g, kern.values, u), axis=0)
                 sizes[i, k] = cap.size - n   # 0 for the full lattice
         # the case the cache key must tell apart: one transducer takes the
@@ -389,16 +389,20 @@ class TestMonochromatic:
     # the volumetric measures are 3-d; dim stays a parameter to keep the
     # case ids
     @pytest.mark.parametrize("dim", [3])
-    @pytest.mark.parametrize("n_f", [1, 2, 7, 16, 17, 500, "default3", "default7", "default64"])
-    def test_split_against_direct_exponentials(self, dim, n_f, rng):
+    @pytest.mark.parametrize("n_f, n_el", [
+        pytest.param(n_f, n_el, id=str(n_f) if n_el == 2 else f"{n_f}-{n_el}el")
+        for n_el in (2, 1, 3)
+        for n_f in (1, 2, 7, 16, 17, 500, "default3", "default7", "default64")])
+    def test_split_against_direct_exponentials(self, dim, n_f, n_el, rng):
         # B = ceil(sqrt(n_f)) rows of step powers times Q = ceil(n_f / B)
         # rows of step^B powers: B * Q > n_f at 7, 17 and 500, prime counts
         # 2, 7 and 17, squares 1 and 16.  These lattices start away from
         # their spacing and take two exponentials; default_frequencies on
         # 16^3 starts at it (at n = 3 and 7 one ulp off the mean spacing,
-        # at 64 bitwise), where the step doubles as exp(i lam_0 r)
+        # at 64 bitwise), where the step doubles as exp(i lam_0 r).  Each
+        # electrode has its own Q rows of V; the CLI's kernel has one
         g = centered_grid(6, dim)
-        cols = rng.standard_normal((2, g.n_pixels))
+        cols = rng.standard_normal((n_el, g.n_pixels))
         arr = make_transducer_array(5, radius=2.0)
         if isinstance(n_f, str):
             freqs = default_frequencies(centered_grid(16, 3), int(n_f[len("default"):]))
@@ -707,7 +711,7 @@ class TestLineIntegrals:
                 w = np.array([np.cos(ang), np.sin(ang)])
                 d = np.array([-np.sin(ang), np.cos(ang)])
                 pts = offsets[:, None, None] * w + tau[None, :, None] * d
-                cols = _interp(g, kern.values, (pts.reshape(-1, 2) - g.origin) / g.spacing)
+                cols = _interp(g, kern.values, ((pts.reshape(-1, 2) - g.origin) / g.spacing).T)
                 expect[a] = dtau * cols.reshape(offsets.size, tau.size, n_el).sum(axis=1)
             assert np.all(expect[:, [0, -1]] == 0.0)
             assert (np.max(np.abs(sino.values - expect))
@@ -846,7 +850,7 @@ class TestTransposes:
             frame, _ = _cap_frame(z, _support_center(g))
             for r, t in enumerate(radii):
                 pts, weight = _turned_sphere(g, z, t, frame, oversample=1)
-                _, index, w = _stencil(g, (pts - g.origin) / g.spacing)
+                _, index, w = _stencil(g, ((pts - g.origin) / g.spacing).T)
                 # binned over the padded grid, the zero layer cropped off
                 spread = np.bincount(index.ravel(), weights=w.ravel(),
                                      minlength=np.prod(padded)).reshape(padded)[inner].ravel()
