@@ -347,6 +347,8 @@ class KernelMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen_array(self.values, "kernel entries", ndim=2))
+        if self.values.shape[0] == 0:
+            raise ValueError("kernel needs at least one electrode row")
         if self.values.shape[1] != self.grid.n_pixels:
             raise ValueError(
                 f"kernel has {self.values.shape[1]} columns for a grid of "
@@ -398,13 +400,13 @@ def _padded_rows(grid, columns):
     return rows.reshape(-1, columns.shape[0])
 
 
-def _interp(grid, columns, u):
-    """Multilinear interpolation of every row of ``columns`` (n_cols,
-    n_pixels) at index coordinates ``u`` (dim, n_points), returned as
-    (n_points, n_cols): the weighted gather of the stencil from the
-    zero-padded rows (see _stencil for the roll-off)."""
-    rows = _padded_rows(grid, columns)
-    out = np.zeros((u.shape[1], columns.shape[0]))
+def _interp(grid, rows, u):
+    """Multilinear interpolation at index coordinates ``u`` (dim, n_points)
+    of the columns that ``rows = _padded_rows(grid, columns)`` holds,
+    returned as (n_points, n_cols): the weighted gather of the stencil
+    from the zero-padded rows (see _stencil for the roll-off).  The caller
+    pads once and passes the same rows to every call."""
+    out = np.zeros((u.shape[1], rows.shape[1]))
     for p0 in range(0, u.shape[1], _GATHER_BLOCK):
         near, index, weight = _stencil(grid, u[:, p0:p0 + _GATHER_BLOCK])
         out[p0 + near] = sum(weight[:, c, None] * np.take(rows, index[:, c], axis=0)

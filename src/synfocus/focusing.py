@@ -65,6 +65,13 @@ def _backproject_divergence(array, t_samples, dprofiles, out, constant):
     return constant * recs
 
 
+def _require(data, want, inversion):
+    """The one type rule of each invert_*: ``data`` is a ``want``."""
+    if not isinstance(data, want):
+        raise TypeError(f"{inversion} inversion requires {want.__name__}, "
+                        f"got {type(data).__name__}")
+
+
 def _check_inside_sphere(out, array):
     """Reject output grids not strictly inside the transducer sphere."""
     reach, radius = out.circumradius, array.radius
@@ -86,8 +93,7 @@ def invert_spherical_means_3d(data, out):
     derivatives are second-order differences, so at least 3 radii are
     needed.
     """
-    if not isinstance(data, SphericalMeanData):
-        raise TypeError("expected SphericalMeanData")
+    _require(data, SphericalMeanData, "spherical-means")
     if out.dim != 3:
         raise ValueError("spherical-means inversion requires a 3D output grid")
     if data.radii.size < 3:
@@ -157,8 +163,7 @@ def invert_monochromatic_3d(data, out):
     frequency sweep, then applies the same closed-form backprojection
     divergence as the pulse route, with its own normalization.
     """
-    if not isinstance(data, MonochromaticData):
-        raise TypeError("expected MonochromaticData")
+    _require(data, MonochromaticData, "monochromatic")
     if out.dim != 3:
         raise ValueError("monochromatic inversion requires a 3D output grid")
     _, radius = _check_inside_sphere(out, data.array)
@@ -180,8 +185,7 @@ def invert_fourier(data, out, return_residue=False):
     part (zero for consistent data) is dropped, and its relative norm per
     electrode is available as a diagnostic.
     """
-    if not isinstance(data, FourierData):
-        raise TypeError("expected FourierData")
+    _require(data, FourierData, "Fourier")
     same = (
         tuple(data.grid.counts) == tuple(out.counts)
         and np.allclose(data.grid.spacing, out.spacing, rtol=1e-9, atol=0.0)
@@ -215,8 +219,7 @@ def invert_xray_2d(data, out):
     index j + f at angle a.  The coverage check keeps j + f in
     [0, n_off - 1] up to rounding, so no pixel needs an outside mask.
     """
-    if not isinstance(data, Sinogram):
-        raise TypeError("expected Sinogram")
+    _require(data, Sinogram, "x-ray")
     if out.dim != 2:
         raise ValueError("x-ray inversion requires a 2D output grid")
     n_angles = data.angles.size
@@ -263,10 +266,10 @@ def invert_xray_2d(data, out):
 
 
 _METHODS = {
-    "spherical": (SphericalMeanData, invert_spherical_means_3d),
-    "monochromatic": (MonochromaticData, invert_monochromatic_3d),
-    "plane": (FourierData, invert_fourier),
-    "xray": (Sinogram, invert_xray_2d),
+    "spherical": invert_spherical_means_3d,
+    "monochromatic": invert_monochromatic_3d,
+    "plane": invert_fourier,
+    "xray": invert_xray_2d,
 }
 
 
@@ -281,9 +284,4 @@ def focus_kernel(data, method, out):
         raise ValueError(
             f"unknown method {method!r}; expected one of {sorted(_METHODS)}"
         )
-    want, invert = _METHODS[method]
-    if not isinstance(data, want):
-        raise TypeError(
-            f"method {method!r} requires {want.__name__}, got {type(data).__name__}"
-        )
-    return invert(data, out)
+    return _METHODS[method](data, out)

@@ -225,11 +225,14 @@ def measure_spherical_pulse(kernel, array, radii, oversample=1):
     the support box (half-diagonal rho).  By the law of cosines only
     points with cos(theta) >= (D^2 + t^2 - rho^2) / (2 D t), D = |c - z_i|,
     can reach the box; only that cap (a Fibonacci index prefix) is
-    generated, once per radius and cap size.  The turned points go to the
-    stencil in coordinate-major index coordinates, one product and one add
-    (frame / spacing)^T @ block + (z_i - origin) / spacing per (3, size)
-    block of caps, and the grid's zero layer gives the roll-off outside it
-    (see core._stencil).
+    evaluated.  One lattice is generated per radius, as long as the
+    longest cap any transducer takes there, and each sphere takes its
+    prefix.  The turned points go to the stencil in coordinate-major index
+    coordinates, one product and one add (frame / spacing)^T @ block +
+    (z_i - origin) / spacing per (3, size) block of caps, and the grid's
+    zero layer gives the roll-off outside it (see core._stencil).  The
+    kernel rows are padded once per call and every chunk gathers from
+    them.
     """
     grid = kernel.grid
     if grid.dim != 3:
@@ -255,29 +258,25 @@ def measure_spherical_pulse(kernel, array, radii, oversample=1):
     center = 0.5 * (box_lo + box_hi)
     rho = 0.5 * float(np.linalg.norm(box_hi - box_lo))
     budget = 2_000_000 // kernel.n_electrodes   # 2 M gathered values per chunk
-    # cap blocks radii[k] * lattice[:size], coordinate-major, by (k, cap size)
-    blocks = {}
-
-    def cap_block(k, size):
-        if (k, size) not in blocks:
-            blocks[k, size] = np.ascontiguousarray(
-                radii[k] * _unit_lattice(int(n_points[k]), size).T)
-        return blocks[k, size]
-
     z = array.positions
-    # spheres that miss the support box or enclose it integrate to zero
+    frames, dist = _cap_frame(z, center)
+    # points per sphere; 0 skips the spheres that miss the support box or
+    # enclose it, which integrate to zero
     d_min = np.linalg.norm(z - np.clip(z, box_lo, box_hi), axis=1)
     d_max = np.linalg.norm(np.maximum(np.abs(z - box_lo), np.abs(z - box_hi)), axis=1)
-    hits = (radii >= d_min[:, None]) & (radii <= d_max[:, None])
-    frames, dist = _cap_frame(z, center)
-    all_sizes = _cap_sizes(n_points, radii, dist[:, None], rho)
+    sizes = np.where((radii >= d_min[:, None]) & (radii <= d_max[:, None]),
+                     _cap_sizes(n_points, radii, dist[:, None], rho), 0)
+    # one lattice radii[k] * lattice[:size] per radius, coordinate-major,
+    # as long as its longest cap; each sphere's block is a prefix
+    caps = {k: np.ascontiguousarray(radii[k] * _unit_lattice(int(n_points[k]), size).T)
+            for k, size in enumerate(sizes.max(axis=0).tolist()) if size}
+    rows = _padded_rows(grid, kernel.values)
     # index coordinates of z + frame^T block, as one product and one add
     scaled = np.swapaxes(frames / grid.spacing, 1, 2)
     shifts = ((z - grid.origin) / grid.spacing)[:, :, None]
     for i in range(array.n):
-        active = np.flatnonzero(hits[i])
-        sizes = all_sizes[i, active]
-        begins = np.concatenate([[0], np.cumsum(sizes)])
+        active = np.flatnonzero(sizes[i])
+        begins = np.concatenate([[0], np.cumsum(sizes[i, active])])
         start = 0
         while start < active.size:
             # greedy chunks of at most budget points (at least one sphere)
@@ -285,12 +284,11 @@ def measure_spherical_pulse(kernel, array, radii, oversample=1):
                 begins, begins[start] + budget, side="right")) - 1)
             ks = active[start:stop]
             block = np.concatenate(
-                [cap_block(k, size) for k, size in zip(ks.tolist(), sizes[start:stop].tolist())],
-                axis=1)
+                [caps[k][:, :size] for k, size in zip(ks.tolist(), sizes[i, ks].tolist())], axis=1)
             offsets = begins[start:stop] - begins[start]
             u = scaled[i] @ block
             u += shifts[i]
-            cols = _interp(grid, kernel.values, u)
+            cols = _interp(grid, rows, u)
             sums = np.add.reduceat(cols, offsets, axis=0)
             values[i, ks, :] = weights[ks, None] * sums
             start = stop

@@ -5,6 +5,7 @@ import pytest
 
 from synfocus.core import (
     _interp,
+    _padded_rows,
     _stencil,
     BoundaryElectrodes,
     Disk,
@@ -353,6 +354,13 @@ class TestKernelMatrix:
         with pytest.raises(ValueError):
             KernelMatrix(grid=g, values=np.zeros((2, 15)))
 
+    def test_zero_electrode_rows_rejected(self):
+        # every measure divides its work by the electrode count or
+        # reshapes by it, so the empty kernel is refused at construction
+        g = centered_grid(4, 2)
+        with pytest.raises(ValueError, match="at least one electrode row"):
+            KernelMatrix(grid=g, values=np.zeros((0, 16)))
+
     def test_column_field(self):
         g = centered_grid(4, 2)
         vals = np.arange(2 * 16, dtype=float).reshape(2, 16)
@@ -378,22 +386,22 @@ class TestInterpField:
         rng = np.random.default_rng(3)
         q = rng.uniform(-0.35, 0.35, size=(50, 2))  # inside the center hull
         expect = 1.5 + 2.0 * q[:, 0] - 0.5 * q[:, 1]
-        assert np.allclose(_interp(g, vals[None], _index(g, q))[:, 0], expect, atol=1e-13)
+        assert np.allclose(_interp(g, _padded_rows(g, vals[None]), _index(g, q))[:, 0], expect, atol=1e-13)
 
     def test_exact_at_centers(self):
         g = centered_grid(5, 3)
         vals = np.sin(np.arange(g.n_pixels, dtype=float))
-        got = _interp(g, vals[None], _index(g, g.centers()))[:, 0]
+        got = _interp(g, _padded_rows(g, vals[None]), _index(g, g.centers()))[:, 0]
         assert np.allclose(got, vals, atol=1e-14)
 
     def test_zero_outside_support(self):
         g = centered_grid(4, 2)
         ones = np.ones((1, 16))
         far = np.array([[2.0, 0.0], [0.0, -3.0]])
-        assert np.allclose(_interp(g, ones, _index(g, far)), 0.0)
+        assert np.allclose(_interp(g, _padded_rows(g, ones), _index(g, far)), 0.0)
         # rolls off linearly: half a spacing beyond the last center -> 1/2
         edge = np.array([[0.375 + 0.125, 0.0]])
-        assert _interp(g, ones, _index(g, edge))[0, 0] == pytest.approx(0.5)
+        assert _interp(g, _padded_rows(g, ones), _index(g, edge))[0, 0] == pytest.approx(0.5)
 
     @pytest.mark.invariant
     @pytest.mark.parametrize("dim", [2, 3])
@@ -469,4 +477,4 @@ class TestInterpRollOff:
         pts = np.concatenate(pts)
         expect = _multilinear_loop(g, columns, pts)
         assert np.count_nonzero(expect) == expect.size
-        assert np.max(np.abs(_interp(g, columns, _index(g, pts)) - expect)) <= 1e-13
+        assert np.max(np.abs(_interp(g, _padded_rows(g, columns), _index(g, pts)) - expect)) <= 1e-13

@@ -575,6 +575,25 @@ class TestFocusKernel:
         with pytest.raises(TypeError, match="requires"):
             focus_kernel(data, "xray", out)
 
+    @pytest.mark.parametrize("method, invert, expect", [
+        ("spherical", invert_spherical_means_3d, "spherical-means inversion requires SphericalMeanData"),
+        ("monochromatic", invert_monochromatic_3d, "monochromatic inversion requires MonochromaticData"),
+        ("plane", invert_fourier, "Fourier inversion requires FourierData"),
+        ("xray", invert_xray_2d, "x-ray inversion requires Sinogram"),
+    ])
+    def test_each_inversion_names_both_types(self, method, invert, expect):
+        # one type rule per route, met the same way directly and through
+        # focus_kernel
+        out = centered_grid(8, 2)
+        wrong = Sinogram(angles=default_angles(8), offsets=np.linspace(-0.8, 0.8, 9),
+                         values=np.zeros((8, 9, 1)))
+        if method == "xray":
+            wrong = FourierData(grid=out, values=np.zeros((out.n_pixels, 1), dtype=complex))
+        message = f"^{expect}, got {type(wrong).__name__}$"
+        for run in (lambda: invert(wrong, out), lambda: focus_kernel(wrong, method, out)):
+            with pytest.raises(TypeError, match=message):
+                run()
+
 
 @pytest.mark.invariant
 class TestFocusingInvariants:

@@ -11,3 +11,15 @@ def test_library_sketch_runs():
     match = re.search(r"^## Library sketch\n+```python\n(.*?)^```$", text, re.M | re.S)
     assert match, "README.md has no python block under '## Library sketch'"
     exec(compile(match.group(1), f"{README.name} (Library sketch)", "exec"), {})
+
+
+def test_cli_table_lists_each_chain():
+    # the hand-kept table of modes and stages follows the runner's CHAINS
+    from synfocus.cli import CHAINS
+
+    text = README.read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)` \| ([\w, ]+) \|", text, re.M)
+    assert rows, "README.md has no table of modes and stages"
+    table = {mode: tuple(s.strip() for s in stages.split(",")) for mode, stages in rows}
+    assert len(table) == len(rows), "a mode is listed twice"
+    assert table == CHAINS

@@ -4,12 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
+import synfocus.core
 import synfocus.wavegen
 from synfocus.core import (
     Grid,
     KernelMatrix,
     TransducerArray,
     _interp,
+    _padded_rows,
     _stencil,
     _unit_lattice,
     make_transducer_array,
@@ -34,7 +36,7 @@ from synfocus.wavegen import (
     measure_spherical_pulse,
 )
 
-from conftest import centered_grid, gaussian_column, rel_l2
+from conftest import centered_grid, count_calls, gaussian_column, rel_l2
 from oracles import (
     AnalyticPhantom,
     line_integral,
@@ -171,9 +173,9 @@ class TestSphericalPulse:
         radii = default_radii(one, g, 200)
         gathered = []
 
-        def counting(grid, columns, u):
-            gathered.append(u.shape[1] * columns.shape[0])
-            return _interp(grid, columns, u)
+        def counting(grid, rows, u):
+            gathered.append(u.shape[1] * rows.shape[1])
+            return _interp(grid, rows, u)
 
         monkeypatch.setattr(synfocus.wavegen, "_interp", counting)
         data = measure_spherical_pulse(kern, one, radii)
@@ -278,7 +280,7 @@ class TestSphericalCap:
             for k, t in enumerate(radii):
                 pts, weight = _turned_sphere(g, z, t, frame, oversample=1)
                 u = ((pts - g.origin) / g.spacing).T
-                expect[i, k] = weight * np.sum(_interp(g, kern.values, u), axis=0)
+                expect[i, k] = weight * np.sum(_interp(g, _padded_rows(g, kern.values), u), axis=0)
         assert np.max(np.abs(data.values - expect)) <= 1e-12 * np.max(np.abs(expect))
 
     @pytest.mark.parametrize("dim", [3])
@@ -315,10 +317,10 @@ class TestSphericalCap:
                 cap = _reference_cap(n, t, dist, rho)
                 pts = z + t * _unit_lattice(n, cap.size) @ frame
                 u = ((pts - g.origin) / g.spacing).T
-                expect[i, k] = weight * np.sum(_interp(g, kern.values, u), axis=0)
+                expect[i, k] = weight * np.sum(_interp(g, _padded_rows(g, kern.values), u), axis=0)
                 sizes[i, k] = cap.size - n   # 0 for the full lattice
-        # the case the cache key must tell apart: one transducer takes the
-        # full lattice at a radius where another takes a strict cap
+        # the case one lattice per radius must serve: one transducer takes
+        # the full lattice at a radius where another takes a strict prefix
         both = (sizes[0] == 0) & (sizes[1] < 0) & (data.values[1, :, 0] != 0)
         assert np.any(both)
         assert np.max(np.abs(data.values - expect)) <= 1e-13 * np.max(np.abs(expect))
@@ -339,6 +341,25 @@ class TestSphericalCap:
         monkeypatch.setattr(synfocus.wavegen, "_unit_lattice", counting)
         measure_spherical_pulse(kern, arr, radii)
         assert 0 < len(calls) <= radii.size
+
+    def test_off_centre_aperture_builds_each_input_once(self, rng, monkeypatch):
+        # off centre, one radius has many cap sizes across the transducers;
+        # still one lattice per radius that any sphere hits, and one padded
+        # copy of the kernel rows per call
+        g = Grid(origin=(0.1, -0.2, 0.05), spacing=(0.05, 0.04, 0.06), counts=(14, 12, 10))
+        kern = _kernel(g, rng.standard_normal((3, g.n_pixels)))
+        arr = make_transducer_array(64, radius=1.5)
+        radii = default_radii(arr, g, 64)
+        lo, hi = g.origin - g.spacing, g.origin + g.counts * g.spacing
+        z = arr.positions
+        d_min = np.linalg.norm(z - np.clip(z, lo, hi), axis=1)
+        d_max = np.linalg.norm(np.maximum(np.abs(z - lo), np.abs(z - hi)), axis=1)
+        hit = np.any((radii >= d_min[:, None]) & (radii <= d_max[:, None]), axis=0)
+        calls = count_calls(monkeypatch, synfocus.wavegen, ("_unit_lattice", "_padded_rows"))
+        padded = count_calls(monkeypatch, synfocus.core, ("_padded_rows",))
+        measure_spherical_pulse(kern, arr, radii)
+        assert 0 < calls["_unit_lattice"] <= np.count_nonzero(hit)
+        assert calls["_padded_rows"] + padded["_padded_rows"] == 1
 
     @pytest.mark.parametrize("oversample", [0, -2, 1.5])
     def test_bad_oversample_rejected(self, oversample):
@@ -711,7 +732,7 @@ class TestLineIntegrals:
                 w = np.array([np.cos(ang), np.sin(ang)])
                 d = np.array([-np.sin(ang), np.cos(ang)])
                 pts = offsets[:, None, None] * w + tau[None, :, None] * d
-                cols = _interp(g, kern.values, ((pts.reshape(-1, 2) - g.origin) / g.spacing).T)
+                cols = _interp(g, _padded_rows(g, kern.values), ((pts.reshape(-1, 2) - g.origin) / g.spacing).T)
                 expect[a] = dtau * cols.reshape(offsets.size, tau.size, n_el).sum(axis=1)
             assert np.all(expect[:, [0, -1]] == 0.0)
             assert (np.max(np.abs(sino.values - expect))
