@@ -96,29 +96,25 @@ class ExperimentConfig:
         if self.family == "spherical" and self.radii < 3:
             raise ValueError("invalid value for 'radii': the spherical family "
                              "needs at least 3 for its gradient filter")
+        # chains that build a kernel: each conduction-kernel pixel must hold a
+        # grid cell centre; the synthetic 3d kernel needs two pixels per axis
+        # and an aperture of enough transducers to measure it
+        if "kernel" not in CHAINS[self.mode]:
+            return
+        try:
+            if not _uses_synthetic_kernel(self):
+                _interior_map(_centered_grid(self.grid), _interior_grid(self))
+                return
+            _centered_grid((self.pixels,) * 3)
+        except ValueError as e:
+            raise ValueError(f"invalid value for 'pixels': {e}") from None
+        try:
+            make_transducer_array(self.transducers, radius=1.0)
+        except ValueError as e:
+            raise ValueError(f"invalid value for 'transducers': {e}") from None
 
 
 DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
-
-
-def _check_interior(cfg):
-    """Reject, before any stage runs, 'pixels' and 'transducers' values the
-    chain cannot use: a kernel grid of one pixel per axis, one too fine for
-    'grid' in chains that build the conduction kernel, or too few
-    transducers to measure."""
-    if "kernel" not in CHAINS[cfg.mode]:
-        return
-    try:
-        if not _uses_synthetic_kernel(cfg):
-            _interior_map(_centered_grid(cfg.grid), _interior_grid(cfg))
-            return
-        _centered_grid((cfg.pixels,) * 3)
-    except ValueError as e:
-        raise ValueError(f"invalid value for 'pixels': {e}") from None
-    try:
-        make_transducer_array(cfg.transducers, radius=1.0)
-    except ValueError as e:
-        raise ValueError(f"invalid value for 'transducers': {e}") from None
 
 
 def parse_config(text):
@@ -126,7 +122,8 @@ def parse_config(text):
 
     `#` starts a comment; blank lines are skipped; lists are
     comma-separated.  Unknown keys and malformed lines are rejected with
-    the offending line number.
+    the offending line number; ExperimentConfig refuses every config the
+    CLI refuses, with the same message.
     """
     return ExperimentConfig(**_parse_items(text))
 
@@ -222,6 +219,10 @@ def _measure(cfg, kernel):
         radii = wavegen.default_radii(array, kernel.grid, cfg.radii)
         return wavegen.measure_spherical_pulse(kernel, array, radii)
     freqs = wavegen.default_frequencies(kernel.grid, cfg.frequencies)
+    if freqs.size < cfg.frequencies:
+        warnings.warn(f"measuring {freqs.size} of the {cfg.frequencies} configured "
+                      "frequencies; default_frequencies caps the count at "
+                      "floor(2 * diameter / dx)", RuntimeWarning)
     return wavegen.measure_monochromatic(kernel, array, freqs)
 
 
@@ -246,7 +247,8 @@ def _rel_frobenius(a, b):
 
 
 class _Stage:
-    """Context that times a stage and renames failures after it."""
+    """Context that times a stage and renames its errors after it; other
+    exceptions (KeyboardInterrupt, SystemExit) propagate unchanged."""
 
     def __init__(self, name, metrics):
         self.name = name
@@ -259,13 +261,8 @@ class _Stage:
 
     def __exit__(self, exc_type, exc, tb):
         self.metrics[f"time_{self.name}"] = round(time.perf_counter() - self.t0, 6)
-        if exc is not None and not isinstance(exc, _StageError):
-            raise _StageError(f"stage '{self.name}' failed: {exc}") from exc
-        return False
-
-
-class _StageError(RuntimeError):
-    pass
+        if isinstance(exc, Exception):
+            raise RuntimeError(f"stage '{self.name}' failed: {exc}") from exc
 
 
 def _config_echo(cfg):
@@ -446,7 +443,6 @@ def main(argv=None):
         if args.seed is not None:
             items["seed"] = args.seed
         cfg = ExperimentConfig(**items)
-        _check_interior(cfg)
     except (_UsageError, ValueError, OSError) as e:
         print(f"synfocus: config error: {e}", file=sys.stderr)
         return 1

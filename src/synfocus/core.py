@@ -340,6 +340,12 @@ class KernelMatrix:
     """Linearized measurement kernel: one row per electrode, one column per
     interior pixel.  Entry (j, i) is the boundary-voltage response at
     electrode j to a unit log-conductivity density on pixel i.
+
+    The conduction kernels (forward_eit) approximate that density: they
+    perturb the phantom cells whose centres lie in pixel i and divide by
+    the nominal pixel area, not by the area of those cells.  Where a pixel
+    is not a whole number of cells wide (1.75 at the CLI default) the
+    member cells cover 0.327 to 1.306 times the pixel area (ROADMAP item 1).
     """
 
     grid: Grid

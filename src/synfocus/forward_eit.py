@@ -439,7 +439,11 @@ def kernel_bruteforce(phantom, electrodes, interior, eps=DEFAULT_EPS):
     """Measurement kernel by finite perturbation, as exact low-rank updates.
 
     Entry (j, i) is [h_perturbed(y_j) - h(y_j)] / (eps * pixel_area) where
-    the perturbation adds eps to log sigma on interior pixel i.
+    the perturbation adds eps to log sigma on the phantom cells whose
+    centres lie in interior pixel i, and pixel_area is the nominal area
+    interior.pixel_measure, not the area of those cells.  At 1.75 cells
+    per pixel (the CLI default and every bench workload) the member cells
+    cover 0.327 to 1.306 times pixel_area (ROADMAP item 1).
 
     The perturbation changes the conduction matrix only on N_i, the
     pixel's cells and their face neighbours, by eps times a dense block
@@ -487,7 +491,11 @@ def kernel_bruteforce(phantom, electrodes, interior, eps=DEFAULT_EPS):
 
 def kernel_adjoint(phantom, electrodes, interior):
     """Measurement kernel as the exact derivative of the gauged boundary
-    trace with respect to per-pixel log-conductivity.
+    trace with respect to per-pixel log-conductivity, per nominal pixel
+    area.  As in kernel_bruteforce, a pixel's log-conductivity is that of
+    the phantom cells whose centres lie in it, and the derivative is
+    divided by interior.pixel_measure, not by the area of those cells
+    (ROADMAP item 1).
 
     This is the eps -> 0 limit of kernel_bruteforce's update, where the
     Woodbury factor drops out: entry (j, i) is -P[c_j, N_i] B_i u[N_i]

@@ -53,7 +53,7 @@ class TestParseConfig:
 
     def test_comments_blanks_and_lists(self):
         cfg = parse_config(
-            "# a comment\n\ngrid = 48, 32  # inline comment\nnoise = 0.02\n"
+            "# a comment\n\ngrid = 48, 32  # inline comment\nnoise = 0.02\npixels = 16\n"
         )
         assert cfg.grid == (48, 32)
         assert cfg.noise == 0.02
@@ -123,6 +123,15 @@ class TestExitCodes:
         metrics = read_metrics(tmp_path)
         assert "time_kernel" in metrics and "time_measure" in metrics
 
+    def test_interrupt_propagates_and_keeps_the_stage_timing(self, tmp_path, monkeypatch):
+        def interrupt(run):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(synfocus.cli.STAGES, "phantom", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(["phantom"], tmp_path)
+        assert "time_phantom" in read_metrics(tmp_path)
+
     def test_run_warnings_land_in_metrics(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("family = xray\nangles = 4\ngrid = 16\npixels = 8\n")
@@ -137,6 +146,19 @@ class TestExitCodes:
             warnings.simplefilter(action)
             assert run_cli(["focus", "--config", str(cfg)], tmp_path) == 0
         assert "4 projection angles" in read_metrics(tmp_path)["warnings"]
+
+    @pytest.mark.parametrize("pixels, cut", [(16, 55), (24, None), (32, None)])
+    def test_frequency_cut_lands_in_metrics(self, pixels, cut, tmp_path):
+        # default_frequencies caps the count at floor(2 * diameter / dx):
+        # 55 at 16 pixels, 83 at 24 (the volume3d bench op), 110 at 32
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"family = monochromatic\npixels = {pixels}\ntransducers = 8\n")
+        assert run_cli(["measure", "--config", str(cfg)], tmp_path) == 0
+        metrics = read_metrics(tmp_path)
+        if cut is None:
+            assert "warnings" not in metrics
+        else:
+            assert f"measuring {cut} of the 64 configured frequencies" in metrics["warnings"]
 
     def test_seed_override_lands_in_config_echo(self, tmp_path):
         assert run_cli(["validate", "--seed", "5"], tmp_path) == 0
@@ -164,29 +186,38 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("mode", ["kernel", "measure", "focus", "endtoend"])
     def test_pixels_too_fine_for_grid_exits_one(self, mode, tmp_path, capsys):
+        text = "grid = 8\npixels = 32\n"
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text("grid = 8\npixels = 32\n")
+        cfg.write_text(text)
         assert run_cli([mode, "--config", str(cfg)], tmp_path) == 1
         assert "'pixels'" in capsys.readouterr().err
         assert not (tmp_path / "metrics.txt").exists()
+        with pytest.raises(ValueError, match="'pixels'"):
+            parse_config(f"mode = {mode}\n" + text)
 
     @pytest.mark.parametrize("mode, family", [("focus", "spherical"),
                                               ("measure", "monochromatic")])
     def test_one_pixel_synthetic_kernel_exits_one(self, mode, family, tmp_path, capsys):
+        text = f"family = {family}\npixels = 1\ntransducers = 8\nradii = 4\n"
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text(f"family = {family}\npixels = 1\ntransducers = 8\nradii = 4\n")
+        cfg.write_text(text)
         assert run_cli([mode, "--config", str(cfg)], tmp_path) == 1
         assert "'pixels'" in capsys.readouterr().err
         assert not (tmp_path / "metrics.txt").exists()
+        with pytest.raises(ValueError, match="'pixels'"):
+            parse_config(f"mode = {mode}\n" + text)
 
     @pytest.mark.parametrize("mode", ["measure", "focus"])
     @pytest.mark.parametrize("family", ["spherical", "monochromatic"])
     def test_too_few_transducers_exits_one(self, mode, family, tmp_path, capsys):
+        text = f"family = {family}\ntransducers = 3\npixels = 8\n"
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text(f"family = {family}\ntransducers = 3\npixels = 8\n")
+        cfg.write_text(text)
         assert run_cli([mode, "--config", str(cfg)], tmp_path) == 1
         assert "'transducers'" in capsys.readouterr().err
         assert not (tmp_path / "metrics.txt").exists()
+        with pytest.raises(ValueError, match="'transducers'"):
+            parse_config(f"mode = {mode}\n" + text)
 
     @pytest.mark.parametrize("family", ["spherical", "monochromatic"])
     def test_focus_on_two_pixels_per_axis_runs(self, family, tmp_path):
