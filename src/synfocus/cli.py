@@ -52,7 +52,12 @@ CHAINS = {
 }
 MODES = tuple(CHAINS)
 
-_POSITIVE = ("pixels", "transducers", "radii", "frequencies", "angles")
+# the whole-number keys besides grid, each with its least value
+_COUNTS = {"pixels": 1, "transducers": 1, "radii": 1, "frequencies": 1, "angles": 1, "seed": 0}
+
+
+def _is_int(v):  # a Python or numpy integer; a bool is not a count
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -74,19 +79,16 @@ class ExperimentConfig:
             raise ValueError(f"invalid value for 'mode': {self.mode!r}")
         if self.family not in FAMILIES:
             raise ValueError(f"invalid value for 'family': {self.family!r}")
-        g = tuple(int(v) for v in (self.grid if isinstance(self.grid, (tuple, list)) else (self.grid,)))
-        if len(g) == 1:
-            g = (g[0], g[0])
-        if len(g) != 2 or any(v < 2 for v in g):
-            raise ValueError(f"invalid value for 'grid': {self.grid!r} (need 1 or 2 counts >= 2)")
-        object.__setattr__(self, "grid", g)
-        for key in _POSITIVE:
-            if getattr(self, key) <= 0:
-                raise ValueError(f"invalid value for '{key}': must be positive")
+        g = tuple(self.grid) if isinstance(self.grid, (tuple, list)) else (self.grid,)
+        g = g * 2 if len(g) == 1 else g
+        if len(g) != 2 or not all(_is_int(v) and v >= 2 for v in g):
+            raise ValueError(f"invalid value for 'grid': {self.grid!r} (need 1 or 2 integer counts >= 2)")
+        object.__setattr__(self, "grid", tuple(int(v) for v in g))
+        for key, least in _COUNTS.items():
+            if not _is_int(getattr(self, key)) or getattr(self, key) < least:
+                raise ValueError(f"invalid value for '{key}': must be an integer >= {least}")
         if not 0.0 <= self.noise < np.inf:
             raise ValueError("invalid value for 'noise': must be finite and >= 0")
-        if self.seed < 0:
-            raise ValueError("invalid value for 'seed': must be >= 0")
         if self.mode == "endtoend" and self.family in VOLUMETRIC:
             raise ValueError(
                 f"invalid value for 'family': {self.family!r} reconstructs in 3d "
@@ -204,25 +206,17 @@ def _uses_synthetic_kernel(cfg):
 
 
 def _measure(cfg, kernel):
+    """Measure the kernel under cfg.family with wavegen's default sampling."""
     if cfg.family == "plane":
         return wavegen.measure_plane_waves(kernel)
     if cfg.family == "xray":
-        angles = wavegen.default_angles(cfg.angles)
-        # offsets at a quarter of the pixel spacing: the ramp filter's band
-        # limit then clears the sharp near-electrode kernel peaks
-        h = float(np.min(kernel.grid.spacing))
-        n_off = 8 * int(np.ceil(kernel.grid.circumradius / h)) + 3
-        offsets = wavegen.default_offsets(kernel.grid, n_off)
-        return wavegen.measure_line_integrals(kernel, angles, offsets)
+        return wavegen.measure_line_integrals(kernel, wavegen.default_angles(cfg.angles),
+                                              wavegen.default_offsets(kernel.grid))
     array = make_transducer_array(cfg.transducers, radius=1.0)
     if cfg.family == "spherical":
         radii = wavegen.default_radii(array, kernel.grid, cfg.radii)
         return wavegen.measure_spherical_pulse(kernel, array, radii)
     freqs = wavegen.default_frequencies(kernel.grid, cfg.frequencies)
-    if freqs.size < cfg.frequencies:
-        warnings.warn(f"measuring {freqs.size} of the {cfg.frequencies} configured "
-                      "frequencies; default_frequencies caps the count at "
-                      "floor(2 * diameter / dx)", RuntimeWarning)
     return wavegen.measure_monochromatic(kernel, array, freqs)
 
 
@@ -443,6 +437,9 @@ def main(argv=None):
         if args.seed is not None:
             items["seed"] = args.seed
         cfg = ExperimentConfig(**items)
+        # an out that is a file, or lies under one, is a config error too
+        out_dir = Path(cfg.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
     except (_UsageError, ValueError, OSError) as e:
         print(f"synfocus: config error: {e}", file=sys.stderr)
         return 1
@@ -451,12 +448,10 @@ def main(argv=None):
     handler = logging.StreamHandler()
     handler.setFormatter(logging.Formatter("[synfocus] %(message)s"))
     logger.addHandler(handler)
-    out_dir = Path(cfg.out)
     metrics = _config_echo(cfg)
     metrics["numpy_version"] = np.__version__
     metrics["scipy_version"] = scipy.__version__
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
         try:
             run_chain(cfg, out_dir, metrics)
         finally:

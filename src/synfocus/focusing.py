@@ -20,6 +20,7 @@ from .wavegen import (
     MonochromaticData,
     Sinogram,
     SphericalMeanData,
+    _check_offsets_cover,
     _inverse_dft,
 )
 
@@ -230,12 +231,7 @@ def invert_xray_2d(data, out):
             RuntimeWarning,
             stacklevel=2,
         )
-    reach = out.circumradius
-    if data.offsets[0] > -reach or data.offsets[-1] < reach:
-        raise ValueError(
-            f"offset range [{data.offsets[0]:.6g}, {data.offsets[-1]:.6g}] does "
-            f"not cover the output grid (circumradius {reach:.6g})"
-        )
+    _check_offsets_cover(data.offsets, out)
     ds = data.offsets[1] - data.offsets[0]
     n_off, n_el, n_pix = data.offsets.size, data.values.shape[2], out.n_pixels
     c = np.zeros(n_off)

@@ -11,6 +11,7 @@ so time samples and radii are interchangeable.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,19 +48,13 @@ def _check_sinogram_axes(angles, offsets):
         raise ValueError("offsets must be symmetric about zero")
 
 
-def _frequency_spacing(freqs):
-    """Spacing of a nonempty, finite, positive, uniform frequency lattice."""
-    dlam = _uniform_spacing(freqs, "frequencies")
-    if freqs[0] <= 0:
-        raise ValueError("frequencies must be positive")
-    return dlam
-
-
-def _check_radii(radii):
-    """Reject radii unless nonempty, finite, positive and uniformly spaced."""
-    _uniform_spacing(radii, "radii")
-    if radii[0] <= 0:
-        raise ValueError("radii must be positive")
+def _positive_spacing(x, name):
+    """Spacing of a nonempty, finite, positive, uniform lattice: the radii
+    of the spherical family or the frequencies of the monochromatic one."""
+    spacing = _uniform_spacing(x, name)
+    if x[0] <= 0:
+        raise ValueError(f"{name} must be positive")
+    return spacing
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,7 +72,7 @@ class SphericalMeanData:
     def __post_init__(self):
         object.__setattr__(self, "radii", _frozen_array(self.radii, "radii", ndim=1))
         object.__setattr__(self, "values", _frozen_array(self.values, "values", ndim=3))
-        _check_radii(self.radii)
+        _positive_spacing(self.radii, "radii")
         n_t, n_r, _ = self.values.shape
         if n_t != self.array.n or n_r != self.radii.size:
             raise ValueError("values shape must be (n_transducers, n_radii, n_electrodes)")
@@ -100,7 +95,7 @@ class MonochromaticData:
                            _frozen_array(self.frequencies, "frequencies", ndim=1))
         object.__setattr__(self, "values",
                            _frozen_array(self.values, "values", dtype=complex, ndim=3))
-        _frequency_spacing(self.frequencies)
+        _positive_spacing(self.frequencies, "frequencies")
         n_t, n_f, _ = self.values.shape
         if n_t != self.array.n or n_f != self.frequencies.size:
             raise ValueError("values shape must be (n_transducers, n_freqs, n_electrodes)")
@@ -163,12 +158,16 @@ def default_radii(array, grid, n):
 
 
 def default_frequencies(grid, n=None):
-    """Uniform wavenumbers in [dlam, pi/dx] with dlam = pi/(2*diameter)."""
+    """n uniform wavenumbers in [dlam, pi/dx], dlam = pi/(2*diameter).  The
+    band holds floor(2 * diameter / dx) of them: all if n is None, and a
+    larger n is cut to that count with a RuntimeWarning."""
     dlam = np.pi / (2.0 * grid.diameter)
     lam_max = np.pi / float(np.min(grid.spacing))
     n_max = int(np.floor(lam_max / dlam))
-    if n is None or n > n_max:
-        n = n_max
+    if n is not None and n > n_max:
+        warnings.warn(f"measuring {n_max} of the {n} requested frequencies; [dlam, pi/dx] "
+                      "holds floor(2 * diameter / dx)", RuntimeWarning, stacklevel=2)
+    n = n_max if n is None else min(n, n_max)
     return dlam * (np.arange(n) + 1.0)
 
 
@@ -176,10 +175,22 @@ def default_angles(n):
     return np.pi * np.arange(n) / n
 
 
-def default_offsets(grid, n):
-    """Symmetric uniform offsets covering the grid's circumscribed disk."""
+def default_offsets(grid):
+    """8 ceil(rho / h) + 3 uniform offsets over [-rho, rho] (rho the grid's
+    circumradius, h its finest spacing): below h / 4 apart, so the ramp
+    filter's band limit clears the sharp near-electrode kernel peaks."""
     rho = grid.circumradius
+    n = 8 * int(np.ceil(rho / float(np.min(grid.spacing)))) + 3
     return np.linspace(-rho, rho, n)
+
+
+def _check_offsets_cover(offsets, grid):
+    """The coverage rule of both x-ray routes: offsets span the grid's
+    circumscribed disk, up to a relative 1e-12 for the rounding of rho."""
+    rho = grid.circumradius
+    if min(-offsets[0], offsets[-1]) < rho * (1.0 - 1e-12):
+        raise ValueError(f"offset range [{offsets[0]:.6g}, {offsets[-1]:.6g}] does not cover "
+                         f"the grid's circumscribed disk (radius {rho:.6g})")
 
 
 def _cap_frame(z, c):
@@ -212,15 +223,15 @@ def _cap_sizes(n, t, dist, rho):
     return np.where(turned, size, n).astype(np.int64)
 
 
-def measure_spherical_pulse(kernel, array, radii, oversample=1):
+def measure_spherical_pulse(kernel, array, radii):
     """Surface integrals of each kernel column over the spheres
     |x - z_i| = t_k on a 3d grid.
 
-    Uniform angular quadrature with ceil(2 pi t / dx) * oversample points
-    per great circle and multilinear interpolation; samples outside the
-    grid contribute zero.  The default, one point per pixel spacing, is
-    enough: the second-order interpolant sets the error, and against the
-    closed form it is the same to 2% at oversample 1, 2 and 4.  Each
+    Uniform angular quadrature with ceil(2 pi t / dx) points per great
+    circle, one per pixel spacing, and multilinear interpolation; samples
+    outside the grid contribute zero.  One point per spacing is enough:
+    the second-order interpolant sets the error, and against the closed
+    form it was the same to 2% with 1, 2 and 4 points per spacing.  Each
     lattice is turned so that its pole points from z_i at the centre c of
     the support box (half-diagonal rho).  By the law of cosines only
     points with cos(theta) >= (D^2 + t^2 - rho^2) / (2 D t), D = |c - z_i|,
@@ -238,16 +249,14 @@ def measure_spherical_pulse(kernel, array, radii, oversample=1):
     if grid.dim != 3:
         raise ValueError("measure_spherical_pulse needs a 3d kernel grid")
     radii = np.asarray(radii, dtype=float)
-    _check_radii(radii)
+    _positive_spacing(radii, "radii")
     tmax = array.radius + grid.diameter
     if np.any(radii > tmax * (1 + 1e-12)):
         raise ValueError("radii must lie within (0, R + domain diameter]")
-    if not isinstance(oversample, (int, np.integer)) or oversample < 1:
-        raise ValueError("oversample must be a positive integer")
     dx = float(np.min(grid.spacing))
     # per radius: quadrature point count and weight; the points themselves
     # are generated chunk by chunk to keep memory bounded
-    m = np.ceil(2.0 * np.pi * radii / dx).astype(np.int64) * oversample
+    m = np.ceil(2.0 * np.pi * radii / dx).astype(np.int64)
     n_points = np.maximum(np.ceil(m * m / np.pi).astype(np.int64), 32)
     weights = 4.0 * np.pi * radii * radii / n_points
 
@@ -325,7 +334,7 @@ def measure_monochromatic(kernel, array, frequencies):
     if grid.dim != 3:
         raise ValueError("measure_monochromatic needs a 3d kernel grid")
     freqs = np.asarray(frequencies, dtype=float)
-    dlam = _frequency_spacing(freqs)
+    dlam = _positive_spacing(freqs, "frequencies")
     lo, hi = grid.bounds()
     outside = np.any((array.positions < lo[None, :]) | (array.positions > hi[None, :]),
                      axis=1)
@@ -472,11 +481,9 @@ def measure_line_integrals(kernel, angles, offsets):
     angles = np.asarray(angles, dtype=float)
     offsets = np.asarray(offsets, dtype=float)
     _check_sinogram_axes(angles, offsets)
-    rho = grid.circumradius
-    if np.max(np.abs(offsets)) < rho * (1 - 1e-12):
-        raise ValueError("offsets must cover the grid's circumscribed disk")
+    _check_offsets_cover(offsets, grid)
     step = 0.5 * float(np.min(grid.spacing))
-    half = rho + step
+    half = grid.circumradius + step
     n_tau = int(np.ceil(2.0 * half / step))
     dtau = 2.0 * half / n_tau
     tau = -half + (np.arange(n_tau) + 0.5) * dtau

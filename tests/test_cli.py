@@ -74,6 +74,25 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="transducers"):
             parse_config("transducers = many")
 
+    @pytest.mark.parametrize("key, value", [
+        ("grid", 64.7), ("grid", (64, 32.5)), ("grid", np.float64(64.0)), ("grid", True),
+        ("pixels", 16.5), ("transducers", 8.0), ("radii", 96.5), ("frequencies", 64.2),
+        ("angles", 180.5), ("seed", 1.5), ("seed", np.float64(2.0)), ("radii", True),
+    ])
+    def test_non_integer_counts_and_seed_name_the_key(self, key, value):
+        # the text path already refuses them (int('96.5') fails); grid = 64.7
+        # used to become (64, 64) and radii = 96.5 to measure 97 radii
+        with pytest.raises(ValueError, match=f"invalid value for '{key}'"):
+            ExperimentConfig(mode="focus", family="spherical", **{key: value})
+        with pytest.raises(ValueError, match=f"invalid value for '{key}'"):
+            parse_config(f"{key} = {value}".replace("(", "").replace(")", ""))
+
+    def test_numpy_integer_counts_and_seed_accepted(self):
+        cfg = ExperimentConfig(grid=(np.int64(48), np.int32(32)), pixels=np.int64(16),
+                               radii=np.int64(96), seed=np.int64(3))
+        assert cfg.grid == (48, 32) and type(cfg.grid[0]) is int
+        assert (cfg.pixels, cfg.radii, cfg.seed) == (16, 96, 3)
+
     def test_volumetric_families_cannot_drive_endtoend(self):
         for family in ("spherical", "monochromatic"):
             with pytest.raises(ValueError, match="family"):
@@ -105,6 +124,16 @@ class TestExitCodes:
         cfg.write_text("radii = -5\n")
         assert run_cli(["validate", "--config", str(cfg)], tmp_path) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "under-file"])
+    def test_unusable_out_exits_one(self, below, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker.joinpath(*below)
+        assert run_cli(["phantom"], out) == 1
+        assert "config error" in capsys.readouterr().err
+        assert blocker.read_text() == ""
+        assert list(tmp_path.iterdir()) == [blocker]
 
     def test_missing_config_file_exits_one(self, tmp_path):
         assert run_cli(["validate", "--config", str(tmp_path / "nope.cfg")], tmp_path) == 1
@@ -158,7 +187,7 @@ class TestExitCodes:
         if cut is None:
             assert "warnings" not in metrics
         else:
-            assert f"measuring {cut} of the 64 configured frequencies" in metrics["warnings"]
+            assert f"measuring {cut} of the 64 requested frequencies" in metrics["warnings"]
 
     def test_seed_override_lands_in_config_echo(self, tmp_path):
         assert run_cli(["validate", "--seed", "5"], tmp_path) == 0

@@ -434,7 +434,7 @@ class TestXrayRoute:
         for n in (32, 64):
             out = centered_grid(n, 2)
             angles = default_angles(3 * n)
-            offsets = default_offsets(out, 8 * int(np.ceil(out.circumradius * n)) + 3)
+            offsets = default_offsets(out)
             w = np.cos(angles) * c[0] + np.sin(angles) * c[1]
             sino = s * np.sqrt(2.0 * np.pi) * np.exp(-(offsets - w[:, None]) ** 2 / (2 * s * s))
             data = Sinogram(angles=angles, offsets=offsets, values=sino[:, :, None])
@@ -492,6 +492,23 @@ class TestXrayRoute:
         )
         with pytest.raises(ValueError, match="does not cover"):
             invert_xray_2d(data, out)
+
+    def test_one_coverage_rule_for_measure_and_inversion(self, rng):
+        # offsets 5e-13 short of the circumradius lie within the shared
+        # tolerance: the measure takes them and its sinogram inverts on the
+        # same grid; 2e-12 short, both routes refuse them
+        g = centered_grid(8, 2)
+        kern = KernelMatrix(grid=g, values=rng.standard_normal((2, g.n_pixels)))
+        angles = default_angles(8)
+        rho = g.circumradius * (1.0 - 5e-13)
+        data = measure_line_integrals(kern, angles, np.linspace(-rho, rho, 33))
+        assert np.all(np.isfinite(invert_xray_2d(data, g).values))
+        rho = g.circumradius * (1.0 - 2e-12)
+        short = Sinogram(angles=angles, offsets=np.linspace(-rho, rho, 33), values=data.values)
+        with pytest.raises(ValueError, match="does not cover"):
+            measure_line_integrals(kern, angles, short.offsets)
+        with pytest.raises(ValueError, match="does not cover"):
+            invert_xray_2d(short, g)
 
     def test_rejects_3d_grid(self):
         data = Sinogram(
@@ -735,14 +752,14 @@ def _family_operators(family):
         return grid, measure_plane_waves, lambda d: invert_fourier(d, grid)
     if family == "xray":
         grid = centered_grid(8, 2)
-        angles, offsets = default_angles(12), default_offsets(grid, 33)
+        angles, offsets = default_angles(12), np.linspace(-grid.circumradius, grid.circumradius, 33)
         return (grid, lambda k: measure_line_integrals(k, angles, offsets),
                 lambda d: invert_xray_2d(d, grid))
     grid = centered_grid(6, 3, half=0.4)
     arr = make_transducer_array(8, radius=1.0)
     if family == "spherical":
         radii = default_radii(arr, grid, 24)
-        return (grid, lambda k: measure_spherical_pulse(k, arr, radii, oversample=1),
+        return (grid, lambda k: measure_spherical_pulse(k, arr, radii),
                 lambda d: invert_spherical_means_3d(d, grid))
     freqs = default_frequencies(grid, 8)
     return (grid, lambda k: measure_monochromatic(k, arr, freqs),

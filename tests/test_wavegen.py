@@ -22,7 +22,8 @@ from synfocus.wavegen import (
     SphericalMeanData,
     _cap_frame,
     _cap_sizes,
-    _frequency_spacing,
+    _check_offsets_cover,
+    _positive_spacing,
     _uniform_spacing,
     add_noise,
     conjugate_lattice,
@@ -57,10 +58,10 @@ def _support_center(grid):
     return 0.5 * ((grid.origin - grid.spacing) + (grid.origin + grid.counts * grid.spacing))
 
 
-def _sphere_rule(grid, t, oversample):
+def _sphere_rule(grid, t):
     """Point count and per-point weight of measure_spherical_pulse's
     quadrature rule at radius t."""
-    m = int(np.ceil(2.0 * np.pi * t / float(np.min(grid.spacing)))) * oversample
+    m = int(np.ceil(2.0 * np.pi * t / float(np.min(grid.spacing))))
     n = max(int(np.ceil(m * m / np.pi)), 32)
     return n, 4.0 * np.pi * t * t / n
 
@@ -81,10 +82,10 @@ def _cap(n, t, dist, rho):
     return np.arange(_cap_sizes(np.array([n]), np.array([float(t)]), dist, rho)[0])
 
 
-def _turned_sphere(grid, z, t, frame, oversample):
+def _turned_sphere(grid, z, t, frame):
     """The full turned quadrature lattice of measure_spherical_pulse at
     radius t about z and its per-point weight."""
-    n, weight = _sphere_rule(grid, t, oversample)
+    n, weight = _sphere_rule(grid, t)
     return z + t * _unit_lattice(n) @ frame, weight
 
 
@@ -107,7 +108,7 @@ class TestSphericalPulse:
         kern = _kernel(g, np.ones(g.n_pixels))
         arr = make_transducer_array(6, radius=2.0)
         radii = np.array([0.15, 0.25, 0.35])
-        data = measure_spherical_pulse(kern, arr, radii, oversample=4)
+        data = measure_spherical_pulse(kern, arr, radii)
         for k, t in enumerate(radii):
             assert np.allclose(data.values[:, k, 0], 4.0 * np.pi * t * t,
                                rtol=1e-4)
@@ -139,9 +140,9 @@ class TestSphericalPulse:
     def test_observed_order_against_closed_form(self):
         # code verification by observed order (Roache 1998): the off-centre
         # gaussian of the CLI's synthetic kernel on the centred unit cube,
-        # 16 transducers, 64 default radii, oversample 1.  Measured errors
-        # 7.52e-2, 1.95e-2, 4.95e-3 (orders 1.95, 1.98); the bounds sit 10%
-        # above them, and multilinear interpolation gives order 2
+        # 16 transducers, 64 default radii.  Measured errors 7.52e-2,
+        # 1.95e-2, 4.95e-3 (orders 1.95, 1.98); the bounds sit 10% above
+        # them, and multilinear interpolation gives order 2
         c, s = np.array([0.08, -0.05, 0.03]), 0.12
         phantom = AnalyticPhantom(kind="gaussian", center=c, scale=s)
         arr = make_transducer_array(16, radius=1.0)
@@ -151,16 +152,12 @@ class TestSphericalPulse:
             kern = _kernel(g, gaussian_column(g, s, c))
             radii = default_radii(arr, g, 64)
             exact = spherical_mean_exact(phantom, arr.positions, radii)
-            for oversample in (1, 2) if n == 16 else (1,):
-                data = measure_spherical_pulse(kern, arr, radii, oversample=oversample)
-                errs[n, oversample] = rel_l2(data.values[..., 0], exact)
-        assert errs[8, 1] <= 0.083
-        assert errs[16, 1] <= 0.0215
-        assert errs[32, 1] <= 0.0055
-        assert np.log2(errs[8, 1] / errs[16, 1]) >= 1.8
-        assert np.log2(errs[16, 1] / errs[32, 1]) >= 1.8
-        # the interpolant, not the quadrature rule, sets the error
-        assert abs(errs[16, 1] / errs[16, 2] - 1.0) <= 0.05
+            errs[n] = rel_l2(measure_spherical_pulse(kern, arr, radii).values[..., 0], exact)
+        assert errs[8] <= 0.083
+        assert errs[16] <= 0.0215
+        assert errs[32] <= 0.0055
+        assert np.log2(errs[8] / errs[16]) >= 1.8
+        assert np.log2(errs[16] / errs[32]) >= 1.8
 
     def test_chunks_count_gathered_values(self, rng, monkeypatch):
         # 128 electrodes: each gather holds at most 2 M values (points x
@@ -278,7 +275,7 @@ class TestSphericalCap:
         for i, z in enumerate(arr.positions):
             frame, _ = _cap_frame(z, c)
             for k, t in enumerate(radii):
-                pts, weight = _turned_sphere(g, z, t, frame, oversample=1)
+                pts, weight = _turned_sphere(g, z, t, frame)
                 u = ((pts - g.origin) / g.spacing).T
                 expect[i, k] = weight * np.sum(_interp(g, _padded_rows(g, kern.values), u), axis=0)
         assert np.max(np.abs(data.values - expect)) <= 1e-12 * np.max(np.abs(expect))
@@ -313,7 +310,7 @@ class TestSphericalCap:
         for i, z in enumerate(arr.positions):
             frame, dist = _cap_frame(z, c)
             for k, t in enumerate(radii):
-                n, weight = _sphere_rule(g, t, oversample=1)
+                n, weight = _sphere_rule(g, t)
                 cap = _reference_cap(n, t, dist, rho)
                 pts = z + t * _unit_lattice(n, cap.size) @ frame
                 u = ((pts - g.origin) / g.spacing).T
@@ -360,14 +357,6 @@ class TestSphericalCap:
         measure_spherical_pulse(kern, arr, radii)
         assert 0 < calls["_unit_lattice"] <= np.count_nonzero(hit)
         assert calls["_padded_rows"] + padded["_padded_rows"] == 1
-
-    @pytest.mark.parametrize("oversample", [0, -2, 1.5])
-    def test_bad_oversample_rejected(self, oversample):
-        g = centered_grid(8, 3)
-        arr = make_transducer_array(6, radius=1.0)
-        with pytest.raises(ValueError, match="oversample"):
-            measure_spherical_pulse(_kernel(g, np.ones(g.n_pixels)), arr,
-                                    np.array([0.5, 1.0]), oversample=oversample)
 
 
 def _green(grid, positions, freqs):
@@ -426,8 +415,12 @@ class TestMonochromatic:
         cols = rng.standard_normal((n_el, g.n_pixels))
         arr = make_transducer_array(5, radius=2.0)
         if isinstance(n_f, str):
-            freqs = default_frequencies(centered_grid(16, 3), int(n_f[len("default"):]))
-            offset = (freqs[0] - _frequency_spacing(freqs)) / np.spacing(freqs[0])
+            # 16^3 holds 55 default frequencies: 64 is cut to them, with a warning
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                freqs = default_frequencies(centered_grid(16, 3), int(n_f[len("default"):]))
+            assert len(caught) == (n_f == "default64")
+            offset = (freqs[0] - _positive_spacing(freqs, "frequencies")) / np.spacing(freqs[0])
             assert offset == (0.0 if n_f == "default64" else -1.0)
         else:
             freqs = np.linspace(37.3, 97.3, n_f)
@@ -490,7 +483,7 @@ class TestMonochromatic:
         freqs = np.array([4.0, 9.0, 14.0])
         mono = measure_monochromatic(kern, arr, freqs)
         t = np.linspace(1e-3, 3.6, 1200)
-        pulse = measure_spherical_pulse(kern, arr, t, oversample=2)
+        pulse = measure_spherical_pulse(kern, arr, t)
         for i in range(arr.n):
             gt = pulse.values[i, :, 0]
             for m, lam in enumerate(freqs):
@@ -524,6 +517,32 @@ class TestMonochromatic:
             errs[n] = rel_l2(data.values[..., 0], exact)
         assert errs[16] <= 4.1e-8
         assert errs[32] <= 9.7e-10
+
+
+class TestDefaultSampling:
+    """The default sampling rules that wavegen owns for the CLI."""
+
+    @pytest.mark.parametrize("grid", [
+        centered_grid(8, 2), centered_grid(33, 2),
+        Grid(origin=(-0.4, 0.1), spacing=(0.1, 0.08), counts=(9, 12)),
+    ], ids=["8", "33", "off-centre"])
+    def test_offsets_quarter_spacing_symmetric_and_covering(self, grid):
+        offsets = default_offsets(grid)
+        rho = grid.circumradius
+        assert np.max(np.diff(offsets)) <= float(np.min(grid.spacing)) / 4
+        assert np.max(np.abs(offsets + offsets[::-1])) <= 4 * np.spacing(rho)
+        assert -offsets[0] >= rho and offsets[-1] >= rho
+        _check_offsets_cover(offsets, grid)
+
+    def test_frequency_cut_warns_with_both_counts(self):
+        g = centered_grid(16, 3)  # floor(2 * diameter / dx) = 55
+        with pytest.warns(RuntimeWarning, match="measuring 55 of the 64 requested"):
+            cut = default_frequencies(g, 64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            full, some = default_frequencies(g), default_frequencies(g, 55)
+            assert default_frequencies(g, 7).size == 7
+        assert np.array_equal(cut, full) and np.array_equal(cut, some)
 
 
 class TestAxisValidation:
@@ -834,7 +853,7 @@ class TestTransposes:
         # the sinogram of the identity kernel is the sampling operator P
         g = Grid(origin=(-0.4, 0.1), spacing=(0.1, 0.08), counts=(9, 12))
         k = rng.standard_normal((3, g.n_pixels))
-        angles, offsets = default_angles(7), default_offsets(g, 15)
+        angles, offsets = default_angles(7), np.linspace(-g.circumradius, g.circumradius, 15)
         ak = measure_line_integrals(_kernel(g, k), angles, offsets).values
         P = measure_line_integrals(_kernel(g, np.eye(g.n_pixels)), angles, offsets).values
         y = rng.standard_normal(ak.shape)
@@ -870,7 +889,7 @@ class TestTransposes:
         for i, z in enumerate(arr.positions):
             frame, _ = _cap_frame(z, _support_center(g))
             for r, t in enumerate(radii):
-                pts, weight = _turned_sphere(g, z, t, frame, oversample=1)
+                pts, weight = _turned_sphere(g, z, t, frame)
                 _, index, w = _stencil(g, ((pts - g.origin) / g.spacing).T)
                 # binned over the padded grid, the zero layer cropped off
                 spread = np.bincount(index.ravel(), weights=w.ravel(),
