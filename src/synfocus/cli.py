@@ -9,6 +9,8 @@ declares the full key set and the default values.
 
 import argparse
 import logging
+import numbers
+import os
 import sys
 import time
 import warnings
@@ -87,17 +89,21 @@ class ExperimentConfig:
         for key, least in _COUNTS.items():
             if not _is_int(getattr(self, key)) or getattr(self, key) < least:
                 raise ValueError(f"invalid value for '{key}': must be an integer >= {least}")
-        if not 0.0 <= self.noise < np.inf:
-            raise ValueError("invalid value for 'noise': must be finite and >= 0")
+        if isinstance(self.noise, bool) or not (isinstance(self.noise, numbers.Real)
+                                                and 0.0 <= self.noise < np.inf):
+            raise ValueError("invalid value for 'noise': must be a real number, finite and >= 0")
+        if not isinstance(self.out, (str, os.PathLike)):
+            raise ValueError(f"invalid value for 'out': {self.out!r} is not a path")
         if self.mode == "endtoend" and self.family in VOLUMETRIC:
             raise ValueError(
                 f"invalid value for 'family': {self.family!r} reconstructs in 3d "
                 "and cannot drive the 2d conduction chain; use mode 'measure' or "
                 "'focus', or family 'plane'/'xray'"
             )
-        if self.family == "spherical" and self.radii < 3:
-            raise ValueError("invalid value for 'radii': the spherical family "
-                             "needs at least 3 for its gradient filter")
+        if (self.family == "spherical" and "focus" in CHAINS[self.mode]
+                and self.radii < focusing._MIN_RADII):
+            raise ValueError(f"invalid value for 'radii': the spherical inversion needs at "
+                             f"least {focusing._MIN_RADII} for its gradient filter")
         # chains that build a kernel: each conduction-kernel pixel must hold a
         # grid cell centre; the synthetic 3d kernel needs two pixels per axis
         # and an aperture of enough transducers to measure it

@@ -22,11 +22,14 @@ from .wavegen import (
     SphericalMeanData,
     _check_offsets_cover,
     _inverse_dft,
+    _window_end,
+    default_radii,
 )
 
 PULSE_CONSTANT = 1.0 / (8.0 * np.pi**2)
 MONO_CONSTANT = -1.0 / (2.0 * np.pi**2)
 _XRAY_BLOCK = 2**20  # cap on the filtered values, and on the weights, of one block of x-ray angles
+_MIN_RADII = 3  # the spherical route's second-order t differences need 3 radii
 
 
 def _lerp(f, x, xp):
@@ -91,16 +94,21 @@ def invert_spherical_means_3d(data, out):
     measured spherical integral as a function of radius, differentiates
     the filtered trace once more in t, and evaluates the closed-form
     divergence of the backprojection on the output grid.  Both t
-    derivatives are second-order differences, so at least 3 radii are
-    needed.
+    derivatives are second-order differences, so at least _MIN_RADII radii
+    are needed.  The backprojection reads zero past the last radius, so
+    the radii must reach R + the output grid's circumradius, the farthest
+    any output pixel lies from a transducer (up to a relative 1e-12).
     """
     _require(data, SphericalMeanData, "spherical-means")
     if out.dim != 3:
         raise ValueError("spherical-means inversion requires a 3D output grid")
-    if data.radii.size < 3:
-        raise ValueError("spherical-means inversion needs at least 3 radii for its "
-                         f"radial filter stencil, got {data.radii.size}")
+    if data.radii.size < _MIN_RADII:
+        raise ValueError(f"spherical-means inversion needs at least {_MIN_RADII} radii for "
+                         f"its radial filter stencil, got {data.radii.size}")
     reach, radius = _check_inside_sphere(out, data.array)
+    if data.radii[-1] < (radius + reach) * (1.0 - 1e-12):
+        raise ValueError(f"radii end at {data.radii[-1]:.6g}, short of R + the output grid's "
+                         f"circumradius ({radius + reach:.6g})")
     dt = data.radii[1] - data.radii[0]
     if radius - reach < 2.0 * dt:
         warnings.warn(
@@ -161,17 +169,18 @@ def invert_monochromatic_3d(data, out):
     """Reconstruct kernel columns from monochromatic responses (3D).
 
     Synthesizes the t-derivatives of the filtered time profiles from the
-    frequency sweep, then applies the same closed-form backprojection
-    divergence as the pulse route, with its own normalization.
+    frequency sweep on the default_radii time lattice of the output grid,
+    then applies the same closed-form backprojection divergence as the
+    pulse route, with its own normalization.
     """
     _require(data, MonochromaticData, "monochromatic")
     if out.dim != 3:
         raise ValueError("monochromatic inversion requires a 3D output grid")
-    _, radius = _check_inside_sphere(out, data.array)
-    t_max = radius + out.diameter
+    _check_inside_sphere(out, data.array)
     # sample the fastest oscillation cos(lam_max t) at 4 points/period
-    n_times = max(int(np.ceil(t_max * data.frequencies[-1] * 2.0 / np.pi)), 64)
-    t = np.linspace(0.0, t_max, n_times + 1)[1:]
+    t_end = _window_end(data.array, out)
+    n_times = max(int(np.ceil(t_end * data.frequencies[-1] * 2.0 / np.pi)), 64)
+    t = default_radii(data.array, out, n_times)
     profiles = _detector_profiles(data, t)
     recs = _backproject_divergence(data.array, t, profiles, out, MONO_CONSTANT)
     return KernelMatrix(grid=out, values=recs)
@@ -214,16 +223,22 @@ def invert_xray_2d(data, out):
     c[k] = ds h(k ds) for the band-limited ramp kernel h (Kak & Slaney 1988,
     ch. 3): 1/(4 ds) at k = 0, -1/(pi^2 k^2 ds) at odd k, 0 at even k > 0;
     backprojects with linear interpolation in the offset; weights by
-    pi / n_angles.  A block of angles (at most _XRAY_BLOCK filtered values
-    and weights) is one product F @ values and one CSR matrix with 1 - f
-    and f at columns a*n_off + j and a*n_off + j + 1 for a pixel's offset
-    index j + f at angle a.  The coverage check keeps j + f in
+    pi / n_angles, so the angles must be theta_0 + pi k / n_angles, a
+    half-turn up to the lattices' relative 1e-9.  A block of angles (at
+    most _XRAY_BLOCK filtered values and weights) is one product
+    F @ values and one CSR matrix with 1 - f and f at columns a*n_off + j
+    and a*n_off + j + 1 for a pixel's offset index j + f at angle a.  The coverage check keeps j + f in
     [0, n_off - 1] up to rounding, so no pixel needs an outside mask.
     """
     _require(data, Sinogram, "x-ray")
     if out.dim != 2:
         raise ValueError("x-ray inversion requires a 2D output grid")
     n_angles = data.angles.size
+    if n_angles > 1:
+        span = n_angles * (data.angles[-1] - data.angles[0]) / (n_angles - 1)
+        if abs(span - np.pi) > 1e-9 * np.pi:
+            raise ValueError(f"{n_angles} angles from {data.angles[0]:.6g} to "
+                             f"{data.angles[-1]:.6g} span {span:.6g}, not a half-turn (pi)")
     if n_angles < 8:
         warnings.warn(
             f"only {n_angles} projection angles; expect severe angular "

@@ -151,10 +151,14 @@ class Sinogram:
         return [("angle", self.angles), ("offset", self.offsets)]
 
 
+def _window_end(array, grid):
+    """R + domain diameter, the end of the radii and time window."""
+    return array.radius + grid.diameter
+
+
 def default_radii(array, grid, n):
-    """n uniform radii spanning (0, R + domain diameter]."""
-    tmax = array.radius + grid.diameter
-    return tmax * (np.arange(n) + 1.0) / n
+    """n uniform radii, or time samples, spanning (0, R + domain diameter]."""
+    return _window_end(array, grid) * (np.arange(n) + 1.0) / n
 
 
 def default_frequencies(grid, n=None):
@@ -250,8 +254,7 @@ def measure_spherical_pulse(kernel, array, radii):
         raise ValueError("measure_spherical_pulse needs a 3d kernel grid")
     radii = np.asarray(radii, dtype=float)
     _positive_spacing(radii, "radii")
-    tmax = array.radius + grid.diameter
-    if np.any(radii > tmax * (1 + 1e-12)):
+    if radii[-1] > _window_end(array, grid) * (1 + 1e-12):
         raise ValueError("radii must lie within (0, R + domain diameter]")
     dx = float(np.min(grid.spacing))
     # per radius: quadrature point count and weight; the points themselves

@@ -93,6 +93,20 @@ class TestParseConfig:
         assert cfg.grid == (48, 32) and type(cfg.grid[0]) is int
         assert (cfg.pixels, cfg.radii, cfg.seed) == (16, 96, 3)
 
+    @pytest.mark.parametrize("key, value", [
+        ("noise", "0.1"), ("noise", None), ("noise", 1j), ("noise", True), ("noise", np.True_),
+        ("noise", np.float64(-0.1)), ("out", None), ("out", 5),
+    ])
+    def test_bad_noise_and_out_name_the_key(self, key, value):
+        # noise = "0.1" used to raise a bare TypeError, True to pass as 1.0
+        with pytest.raises(ValueError, match=f"invalid value for '{key}'"):
+            ExperimentConfig(**{key: value})
+
+    def test_real_noise_and_path_out_accepted(self, tmp_path):
+        for noise in (0, 0.02, np.float64(0.02), np.float32(0.5), np.int64(1)):
+            assert ExperimentConfig(noise=noise).noise == noise
+        assert ExperimentConfig(out=tmp_path).out == tmp_path
+
     def test_volumetric_families_cannot_drive_endtoend(self):
         for family in ("spherical", "monochromatic"):
             with pytest.raises(ValueError, match="family"):
@@ -199,6 +213,17 @@ class TestExitCodes:
         assert run_cli(["focus", "--config", str(cfg)], tmp_path) == 1
         assert "'radii'" in capsys.readouterr().err
         assert not (tmp_path / "metrics.txt").exists()
+
+    @pytest.mark.parametrize("mode", ["phantom", "kernel", "measure"])
+    def test_spherical_with_two_radii_runs_without_inversion(self, mode, tmp_path):
+        # only the inversion needs 3 radii; the measure takes 2
+        text = "family = spherical\nradii = 2\ngrid = 16\npixels = 8\ntransducers = 8\n"
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(text)
+        assert run_cli([mode, "--config", str(cfg)], tmp_path) == 0
+        assert parse_config(f"mode = {mode}\n" + text).radii == 2
+        with pytest.raises(ValueError, match="'radii'"):
+            parse_config("mode = focus\n" + text)
 
     @pytest.mark.parametrize("text, extra, key", [
         ("noise = nan\n", [], "noise"),  # would skip the noise and exit 0

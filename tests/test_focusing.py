@@ -160,6 +160,22 @@ class TestSphericalMeansRoute:
         with pytest.raises(ValueError, match="transducer sphere"):
             invert_spherical_means_3d(data, out)
 
+    def test_radii_must_reach_past_the_output_grid(self):
+        # the backprojection reads zero past the last radius; radii that
+        # end 5e-13 short of R + circumradius lie within the slack
+        arr, out, _ = small_pulse_setup()
+        reach = 1.0 + out.circumradius
+        for end, ok in ((reach * (1.0 - 5e-13), True), (reach * (1.0 - 2e-12), False),
+                        (1.0, False)):
+            radii = end * np.arange(1, 41) / 40
+            data = SphericalMeanData(array=arr, radii=radii,
+                                     values=np.ones((arr.n, radii.size, 1)))
+            if ok:
+                assert np.all(np.isfinite(invert_spherical_means_3d(data, out).values))
+            else:
+                with pytest.raises(ValueError, match="short of R"):
+                    invert_spherical_means_3d(data, out)
+
     def test_rejects_wrong_data_type(self):
         arr, out, _ = small_pulse_setup()
         mono = MonochromaticData(
@@ -253,6 +269,25 @@ class TestMonochromaticRoute:
         )
         kern = invert_monochromatic_3d(data, out)
         assert np.all(kern.values[0] == 0.0)
+
+    def test_time_samples_are_default_radii(self, rng, monkeypatch):
+        # the inversion's time lattice is the spherical route's radii
+        # lattice, (0, R + diameter] at 4 points per period of lam_max
+        arr, out, _ = small_pulse_setup()
+        freqs = np.linspace(1.0, 60.0, 16)
+        data = MonochromaticData(array=arr, frequencies=freqs,
+                                 values=rng.standard_normal((arr.n, freqs.size, 1)) + 0j)
+        seen = []
+
+        def recording(data, t):
+            seen.append(t)
+            return np.zeros((1, arr.n, t.size))
+
+        monkeypatch.setattr(synfocus.focusing, "_detector_profiles", recording)
+        invert_monochromatic_3d(data, out)
+        n = int(np.ceil((1.0 + out.diameter) * 60.0 * 2.0 / np.pi))
+        assert n > 64
+        assert np.array_equal(seen[0], default_radii(arr, out, n))
 
     def test_empty_frequency_list_rejected(self):
         arr = make_transducer_array(6, radius=1.0)
@@ -482,6 +517,33 @@ class TestXrayRoute:
         )
         with pytest.warns(RuntimeWarning, match="undersampling"):
             invert_xray_2d(data, out)
+
+    def test_angles_must_span_a_half_turn(self, rng):
+        # the FBP weights each angle by pi / n: 90 angles over [0, pi/2)
+        # used to invert a Gaussian with 79% error and no warning.  The
+        # measure still takes any uniform angles in [0, pi)
+        out = centered_grid(16, 2)
+        kern = KernelMatrix(grid=out, values=rng.standard_normal((1, out.n_pixels)))
+        for angles in (default_angles(180) / 2, default_angles(2) / 2, default_angles(9)[:7]):
+            data = measure_line_integrals(kern, angles, default_offsets(out))
+            with pytest.raises(ValueError, match=f"{angles.size} angles from .* not a half-turn"):
+                invert_xray_2d(data, out)
+
+    @pytest.mark.parametrize("angles", [
+        default_angles(1), default_angles(2), default_angles(7), default_angles(180),
+        default_angles(24) + 0.5 * np.pi / 24,
+    ], ids=["1", "2", "7", "180", "rotated-24"])
+    def test_half_turn_lattices_invert(self, angles, rng):
+        out = centered_grid(8, 2)
+        kern = KernelMatrix(grid=out, values=rng.standard_normal((1, out.n_pixels)))
+        data = measure_line_integrals(kern, angles, default_offsets(out))
+        # the suite turns any other warning into an error
+        if angles.size < 8:  # the undersampling warning stays
+            with pytest.warns(RuntimeWarning, match="undersampling"):
+                rec = invert_xray_2d(data, out)
+        else:
+            rec = invert_xray_2d(data, out)
+        assert np.all(np.isfinite(rec.values))
 
     def test_offsets_must_cover_grid(self):
         out = centered_grid(16, 2)  # circumradius ~0.707

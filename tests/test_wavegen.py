@@ -189,6 +189,18 @@ class TestSphericalPulse:
             measure_spherical_pulse(_kernel(g, np.ones(g.n_pixels)), arr,
                                     np.array([-0.5, 1.0]))
 
+    def test_radii_reach_the_window_end_and_no_further(self):
+        # default_radii owns the window (0, R + domain diameter]: its last
+        # radius is measured, 1e-9 past it is refused
+        g = centered_grid(8, 3)
+        kern = _kernel(g, np.ones(g.n_pixels))
+        arr = make_transducer_array(4, radius=2.0)
+        radii = default_radii(arr, g, 12)
+        assert radii[-1] == pytest.approx(2.0 + g.diameter, rel=1e-15)
+        assert measure_spherical_pulse(kern, arr, radii).radii[-1] == radii[-1]
+        with pytest.raises(ValueError, match="R \\+ domain diameter"):
+            measure_spherical_pulse(kern, arr, radii * (1.0 + 1e-9))
+
     @pytest.mark.invariant
     def test_early_times_are_zero(self):
         # spheres that do not yet reach the support measure nothing
