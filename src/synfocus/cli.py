@@ -39,7 +39,6 @@ from .forward_eit import (
 
 logger = logging.getLogger("synfocus")
 
-FAMILIES = ("plane", "xray", "spherical", "monochromatic")
 # families whose inversion runs in 3d; they use the synthetic kernel path
 VOLUMETRIC = ("spherical", "monochromatic")
 # stages of each mode, in run order
@@ -79,7 +78,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"invalid value for 'mode': {self.mode!r}")
-        if self.family not in FAMILIES:
+        if self.family not in focusing._METHODS:
             raise ValueError(f"invalid value for 'family': {self.family!r}")
         g = tuple(self.grid) if isinstance(self.grid, (tuple, list)) else (self.grid,)
         g = g * 2 if len(g) == 1 else g

@@ -369,13 +369,19 @@ class KernelMatrix:
         return ScalarField(self.grid, self.values[j])
 
 
+def _support_box(grid):
+    """Corners (lo, hi) of _stencil's support, the pixel-center hull
+    padded by one spacing (-1 < u < counts); points outside read zero."""
+    return grid.origin - grid.spacing, grid.origin + grid.counts * grid.spacing
+
+
 def _stencil(grid, u):
     """Multilinear interpolation stencil at index coordinates ``u``
     (dim, n_points), u = (x - origin) / spacing, on the grid padded by one
     zero layer on every side (see _padded_rows).
 
-    Returns (near, index, weight): the indices of the points within one
-    spacing of the pixel-center hull (-1 < u < counts) and, for each, the
+    Returns (near, index, weight): the indices of the points inside the
+    support box (-1 < u < counts, see _support_box) and, for each, the
     flat padded-grid indices and weights of its 2^dim corners, shape
     (n_near, 2^dim), in itertools.product((0, 1), repeat=dim) order.
     Corners outside the grid land on the zero layer, so the hull rolls off

@@ -15,16 +15,9 @@ import numpy as np
 import scipy.sparse
 
 from .core import KernelMatrix
-from .wavegen import (
-    FourierData,
-    MonochromaticData,
-    Sinogram,
-    SphericalMeanData,
-    _check_offsets_cover,
-    _inverse_dft,
-    _window_end,
-    default_radii,
-)
+from .wavegen import (FourierData, MonochromaticData, Sinogram, SphericalMeanData, _END_RTOL,
+                      _LATTICE_RTOL, _check_offsets_cover, _inverse_dft, _uniform_spacing,
+                      _window_end, default_radii)
 
 PULSE_CONSTANT = 1.0 / (8.0 * np.pi**2)
 MONO_CONSTANT = -1.0 / (2.0 * np.pi**2)
@@ -95,9 +88,10 @@ def invert_spherical_means_3d(data, out):
     the filtered trace once more in t, and evaluates the closed-form
     divergence of the backprojection on the output grid.  Both t
     derivatives are second-order differences, so at least _MIN_RADII radii
-    are needed.  The backprojection reads zero past the last radius, so
-    the radii must reach R + the output grid's circumradius, the farthest
-    any output pixel lies from a transducer (up to a relative 1e-12).
+    are needed.  The backprojection reads zero outside the radii, so they
+    must reach R + the output grid's circumradius, the farthest any output
+    pixel lies from a transducer, and start at most one step beyond R -
+    that circumradius, the nearest (both up to the relative _END_RTOL).
     """
     _require(data, SphericalMeanData, "spherical-means")
     if out.dim != 3:
@@ -106,10 +100,13 @@ def invert_spherical_means_3d(data, out):
         raise ValueError(f"spherical-means inversion needs at least {_MIN_RADII} radii for "
                          f"its radial filter stencil, got {data.radii.size}")
     reach, radius = _check_inside_sphere(out, data.array)
-    if data.radii[-1] < (radius + reach) * (1.0 - 1e-12):
+    if data.radii[-1] < (radius + reach) * (1.0 - _END_RTOL):
         raise ValueError(f"radii end at {data.radii[-1]:.6g}, short of R + the output grid's "
                          f"circumradius ({radius + reach:.6g})")
     dt = data.radii[1] - data.radii[0]
+    if data.radii[0] > (radius - reach + dt) * (1.0 + _END_RTOL):
+        raise ValueError(f"radii start at {data.radii[0]:.6g}, more than one step ({dt:.6g}) "
+                         f"beyond R - the output grid's circumradius ({radius - reach:.6g})")
     if radius - reach < 2.0 * dt:
         warnings.warn(
             "output grid comes within two radial steps of the transducer "
@@ -189,19 +186,14 @@ def invert_monochromatic_3d(data, out):
 def invert_fourier(data, out, return_residue=False):
     """Invert plane-wave responses by inverse DFT back to the pixel grid.
 
-    The data's source grid must match the output grid; any mismatch in
-    counts, spacing, or origin is rejected.  The reconstruction is exact
+    The data's source grid must equal the output grid (Grid compares
+    counts, spacing and origin exactly).  The reconstruction is exact
     to roundoff for data produced by the forward transform; the imaginary
     part (zero for consistent data) is dropped, and its relative norm per
     electrode is available as a diagnostic.
     """
     _require(data, FourierData, "Fourier")
-    same = (
-        tuple(data.grid.counts) == tuple(out.counts)
-        and np.allclose(data.grid.spacing, out.spacing, rtol=1e-9, atol=0.0)
-        and np.allclose(data.grid.origin, out.origin, rtol=1e-9, atol=1e-12)
-    )
-    if not same:
+    if data.grid != out:
         raise ValueError(
             "frequency lattice does not match the conjugate lattice of the "
             "output grid (counts, spacing, or origin differ)"
@@ -224,7 +216,7 @@ def invert_xray_2d(data, out):
     ch. 3): 1/(4 ds) at k = 0, -1/(pi^2 k^2 ds) at odd k, 0 at even k > 0;
     backprojects with linear interpolation in the offset; weights by
     pi / n_angles, so the angles must be theta_0 + pi k / n_angles, a
-    half-turn up to the lattices' relative 1e-9.  A block of angles (at
+    half-turn up to the relative _LATTICE_RTOL.  A block of angles (at
     most _XRAY_BLOCK filtered values and weights) is one product
     F @ values and one CSR matrix with 1 - f and f at columns a*n_off + j
     and a*n_off + j + 1 for a pixel's offset index j + f at angle a.  The coverage check keeps j + f in
@@ -235,8 +227,8 @@ def invert_xray_2d(data, out):
         raise ValueError("x-ray inversion requires a 2D output grid")
     n_angles = data.angles.size
     if n_angles > 1:
-        span = n_angles * (data.angles[-1] - data.angles[0]) / (n_angles - 1)
-        if abs(span - np.pi) > 1e-9 * np.pi:
+        span = n_angles * _uniform_spacing(data.angles, "angles")
+        if abs(span - np.pi) > _LATTICE_RTOL * np.pi:
             raise ValueError(f"{n_angles} angles from {data.angles[0]:.6g} to "
                              f"{data.angles[-1]:.6g} span {span:.6g}, not a half-turn (pi)")
     if n_angles < 8:

@@ -45,8 +45,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .core import (Grid, KernelMatrix, Phantom, ScalarField,
-                   square_boundary_electrodes, _frozen_array)
+from .core import KernelMatrix, ScalarField, square_boundary_electrodes, _frozen_array
 
 DEFAULT_EPS = 1e-3
 # relative residual above which a conduction solve is reported as failed
@@ -104,9 +103,9 @@ def _faces(grid, sigma):
     return np.concatenate(ia), np.concatenate(ib), np.concatenate(cond)
 
 
-def _assemble(grid, sigma):
-    """Conduction matrix of the face lists of _faces."""
-    a, b, c = _faces(grid, sigma)
+def _assemble(grid, faces):
+    """Conduction matrix of the face lists (a, b, cond) of _faces."""
+    a, b, c = faces
     n = grid.n_pixels
     rows = np.concatenate([a, b, a, b])
     cols = np.concatenate([a, b, b, a])
@@ -136,7 +135,7 @@ def solve_conduction(phantom, electrodes):
     grid = phantom.grid
     _check_electrodes(grid, electrodes)
     sigma = phantom.conductivity()
-    A = _assemble(grid, sigma)
+    A = _assemble(grid, _faces(grid, sigma))
     lu = splu(A[1:, 1:].tocsc(), permc_spec="MMD_AT_PLUS_A",
               diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
     cells = electrodes.cells
@@ -376,8 +375,8 @@ def _kernels(phantom, electrodes, interior, epss):
     # the update acts on the potential pinned to zero at cell 0
     u = sol.potential.values - sol.potential.values[0]
     sigma = phantom.conductivity()
-    a, b, cond = _faces(grid, sigma)
-    A = _assemble(grid, sigma)
+    a, b, cond = faces = _faces(grid, sigma)
+    A = _assemble(grid, faces)
     elim = _eliminate(A, int(grid.counts[0]), int(grid.counts[1]))
 
     f, p, la, lb, nb = _neighbourhoods(cell2pix, a, b, n_pix)

@@ -17,7 +17,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse
 
-from .core import Grid, _frozen_array, _interp, _padded_rows, _stencil, _unit_lattice
+from .core import Grid, _frozen_array, _interp, _padded_rows, _stencil, _support_box, _unit_lattice
+
+_LATTICE_RTOL = 1e-9   # relative tolerance of a lattice's uniform spacing and symmetry
+_END_RTOL = 1e-12   # relative slack of a lattice end for the rounding of the reach it covers
 
 
 def _uniform_spacing(x, name):
@@ -31,7 +34,7 @@ def _uniform_spacing(x, name):
     d = np.diff(x)
     if np.any(d <= 0):
         raise ValueError(f"{name} must be strictly increasing")
-    if np.max(np.abs(d - d[0])) > 1e-9 * abs(d[0]):
+    if np.max(np.abs(d - d[0])) > _LATTICE_RTOL * abs(d[0]):
         raise ValueError(f"{name} must be uniformly spaced")
     return float((x[-1] - x[0]) / (x.size - 1))   # x[0] + k * mean stays near x[k]
 
@@ -44,7 +47,7 @@ def _check_sinogram_axes(angles, offsets):
     _uniform_spacing(angles, "angles")
     _uniform_spacing(offsets, "offsets")
     span = offsets + offsets[::-1]
-    if np.max(np.abs(span)) > 1e-9 * max(abs(offsets[0]), abs(offsets[-1])):
+    if np.max(np.abs(span)) > _LATTICE_RTOL * max(abs(offsets[0]), abs(offsets[-1])):
         raise ValueError("offsets must be symmetric about zero")
 
 
@@ -190,9 +193,9 @@ def default_offsets(grid):
 
 def _check_offsets_cover(offsets, grid):
     """The coverage rule of both x-ray routes: offsets span the grid's
-    circumscribed disk, up to a relative 1e-12 for the rounding of rho."""
+    circumscribed disk, up to _END_RTOL for the rounding of rho."""
     rho = grid.circumradius
-    if min(-offsets[0], offsets[-1]) < rho * (1.0 - 1e-12):
+    if min(-offsets[0], offsets[-1]) < rho * (1.0 - _END_RTOL):
         raise ValueError(f"offset range [{offsets[0]:.6g}, {offsets[-1]:.6g}] does not cover "
                          f"the grid's circumscribed disk (radius {rho:.6g})")
 
@@ -254,7 +257,7 @@ def measure_spherical_pulse(kernel, array, radii):
         raise ValueError("measure_spherical_pulse needs a 3d kernel grid")
     radii = np.asarray(radii, dtype=float)
     _positive_spacing(radii, "radii")
-    if radii[-1] > _window_end(array, grid) * (1 + 1e-12):
+    if radii[-1] > _window_end(array, grid) * (1 + _END_RTOL):
         raise ValueError("radii must lie within (0, R + domain diameter]")
     dx = float(np.min(grid.spacing))
     # per radius: quadrature point count and weight; the points themselves
@@ -264,9 +267,7 @@ def measure_spherical_pulse(kernel, array, radii):
     weights = 4.0 * np.pi * radii * radii / n_points
 
     values = np.zeros((array.n, radii.size, kernel.n_electrodes))
-    # interpolation support: pixel-center hull padded by one spacing
-    box_lo = grid.origin - grid.spacing
-    box_hi = grid.origin + grid.counts * grid.spacing
+    box_lo, box_hi = _support_box(grid)
     center = 0.5 * (box_lo + box_hi)
     rho = 0.5 * float(np.linalg.norm(box_hi - box_lo))
     budget = 2_000_000 // kernel.n_electrodes   # 2 M gathered values per chunk

@@ -7,6 +7,7 @@ from synfocus.core import (
     _interp,
     _padded_rows,
     _stencil,
+    _support_box,
     BoundaryElectrodes,
     Disk,
     Grid,
@@ -421,6 +422,24 @@ class TestInterpField:
         _, index, weight = _stencil(g, np.concatenate([hull, shell]).T)
         assert np.all(weight >= 0.0)
         assert np.all(index >= 0) and np.all(index < np.prod(g.counts + 2))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_support_box_bounds_the_stencil(self, dim):
+        # each face of _support_box, one axis at a time from the box's
+        # centre: a billionth of a spacing inside it the stencil reaches the
+        # point, as far outside it does not
+        g = Grid(origin=(-0.4, 0.1, -0.2)[:dim], spacing=(0.3, 0.2, 0.25)[:dim],
+                 counts=(5, 4, 3)[:dim])
+        lo, hi = _support_box(g)
+        pts, inside = [], []
+        for d, (face, inward) in itertools.product(range(dim), ((lo, 1.0), (hi, -1.0))):
+            for sign in (1.0, -1.0):
+                p = 0.5 * (lo + hi)
+                p[d] = face[d] + sign * inward * 1e-9 * g.spacing[d]
+                pts.append(p)
+                inside.append(sign > 0)
+        near, _, _ = _stencil(g, _index(g, np.array(pts)))
+        assert near.tolist() == np.flatnonzero(inside).tolist()
 
 
 def _multilinear_loop(grid, columns, points):

@@ -176,6 +176,25 @@ class TestSphericalMeansRoute:
                 with pytest.raises(ValueError, match="short of R"):
                     invert_spherical_means_3d(data, out)
 
+    def test_radii_must_start_within_a_step_of_the_output_grid(self):
+        # the backprojection reads zero below the first radius too; a
+        # lattice may start at most one step beyond R - circumradius, the
+        # nearest any output pixel lies from a transducer, so a lattice
+        # that starts at its own spacing always passes
+        arr, out, _ = small_pulse_setup()
+        near, reach = 1.0 - out.circumradius, 1.0 + out.circumradius
+        dt = reach / 40
+        for start, ok in ((dt, True), (near + dt, True), ((near + dt) * (1.0 + 1e-9), False),
+                          (0.8, False)):
+            radii = start + dt * np.arange(int(np.ceil((reach - start) / dt)) + 1)
+            data = SphericalMeanData(array=arr, radii=radii,
+                                     values=np.ones((arr.n, radii.size, 1)))
+            if ok:
+                assert np.all(np.isfinite(invert_spherical_means_3d(data, out).values))
+            else:
+                with pytest.raises(ValueError, match=rf"radii start at .*\({near:.6g}\)"):
+                    invert_spherical_means_3d(data, out)
+
     def test_rejects_wrong_data_type(self):
         arr, out, _ = small_pulse_setup()
         mono = MonochromaticData(
@@ -381,6 +400,19 @@ class TestFourierRoute:
         )
         with pytest.raises(ValueError, match="conjugate lattice"):
             invert_fourier(data, shifted)
+
+    def test_output_grid_must_equal_the_measured_grid(self, rng):
+        # Grid equality is exact: an equal grid built anew inverts as the
+        # measured one does, a grid whose origin moved by 1e-13 relative
+        # does not
+        out = centered_grid(16, 2)
+        col = random_smooth_column(out, rng)
+        data = measure_plane_waves(KernelMatrix(grid=out, values=col[None, :]))
+        rebuilt = Grid(origin=out.origin.copy(), spacing=out.spacing.copy(), counts=out.counts)
+        assert np.array_equal(invert_fourier(data, rebuilt).values, invert_fourier(data, out).values)
+        nudged = Grid(origin=out.origin * (1.0 + 1e-13), spacing=out.spacing, counts=out.counts)
+        with pytest.raises(ValueError, match="conjugate lattice"):
+            invert_fourier(data, nudged)
 
     def test_imaginary_residue_diagnostic(self, rng):
         out = centered_grid(16, 2)

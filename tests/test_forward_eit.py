@@ -57,6 +57,12 @@ def _unit_square(nx, ny):
                 counts=(nx, ny))
 
 
+def _stock_matrix(g):
+    """Conduction matrix of the stock phantom on ``g``."""
+    fe = synfocus.forward_eit
+    return fe._assemble(g, fe._faces(g, default_phantom(g).conductivity()))
+
+
 def _phantom_grid(cells):
     """centered_grid(cells, 2), or _unit_square(*cells) for a pair."""
     return _unit_square(*cells) if isinstance(cells, tuple) else centered_grid(cells, 2)
@@ -259,6 +265,22 @@ class TestKernels:
             run()
             assert tuple(counts.values()) == expected
 
+    def test_one_face_list_per_assembly(self, monkeypatch):
+        # each conduction matrix is assembled from face lists built for it:
+        # the kernel pass reuses its own face lists, and solve_conduction
+        # builds its own
+        counts = count_calls(monkeypatch, synfocus.forward_eit, ("_faces", "_assemble"))
+        phantom_grid = centered_grid(12, 2)
+        interior = centered_grid(6, 2)
+        ph = default_phantom(phantom_grid)
+        el = left_right_current_pattern(phantom_grid)
+        for run, assemblies in ((lambda: solve_conduction(ph, el), 1),
+                                (lambda: kernel_bruteforce(ph, el, interior), 2),
+                                (lambda: kernel_adjoint(ph, el, centered_grid(4, 2)), 2)):
+            counts.update(dict.fromkeys(counts, 0))
+            run()
+            assert counts == {"_faces": assemblies, "_assemble": assemblies}
+
     @pytest.mark.parametrize("cells, pixels, half", [(48, 24, 0.5 - INTERIOR_MARGIN),
                                                      ((24, 16), 8, 0.5)], ids=_case_id)
     def test_memo_adjoint_equals_fresh_adjoint(self, cells, pixels, half, monkeypatch):
@@ -333,7 +355,7 @@ class TestKernels:
         # grid with nx != ny
         nx, ny, w = 7, 5, 2
         g = _unit_square(nx, ny)
-        A = synfocus.forward_eit._assemble(g, default_phantom(g).conductivity()).toarray()
+        A = _stock_matrix(g).toarray()
         A[0, :] = A[:, 0] = 0.0
         A[0, 0] = 1.0
         P = np.linalg.inv(A)
@@ -351,7 +373,7 @@ class TestKernels:
         # whose column and row of P are zero
         nx, ny = 7, 5
         g = _unit_square(nx, ny)
-        A = synfocus.forward_eit._assemble(g, default_phantom(g).conductivity())
+        A = _stock_matrix(g)
         P = np.zeros((nx * ny, nx * ny))
         P[1:, 1:] = np.linalg.inv(A[1:, 1:].toarray())
         cells = left_right_current_pattern(g).cells
@@ -455,7 +477,7 @@ class TestKernels:
         # exceeds it.
         nx = ny = 96
         g = centered_grid(nx, 2)
-        A = synfocus.forward_eit._assemble(g, default_phantom(g).conductivity())
+        A = _stock_matrix(g)
         elim = synfocus.forward_eit._eliminate(A, nx, ny)
         cells = left_right_current_pattern(g).cells
         tracemalloc.start()

@@ -23,3 +23,18 @@ def test_cli_table_lists_each_chain():
     table = {mode: tuple(s.strip() for s in stages.split(",")) for mode, stages in rows}
     assert len(table) == len(rows), "a mode is listed twice"
     assert table == CHAINS
+
+
+def test_config_block_follows_the_code():
+    # the block under "Keys and defaults" is a config of the defaults, and
+    # its family comment lists the inversions that focus_kernel picks from
+    from synfocus.cli import ExperimentConfig, parse_config
+    from synfocus.focusing import _METHODS
+
+    text = README.read_text(encoding="utf-8")
+    match = re.search(r"Keys and defaults:\n+```\n(.*?)^```$", text, re.M | re.S)
+    assert match, "README.md has no config block under 'Keys and defaults'"
+    assert parse_config(match.group(1)) == ExperimentConfig()
+    family = re.search(r"^family = \w+ +# (.*)$", match.group(1), re.M)
+    assert family, "the config block has no family line"
+    assert sorted(name.strip() for name in family.group(1).split("|")) == sorted(_METHODS)

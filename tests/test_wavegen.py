@@ -13,6 +13,7 @@ from synfocus.core import (
     _interp,
     _padded_rows,
     _stencil,
+    _support_box,
     _unit_lattice,
     make_transducer_array,
 )
@@ -53,9 +54,10 @@ def _kernel(grid, columns):
 
 
 def _support_center(grid):
-    """Centre of the interpolation support box (pixel-center hull padded
-    by one spacing), rounded as measure_spherical_pulse rounds it."""
-    return 0.5 * ((grid.origin - grid.spacing) + (grid.origin + grid.counts * grid.spacing))
+    """Centre of the interpolation support box, as measure_spherical_pulse
+    takes it from core._support_box."""
+    lo, hi = _support_box(grid)
+    return 0.5 * (lo + hi)
 
 
 def _sphere_rule(grid, t):
