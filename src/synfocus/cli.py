@@ -326,9 +326,9 @@ def _stage_kernel_adjoint(run):
 
 def _stage_measure(run):
     cfg = run.cfg
-    run.data = _measure(cfg, run.kernel)
-    if cfg.noise > 0.0:
-        run.data = wavegen.add_noise(run.data, cfg.noise, cfg.seed)
+    run.data = wavegen.add_noise(_measure(cfg, run.kernel), cfg.noise, cfg.seed)
+    for name, axis in run.data.axes():
+        run.metrics[f"axis_{name}"] = axis.size
     io.save_table_csv(run.out_dir / "data.csv", [f"family: {cfg.family}"],
                       run.data.axes(), run.data.values)
 

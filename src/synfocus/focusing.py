@@ -25,16 +25,16 @@ _XRAY_BLOCK = 2**20  # cap on the filtered values, and on the weights, of one bl
 _MIN_RADII = 3  # the spherical route's second-order t differences need 3 radii
 
 
-def _lerp(f, x, xp):
-    """Linear interpolation of every row of f (n_rows, n_samples), sampled
-    on the uniform lattice xp, at the points x; zero outside [xp[0], xp[-1]]
+def _lerp(f, x, start, spacing):
+    """Linear interpolation of every row of f (n_rows, n), sampled at
+    start + k * spacing, at the points x; zero outside the sampled interval
     as np.interp with left=right=0.  The weights are computed once for all
     rows."""
-    u = (x - xp[0]) / (xp[1] - xp[0])
+    u = (x - start) / spacing
     # truncation is floor where u >= 0; outside points get zero weights, so
     # their indices only need clipping into range
-    j = np.minimum(u.astype(np.intp), xp.size - 2)
-    inside = (u >= 0.0) & (u <= xp.size - 1)
+    j = np.minimum(u.astype(np.intp), f.shape[1] - 2)
+    inside = (u >= 0.0) & (u <= f.shape[1] - 1)
     wr = (u - j) * inside
     return (np.take(f, j, axis=1, mode="clip") * (inside - wr)
             + np.take(f[:, 1:], j, axis=1, mode="clip") * wr)
@@ -51,11 +51,12 @@ def _backproject_divergence(array, t_samples, dprofiles, out, constant):
     grid (linear interpolation in t, zero outside the sampled interval).
     Result shape (n_electrodes, n_pixels), x-fastest.
     """
+    start, spacing = t_samples[0], _uniform_spacing(t_samples, "time samples")
     x = np.stack([m.ravel() for m in out.mesh()])   # (3, n_pixels)
     recs = np.zeros((dprofiles.shape[0], out.n_pixels))
     for i, (p, n) in enumerate(zip(array.positions, array.normals)):
         r = np.sqrt((x[0] - p[0]) ** 2 + (x[1] - p[1]) ** 2 + (x[2] - p[2]) ** 2)
-        q = _lerp(dprofiles[:, i], r, t_samples)
+        q = _lerp(dprofiles[:, i], r, start, spacing)
         # in place: fewer pixel-sized temporaries per transducer
         q *= (n @ x - n @ p) * (array.weights[i] / r)
         recs += q
@@ -69,8 +70,10 @@ def _require(data, want, inversion):
                         f"got {type(data).__name__}")
 
 
-def _check_inside_sphere(out, array):
-    """Reject output grids not strictly inside the transducer sphere."""
+def _check_inside_sphere(out, array, inversion):
+    """The output-grid rule of both 3-d inversions: 3-d, strictly inside the sphere."""
+    if out.dim != 3:
+        raise ValueError(f"{inversion} inversion requires a 3D output grid")
     reach, radius = out.circumradius, array.radius
     if reach >= radius:
         raise ValueError(
@@ -94,16 +97,14 @@ def invert_spherical_means_3d(data, out):
     that circumradius, the nearest (both up to the relative _END_RTOL).
     """
     _require(data, SphericalMeanData, "spherical-means")
-    if out.dim != 3:
-        raise ValueError("spherical-means inversion requires a 3D output grid")
+    reach, radius = _check_inside_sphere(out, data.array, "spherical-means")
     if data.radii.size < _MIN_RADII:
         raise ValueError(f"spherical-means inversion needs at least {_MIN_RADII} radii for "
                          f"its radial filter stencil, got {data.radii.size}")
-    reach, radius = _check_inside_sphere(out, data.array)
     if data.radii[-1] < (radius + reach) * (1.0 - _END_RTOL):
         raise ValueError(f"radii end at {data.radii[-1]:.6g}, short of R + the output grid's "
                          f"circumradius ({radius + reach:.6g})")
-    dt = data.radii[1] - data.radii[0]
+    dt = _uniform_spacing(data.radii, "radii")
     if data.radii[0] > (radius - reach + dt) * (1.0 + _END_RTOL):
         raise ValueError(f"radii start at {data.radii[0]:.6g}, more than one step ({dt:.6g}) "
                          f"beyond R - the output grid's circumradius ({radius - reach:.6g})")
@@ -116,8 +117,8 @@ def invert_spherical_means_3d(data, out):
             stacklevel=2,
         )
     t = data.radii[:, None]
-    prof = np.gradient(data.values / t, data.radii, axis=1, edge_order=2) / t
-    dprof = np.gradient(prof, data.radii, axis=1, edge_order=2)
+    prof = np.gradient(data.values / t, dt, axis=1, edge_order=2) / t
+    dprof = np.gradient(prof, dt, axis=1, edge_order=2)
     recs = _backproject_divergence(data.array, data.radii, dprof.transpose(2, 0, 1),
                                    out, PULSE_CONSTANT)
     return KernelMatrix(grid=out, values=recs)
@@ -138,18 +139,16 @@ def _detector_profiles(data, t):
     lam = data.frequencies
     lam_max = lam[-1]
     taper = np.ones_like(lam)
-    if lam.size > 1:
+    if lam.size > 1:  # the taper would zero a single frequency
         edge = 0.9 * lam_max
         hi = lam > edge
         taper[hi] = 0.5 * (1.0 + np.cos(np.pi * (lam[hi] - edge) / (lam_max - edge)))
-        # trapezoid on [0, lam_max]: the integrand vanishes at lam=0, so the
-        # band below the first node contributes only through its half-panel
-        dl = lam[1] - lam[0]
-        wq = np.full(lam.size, dl)
-        wq[0] = 0.5 * (dl + lam[0])
-        wq[-1] *= 0.5
-    else:
-        wq = np.array([0.5 * lam[0]])
+    # trapezoid on [0, lam_max]: the integrand vanishes at lam=0, so the band
+    # [0, lam[0]] adds lam[0] / 2 to the first weight (all of it at spacing 0)
+    dl = _uniform_spacing(lam, "frequencies")
+    wq = np.full(lam.size, dl)
+    wq[-1] *= 0.5
+    wq[0] = 0.5 * (dl + lam[0])
     w = data.values.transpose(2, 1, 0)  # (n_el, n_freq, n_trans)
     ct = np.cos(lam[None, :] * t[:, None])  # (n_t, n_freq)
     st = np.sin(lam[None, :] * t[:, None])
@@ -171,9 +170,7 @@ def invert_monochromatic_3d(data, out):
     pulse route, with its own normalization.
     """
     _require(data, MonochromaticData, "monochromatic")
-    if out.dim != 3:
-        raise ValueError("monochromatic inversion requires a 3D output grid")
-    _check_inside_sphere(out, data.array)
+    _check_inside_sphere(out, data.array, "monochromatic")
     # sample the fastest oscillation cos(lam_max t) at 4 points/period
     t_end = _window_end(data.array, out)
     n_times = max(int(np.ceil(t_end * data.frequencies[-1] * 2.0 / np.pi)), 64)
@@ -239,7 +236,7 @@ def invert_xray_2d(data, out):
             stacklevel=2,
         )
     _check_offsets_cover(data.offsets, out)
-    ds = data.offsets[1] - data.offsets[0]
+    ds = _uniform_spacing(data.offsets, "offsets")
     n_off, n_el, n_pix = data.offsets.size, data.values.shape[2], out.n_pixels
     c = np.zeros(n_off)
     c[0], c[1::2] = 0.25 / ds, -1.0 / (np.pi**2 * ds) / np.arange(1, n_off, 2) ** 2

@@ -60,6 +60,18 @@ def _positive_spacing(x, name):
     return spacing
 
 
+def _freeze_aperture(data, lattice, dtype):
+    """The container rule of both aperture families: frozen values of shape
+    (n_transducers, lattice size, n_electrodes) on a positive uniform lattice."""
+    axis = _frozen_array(getattr(data, lattice), lattice, ndim=1)
+    values = _frozen_array(data.values, "values", dtype=dtype, ndim=3)
+    object.__setattr__(data, lattice, axis)
+    object.__setattr__(data, "values", values)
+    _positive_spacing(axis, lattice)
+    if values.shape[:2] != (data.array.n, axis.size):
+        raise ValueError(f"values shape must be (n_transducers, n_{lattice}, n_electrodes)")
+
+
 @dataclass(frozen=True, eq=False)
 class SphericalMeanData:
     """Spherical surface integrals of the kernel columns.
@@ -73,12 +85,7 @@ class SphericalMeanData:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "radii", _frozen_array(self.radii, "radii", ndim=1))
-        object.__setattr__(self, "values", _frozen_array(self.values, "values", ndim=3))
-        _positive_spacing(self.radii, "radii")
-        n_t, n_r, _ = self.values.shape
-        if n_t != self.array.n or n_r != self.radii.size:
-            raise ValueError("values shape must be (n_transducers, n_radii, n_electrodes)")
+        _freeze_aperture(self, "radii", float)
 
     def axes(self):
         return [("radius", self.radii)]
@@ -94,14 +101,7 @@ class MonochromaticData:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "frequencies",
-                           _frozen_array(self.frequencies, "frequencies", ndim=1))
-        object.__setattr__(self, "values",
-                           _frozen_array(self.values, "values", dtype=complex, ndim=3))
-        _positive_spacing(self.frequencies, "frequencies")
-        n_t, n_f, _ = self.values.shape
-        if n_t != self.array.n or n_f != self.frequencies.size:
-            raise ValueError("values shape must be (n_transducers, n_freqs, n_electrodes)")
+        _freeze_aperture(self, "frequencies", complex)
 
     def axes(self):
         return [("frequency", self.frequencies)]

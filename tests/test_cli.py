@@ -193,11 +193,14 @@ class TestExitCodes:
     @pytest.mark.parametrize("pixels, cut", [(16, 55), (24, None), (32, None)])
     def test_frequency_cut_lands_in_metrics(self, pixels, cut, tmp_path):
         # default_frequencies caps the count at floor(2 * diameter / dx):
-        # 55 at 16 pixels, 83 at 24 (the volume3d bench op), 110 at 32
+        # 55 at 16 pixels, 83 at 24 (the volume3d bench op), 110 at 32; the
+        # count measured is recorded beside the 64 configured
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(f"family = monochromatic\npixels = {pixels}\ntransducers = 8\n")
         assert run_cli(["measure", "--config", str(cfg)], tmp_path) == 0
         metrics = read_metrics(tmp_path)
+        assert metrics["config_frequencies"] == "64"
+        assert metrics["axis_frequency"] == str(cut or 64)
         if cut is None:
             assert "warnings" not in metrics
         else:
@@ -325,6 +328,8 @@ ENDTOEND_METRIC_KEYS = [
     "residual",
     "time_forward",
     "time_kernel",
+    "axis_k0",
+    "axis_k1",
     "time_measure",
     "kernel_error",
     "time_focus",
@@ -343,9 +348,11 @@ CHAIN_MODES = {
     "kernel": (["phantom.csv", "phantom.pgm", "kernel.csv", "kernel_e000.pgm",
                 "kernel_adjoint.csv"],
                ["time_phantom", "time_kernel", "adjoint_vs_bruteforce", "time_kernel_adjoint"]),
-    "measure": (["kernel.csv", "kernel_e000.pgm", "data.csv"], ["time_kernel", "time_measure"]),
+    "measure": (["kernel.csv", "kernel_e000.pgm", "data.csv"],
+                ["time_kernel", "axis_k0", "axis_k1", "time_measure"]),
     "focus": (["kernel.csv", "kernel_e000.pgm", "data.csv", "recon.csv", "recon_e000.pgm"],
-              ["time_kernel", "time_measure", "kernel_error", "time_focus"]),
+              ["time_kernel", "axis_k0", "axis_k1", "time_measure", "kernel_error",
+               "time_focus"]),
     "validate": ([], ["forward_linear_error", "check_forward", "time_validate_forward",
                       "fourier_roundtrip_error", "check_fourier", "time_validate_fourier",
                       "spherical_closed_form_error", "check_spherical",

@@ -12,6 +12,7 @@ import synfocus.focusing
 from synfocus.core import Grid, KernelMatrix, TransducerArray, make_transducer_array
 from synfocus.focusing import (
     _backproject_divergence,
+    _detector_profiles,
     focus_kernel,
     invert_fourier,
     invert_monochromatic_3d,
@@ -307,6 +308,21 @@ class TestMonochromaticRoute:
         n = int(np.ceil((1.0 + out.diameter) * 60.0 * 2.0 / np.pi))
         assert n > 64
         assert np.array_equal(seen[0], default_radii(arr, out, n))
+
+    def test_one_frequency_weighs_half_its_band(self, rng):
+        # one frequency has spacing 0 and no taper: its trapezoid weight is
+        # lam[0] / 2, all of [0, lam[0]], in h and in h' = (S' - h) / t
+        arr = make_transducer_array(6, radius=1.0)
+        lam = 7.0
+        w = rng.standard_normal((arr.n, 1, 2)) + 1j * rng.standard_normal((arr.n, 1, 2))
+        t = np.linspace(0.1, 3.0, 40)
+        got = _detector_profiles(MonochromaticData(array=arr, frequencies=[lam], values=w), t)
+        wt = w[:, 0, :].T[:, :, None]   # (n_el, n_trans, 1)
+        cos, sin = np.cos(lam * t), np.sin(lam * t)
+        h = 0.5 * lam * lam * (sin * wt.real - cos * wt.imag) / t
+        dS = 0.5 * lam**3 * (sin * wt.imag + cos * wt.real)
+        want = (dS - h) / t
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_empty_frequency_list_rejected(self):
         arr = make_transducer_array(6, radius=1.0)
@@ -686,6 +702,20 @@ class TestFocusKernel:
         with pytest.raises(TypeError, match="requires"):
             focus_kernel(data, "xray", out)
 
+    @pytest.mark.parametrize("method, name", [("spherical", "spherical-means"),
+                                              ("monochromatic", "monochromatic")])
+    def test_3d_inversions_refuse_a_2d_grid(self, method, name):
+        # one output-grid rule for both aperture families
+        arr, _, radii = small_pulse_setup()
+        data = {
+            "spherical": SphericalMeanData(array=arr, radii=radii,
+                                           values=np.zeros((arr.n, radii.size, 1))),
+            "monochromatic": MonochromaticData(array=arr, frequencies=np.linspace(1.0, 20.0, 12),
+                                               values=np.zeros((arr.n, 12, 1), dtype=complex)),
+        }[method]
+        with pytest.raises(ValueError, match=f"^{name} inversion requires a 3D output grid$"):
+            focus_kernel(data, method, centered_grid(8, 2))
+
     @pytest.mark.parametrize("method, invert, expect", [
         ("spherical", invert_spherical_means_3d, "spherical-means inversion requires SphericalMeanData"),
         ("monochromatic", invert_monochromatic_3d, "monochromatic inversion requires MonochromaticData"),
@@ -837,6 +867,30 @@ class TestFocusingInvariants:
         x1 = invert_xray_2d(sino, out2).values[0]
         x2 = invert_xray_2d(sino, out2).values[0]
         assert x1.tobytes() == x2.tobytes()
+
+
+class TestUniformAxes:
+    """Every inversion reads a uniform axis as x[0] + k * spacing with the
+    mean spacing of wavegen._uniform_spacing."""
+
+    @pytest.mark.parametrize("family, lattice", [("xray", "offsets"), ("spherical", "radii"),
+                                                 ("monochromatic", "frequencies")])
+    def test_nudge_within_the_lattice_tolerance_moves_no_reconstruction(self, family, lattice,
+                                                                        rng):
+        # the second point moved by 0.45e-9 of a step keeps the lattice
+        # within its 1e-9 tolerance.  Read as x[0] + k * mean spacing, the
+        # x-ray, spherical and monochromatic reconstructions move by 0, 0
+        # and 1e-11 relative; read by the first difference, they moved by
+        # 1.8e-9, 1.3e-9 and 4.6e-10
+        grid, measure, invert = _family_operators(family)
+        data = measure(KernelMatrix(grid=grid, values=gaussian_column(
+            grid, 0.15, center=rng.uniform(-0.1, 0.1, grid.dim))[None, :]))
+        axis = getattr(data, lattice)
+        nudged = axis.copy()
+        nudged[1] += 0.45e-9 * (axis[1] - axis[0])
+        want = invert(data).values
+        got = invert(replace(data, **{lattice: nudged})).values
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def _family_operators(family):

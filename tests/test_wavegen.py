@@ -587,6 +587,24 @@ class TestAxisValidation:
         with pytest.raises(ValueError, match=f"{axis} must not be empty"):
             build[axis]()
 
+    @pytest.mark.parametrize("cls, lattice, dtype", [(SphericalMeanData, "radii", float),
+                                                     (MonochromaticData, "frequencies", complex)])
+    def test_aperture_containers_share_one_rule(self, cls, lattice, dtype):
+        # frozen lattice and values of the family's dtype, a positive
+        # uniform lattice, values (n_transducers, lattice size, n_electrodes)
+        arr = make_transducer_array(4, radius=1.0)
+        data = cls(arr, [0.5, 1.0, 1.5], np.zeros((arr.n, 3, 2)))
+        axis = getattr(data, lattice)
+        assert axis.dtype == float and data.values.dtype == dtype
+        assert not axis.flags.writeable and not data.values.flags.writeable
+        with pytest.raises(ValueError, match=f"{lattice} must be positive"):
+            cls(arr, [0.0, 0.5, 1.0], np.zeros((arr.n, 3, 2)))
+        with pytest.raises(ValueError, match=f"{lattice} must be uniformly spaced"):
+            cls(arr, [0.5, 1.0, 2.0], np.zeros((arr.n, 3, 2)))
+        for shape in ((arr.n + 1, 3, 2), (arr.n, 2, 2)):
+            with pytest.raises(ValueError, match=rf"\(n_transducers, n_{lattice}, n_electrodes\)"):
+                cls(arr, [0.5, 1.0, 1.5], np.zeros(shape))
+
     @pytest.mark.parametrize("case", ["empty offsets", "angle at pi", "asymmetric offsets",
                                       "nan radius", "uneven radii"])
     def test_measures_check_axes_before_work(self, case, monkeypatch):
