@@ -93,6 +93,8 @@ class ExperimentConfig:
             raise ValueError("invalid value for 'noise': must be a real number, finite and >= 0")
         if not isinstance(self.out, (str, os.PathLike)):
             raise ValueError(f"invalid value for 'out': {self.out!r} is not a path")
+        if "".join(str(self.out).splitlines()) != str(self.out):  # one metrics.txt line per key
+            raise ValueError(f"invalid value for 'out': {self.out!r} holds a line break")
         if self.mode == "endtoend" and self.family in VOLUMETRIC:
             raise ValueError(
                 f"invalid value for 'family': {self.family!r} reconstructs in 3d "

@@ -1,17 +1,18 @@
-"""CSV / PGM / metrics serialization.
+"""CSV / PGM / metrics serialization; the package writes this record and
+never reads it back.
 
 CSV files are the quantitative record: every value is written as
-Python's ``'%.16e' % x``, whose 17 significant digits make load(save(x))
-bit-identical.  Geometry travels in `#`-comment headers.
-PGM images are for quick visual inspection only; the min-max scale is
-recorded in the header comment.
+Python's ``'%.16e' % x``, whose 17 significant digits make
+``np.loadtxt(path, delimiter=",")`` return the written doubles bit for
+bit.  Geometry, data axes, shape and dtype travel in `#` header lines;
+complex tables hold `re,im` pairs (``.view(complex)``).  PGM images are
+for quick visual inspection only; the min-max scale is in the header
+comment.
 """
 
 import math
 
 import numpy as np
-
-from .core import Grid, KernelMatrix, ScalarField
 
 
 def _grid_header(grid):
@@ -21,16 +22,6 @@ def _grid_header(grid):
         f" spacing={','.join(repr(float(v)) for v in grid.spacing)}"
         f" counts={','.join(str(int(v)) for v in grid.counts)}\n"
     )
-
-
-def _parse_grid_header(line):
-    if not line.startswith("# grid:"):
-        raise ValueError(f"expected a '# grid:' header, got {line!r}")
-    fields = dict(tok.split("=", 1) for tok in line[len("# grid:"):].split())
-    origin = [float(v) for v in fields["origin"].split(",")]
-    spacing = [float(v) for v in fields["spacing"].split(",")]
-    counts = [int(v) for v in fields["counts"].split(",")]
-    return Grid(origin=origin, spacing=spacing, counts=counts)
 
 
 # Value blocks are formatted in numpy, about _BLOCK values at a time, so
@@ -183,28 +174,10 @@ def _write_csv(path, header, block):
             f.write(buf.tobytes().translate(None, b"\0"))
 
 
-def _read_values(lines):
-    """The value lines among `lines` (those not starting with '#') as a
-    2-d float array, parsed by np.loadtxt.  Without a nonblank value line
-    (a table of no rows or no columns) the result is an empty (0, 0)
-    array, where loadtxt would warn that the input held no data."""
-    rows = [line for line in lines if not line.startswith("#")]
-    if not any(line.strip() for line in rows):  # stops at the first value
-        return np.empty((0, 0))
-    return np.loadtxt(rows, delimiter=",", ndmin=2)
-
-
 def save_field_csv(path, field):
     """One value per line, x-fastest flat order, grid in the header."""
     _write_csv(path, _grid_header(field.grid) + "# layout: flat, x-fastest\n",
                field.values[:, None])
-
-
-def load_field_csv(path):
-    with open(path) as f:
-        grid = _parse_grid_header(f.readline().rstrip("\n"))
-        values = _read_values(f)
-    return ScalarField(grid=grid, values=values.ravel())
 
 
 def save_kernel_csv(path, kernel):
@@ -215,13 +188,6 @@ def save_kernel_csv(path, kernel):
               "# units: boundary-voltage change per unit log-conductivity "
               "perturbation, per pixel\n")
     _write_csv(path, header, kernel.values)
-
-
-def load_kernel_csv(path):
-    with open(path) as f:
-        grid = _parse_grid_header(f.readline().rstrip("\n"))
-        values = _read_values(f)
-    return KernelMatrix(grid=grid, values=values)
 
 
 def save_table_csv(path, header_lines, axes, values):
@@ -243,30 +209,6 @@ def save_table_csv(path, header_lines, axes, values):
     else:
         header.append("# dtype: real\n")
     _write_csv(path, "".join(header), flat)
-
-
-def load_table_csv(path):
-    """Inverse of save_table_csv: returns (axes dict, values array)."""
-    axes = {}
-    shape = None
-    complex_data = False
-    with open(path) as f:
-        lines = f.readlines()
-    for line in lines:
-        line = line.rstrip("\n")
-        if line.startswith("# axis "):
-            name, _, rest = line[len("# axis "):].partition(": ")
-            axes[name] = np.array([float(v) for v in rest.split(",")])
-        elif line.startswith("# shape: "):
-            shape = tuple(int(v) for v in line[len("# shape: "):].split(","))
-        elif line.startswith("# dtype: "):
-            complex_data = line.endswith("complex")
-    arr = _read_values(lines)
-    if complex_data:  # (re, im) pairs, so -0.0, inf and nan come back exactly
-        arr = arr.view(complex)
-    if shape is not None:
-        arr = arr.reshape(shape)
-    return axes, arr
 
 
 def save_pgm(path, field):
@@ -293,35 +235,9 @@ def save_pgm(path, field):
             f.write(" ".join(str(v) for v in row) + "\n")
 
 
-def load_pgm(path):
-    """Returns (pixel array [rows from top], min, max) from save_pgm output."""
-    with open(path) as f:
-        magic = f.readline().strip()
-        if magic != "P2":
-            raise ValueError(f"not a plain PGM file: {magic!r}")
-        scale = f.readline().strip()
-        fields = dict(tok.split("=", 1) for tok in scale[1:].split())
-        w, h = (int(v) for v in f.readline().split())
-        f.readline()  # maxval
-        pix = np.array([int(v) for v in f.read().split()]).reshape(h, w)
-    return pix, float(fields["min"]), float(fields["max"])
-
-
 def save_metrics(path, metrics):
     """`name = value` lines; floats via repr, everything else via str."""
     with open(path, "w") as f:
         for name, value in metrics.items():
             text = repr(value) if isinstance(value, float) else str(value)
             f.write(f"{name} = {text}\n")
-
-
-def load_metrics(path):
-    out = {}
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            name, _, value = line.partition(" = ")
-            out[name] = value
-    return out

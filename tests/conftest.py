@@ -1,3 +1,6 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,57 @@ def count_calls(monkeypatch, module, names):
 
         monkeypatch.setattr(module, name, counting)
     return counts
+
+
+# Readers of the record the package writes, built on numpy and the header
+# text alone: the package itself has no readers.
+
+def csv_header(path):
+    """The leading '#' lines of a record CSV as {name: text}, split at the
+    first ': ' ('# axis k0: ...' gives 'axis k0'; a line without one maps
+    to '')."""
+    header = {}
+    with open(path) as f:
+        for line in f:
+            if not line.startswith("#"):
+                break
+            name, _, text = line[1:].strip().partition(": ")
+            header[name] = text
+    return header
+
+
+def read_csv(path):
+    """(csv_header(path), values) with the values parsed by np.loadtxt as
+    a 2-d float array.  A table (a '# shape:' line) comes back as complex
+    `re,im` pairs if its '# dtype:' says so, checked to hold one line per
+    row of its shape and reshaped to it."""
+    header = csv_header(path)
+    values = np.loadtxt(path, delimiter=",", ndmin=2)
+    if "shape" in header:
+        shape = tuple(int(n) for n in header["shape"].split(","))
+        if header["dtype"] == "complex":
+            values = values.view(complex)
+        assert values.shape == (math.prod(shape[:-1]), shape[-1]), (path, values.shape)
+        values = values.reshape(shape)
+    return header, values
+
+
+def read_pgm(path):
+    """A plain (P2) PGM as (its four header lines, pixel rows from the top)."""
+    with open(path) as f:
+        header = [next(f).rstrip("\n") for _ in range(4)]
+    return header, np.loadtxt(path, dtype=int, skiprows=4, ndmin=2)
+
+
+def read_metrics(out_dir):
+    """out_dir/metrics.txt as {name: value text}; every line must be
+    'name = value'."""
+    items = {}
+    for line in (Path(out_dir) / "metrics.txt").read_text().splitlines():
+        name, sep, value = line.partition(" = ")
+        assert sep, f"malformed metrics line: {line!r}"
+        items[name] = value
+    return items
 
 
 def gaussian_column(grid, s, center=None):

@@ -20,17 +20,9 @@ from synfocus.forward_eit import (
 )
 from synfocus.wavegen import measure_plane_waves
 
-from conftest import centered_grid, random_smooth_column, rel_l2
+from conftest import centered_grid, random_smooth_column, read_metrics, rel_l2
 
 pytestmark = pytest.mark.acceptance
-
-
-def read_metrics(out_dir):
-    items = {}
-    for line in (Path(out_dir) / "metrics.txt").read_text().splitlines():
-        name, _, value = line.partition(" = ")
-        items[name] = value
-    return items
 
 
 class TestFourierRouteExactness:

@@ -14,21 +14,10 @@ import scipy
 
 import synfocus
 from synfocus import forward_eit
-from synfocus.cli import (DEFAULTS, ExperimentConfig, _centered_grid, default_phantom, main,
-                          parse_config)
-from synfocus.io import load_kernel_csv
+from synfocus.cli import (DEFAULTS, ExperimentConfig, _centered_grid, _interior_grid,
+                          default_phantom, main, parse_config)
 
-from conftest import count_calls
-
-
-def read_metrics(out_dir):
-    text = (Path(out_dir) / "metrics.txt").read_text()
-    items = {}
-    for line in text.splitlines():
-        name, sep, value = line.partition(" = ")
-        assert sep, f"malformed metrics line: {line!r}"
-        items[name] = value
-    return items
+from conftest import count_calls, read_csv, read_metrics
 
 
 def run_cli(args, out_dir):
@@ -148,6 +137,13 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
         assert blocker.read_text() == ""
         assert list(tmp_path.iterdir()) == [blocker]
+
+    @pytest.mark.parametrize("name", ["a\nb", "a\r\n", "a\u2028b"])
+    def test_out_with_a_line_break_exits_one(self, name, tmp_path, capsys):
+        # metrics.txt holds one 'name = value' line per key, config_out too
+        assert run_cli(["phantom"], tmp_path / name) == 1
+        assert "invalid value for 'out'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_config_file_exits_one(self, tmp_path):
         assert run_cli(["validate", "--config", str(tmp_path / "nope.cfg")], tmp_path) == 1
@@ -360,6 +356,17 @@ CHAIN_MODES = {
 }
 
 
+def _declared_shape(header):
+    """The value shape a record CSV's header declares: its '# shape:' for a
+    table, one row per electrode for a kernel and one value per line for a
+    field, over the grid's pixels."""
+    if "shape" in header:
+        return tuple(int(n) for n in header["shape"].split(","))
+    counts = header["grid"].split("counts=")[1]
+    pixels = math.prod(int(n) for n in counts.split(","))
+    return (int(header["electrodes"]), pixels) if "electrodes" in header else (pixels, 1)
+
+
 class TestChainModes:
     @pytest.mark.parametrize("mode", sorted(CHAIN_MODES))
     def test_mode_writes_its_files_and_metrics(self, mode, tmp_path):
@@ -370,7 +377,20 @@ class TestChainModes:
         files, keys = CHAIN_MODES[mode]
         for name in files + ["metrics.txt"]:
             assert (out / name).stat().st_size > 0, name
-        assert list(read_metrics(out)) == CONFIG_KEYS + keys
+        metrics = read_metrics(out)
+        assert list(metrics) == CONFIG_KEYS + keys
+        # every CSV reads back through numpy with the value count its own
+        # header declares (a table's read checks its '# shape:' itself)
+        headers = {}
+        for name in files:
+            if name.endswith(".csv"):
+                headers[name], values = read_csv(out / name)
+                assert values.shape == _declared_shape(headers[name]), name
+        if "data.csv" in headers:
+            axes = {name[len("axis "):]: len(text.split(","))
+                    for name, text in headers["data.csv"].items() if name.startswith("axis ")}
+            assert axes == {key[len("axis_"):]: int(value) for key, value in metrics.items()
+                            if key.startswith("axis_")}
 
     def test_kernel_mode_makes_one_conduction_pass(self, tmp_path, monkeypatch):
         # the brute force and the adjoint share one factorization, one
@@ -382,11 +402,12 @@ class TestChainModes:
         cfg.write_text("grid = 16\npixels = 8\n")
         assert run_cli(["kernel", "--config", str(cfg)], tmp_path) == 0
         assert counts == dict.fromkeys(counts, 1)
-        saved = load_kernel_csv(tmp_path / "kernel_adjoint.csv")
+        _, saved = read_csv(tmp_path / "kernel_adjoint.csv")
         phantom = default_phantom(_centered_grid((16, 16)))
         fresh = forward_eit.kernel_adjoint(
-            phantom, forward_eit.left_right_current_pattern(phantom.grid), saved.grid)
-        assert np.array_equal(saved.values, fresh.values)
+            phantom, forward_eit.left_right_current_pattern(phantom.grid),
+            _interior_grid(parse_config(cfg.read_text())))
+        assert np.array_equal(saved, fresh.values)
 
 
 class TestEndToEnd:

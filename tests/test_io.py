@@ -7,20 +7,9 @@ import pytest
 
 import synfocus.io
 from synfocus.core import Grid, KernelMatrix, ScalarField
-from synfocus.io import (
-    load_field_csv,
-    load_kernel_csv,
-    load_metrics,
-    load_pgm,
-    load_table_csv,
-    save_field_csv,
-    save_kernel_csv,
-    save_metrics,
-    save_pgm,
-    save_table_csv,
-)
+from synfocus.io import save_field_csv, save_kernel_csv, save_metrics, save_pgm, save_table_csv
 
-from conftest import centered_grid
+from conftest import centered_grid, csv_header, read_csv, read_metrics, read_pgm
 
 
 class TestFieldCsv:
@@ -29,18 +18,17 @@ class TestFieldCsv:
         f = ScalarField(grid=g, values=rng.standard_normal(35))
         p = tmp_path / "f.csv"
         save_field_csv(p, f)
-        back = load_field_csv(p)
-        assert np.array_equal(back.values, f.values)
-        assert np.array_equal(back.grid.origin, g.origin)
-        assert np.array_equal(back.grid.spacing, g.spacing)
-        assert np.array_equal(back.grid.counts, g.counts)
+        header, back = read_csv(p)
+        assert back.shape == (35, 1)
+        assert np.array_equal(back[:, 0], f.values)
+        assert header["grid"] == "dim=2 origin=-0.3,0.1 spacing=0.017,0.093 counts=7,5"
 
     def test_irrational_values_survive(self, tmp_path):
         g = centered_grid(2, 2)
         f = ScalarField(grid=g, values=np.array([np.pi, 1.0 / 3.0, np.e, 2.0**-52]))
         p = tmp_path / "f.csv"
         save_field_csv(p, f)
-        assert np.array_equal(load_field_csv(p).values, f.values)
+        assert np.array_equal(read_csv(p)[1][:, 0], f.values)
 
     def test_deterministic_bytes(self, tmp_path, rng):
         g = centered_grid(4, 2)
@@ -61,9 +49,10 @@ class TestKernelCsv:
         assert "# electrodes: 4" in text
         assert "# grid:" in text
         assert "# units:" in text
-        back = load_kernel_csv(p)
-        assert np.array_equal(back.values, k.values)
-        assert np.array_equal(back.grid.counts, k.grid.counts)
+        header, back = read_csv(p)
+        assert np.array_equal(back, k.values)
+        assert header["grid"].split()[-1] == "counts=3,3"
+        assert header["electrodes"] == "4"
 
 
 class TestTableCsv:
@@ -72,15 +61,18 @@ class TestTableCsv:
         axes = [("time", np.linspace(0.1, 0.5, 5))]
         p = tmp_path / "t.csv"
         save_table_csv(p, ["note line"], axes, vals)
-        axes_back, vals_back = load_table_csv(p)
-        assert np.array_equal(vals_back, vals)
-        assert np.array_equal(axes_back["time"], axes[0][1])
+        header, back = read_csv(p)
+        assert np.array_equal(back, vals)
+        assert header["axis time"] == "0.1,0.2,0.30000000000000004,0.4,0.5"
+        assert (header["shape"], header["dtype"]) == ("3,5", "real")
 
     def test_complex_roundtrip(self, tmp_path, rng):
         vals = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
         p = tmp_path / "c.csv"
         save_table_csv(p, [], [("freq", np.array([1.0, 2.0, 3.0, 4.0]))], vals)
-        _, back = load_table_csv(p)
+        header, back = read_csv(p)
+        assert header["dtype"] == "complex"
+        assert header["axis freq"] == "1.0,2.0,3.0,4.0"
         assert back.dtype.kind == "c"
         assert np.array_equal(back, vals)
 
@@ -88,7 +80,8 @@ class TestTableCsv:
         vals = rng.standard_normal((2, 3, 4))
         p = tmp_path / "t3.csv"
         save_table_csv(p, [], [], vals)
-        _, back = load_table_csv(p)
+        header, back = read_csv(p)
+        assert header["shape"] == "2,3,4"
         assert back.shape == (2, 3, 4)
         assert np.array_equal(back, vals)
 
@@ -157,7 +150,7 @@ class TestValueFormat:
         p = tmp_path / "t.csv"
         save_table_csv(p, [], [], values.reshape(-1, 128))
         _assert_value_lines(p, texts, 128)
-        _assert_same_bits(load_table_csv(p)[1], values)
+        _assert_same_bits(read_csv(p)[1], values)
 
     def test_each_writer(self, tmp_path, patterns):
         """The other writers on 2**16 of the patterns: complex and 3-d
@@ -168,7 +161,7 @@ class TestValueFormat:
             p = tmp_path / f"{name}.csv"
             save_table_csv(p, [], [], table)
             _assert_value_lines(p, texts, 128)
-            _, back = load_table_csv(p)
+            _, back = read_csv(p)
             assert back.shape == table.shape and back.dtype == table.dtype
             _assert_same_bits(back, table)
         finite = np.isfinite(values)
@@ -176,11 +169,11 @@ class TestValueFormat:
         kernel = KernelMatrix(grid=centered_grid(64, 2), values=values.reshape(8, -1))
         save_kernel_csv(tmp_path / "k.csv", kernel)
         _assert_value_lines(tmp_path / "k.csv", texts, 64**2)
-        _assert_same_bits(load_kernel_csv(tmp_path / "k.csv").values, kernel.values)
+        _assert_same_bits(read_csv(tmp_path / "k.csv")[1], kernel.values)
         field = ScalarField(grid=centered_grid(32, 3), values=values[:32**3])
         save_field_csv(tmp_path / "f.csv", field)
         _assert_value_lines(tmp_path / "f.csv", texts[:32**3], 1)
-        _assert_same_bits(load_field_csv(tmp_path / "f.csv").values, field.values)
+        _assert_same_bits(read_csv(tmp_path / "f.csv")[1], field.values)
 
     def test_edge_values(self, tmp_path):
         vals = _edge_values()
@@ -188,10 +181,10 @@ class TestValueFormat:
         p = tmp_path / "e.csv"
         save_table_csv(p, [], [], vals.reshape(2, -1))
         _assert_value_lines(p, texts, vals.size // 2)
-        _assert_same_bits(load_table_csv(p)[1], vals)
+        _assert_same_bits(read_csv(p)[1], vals)
         save_table_csv(p, [], [], vals.view(complex))
         _assert_value_lines(p, texts, vals.size)
-        _assert_same_bits(load_table_csv(p)[1], vals)
+        _assert_same_bits(read_csv(p)[1], vals)
         finite = vals[np.isfinite(vals)][:8 * 64]
         save_kernel_csv(p, KernelMatrix(grid=centered_grid(8, 2), values=finite.reshape(8, 64)))
         _assert_value_lines(p, ["%.16e" % v for v in finite.tolist()], 64)
@@ -233,7 +226,7 @@ class TestValueFormat:
         p = tmp_path / "t.csv"
         save_table_csv(p, [], [], vals.reshape(-1, 2))
         _assert_value_lines(p, ["%.16e" % v for v in vals.tolist()], 2)
-        _assert_same_bits(load_table_csv(p)[1], vals)
+        _assert_same_bits(read_csv(p)[1], vals)
 
     @pytest.mark.parametrize("shape", [(0, 5), (3, 0), (0, 0), (2, 0, 4), (4, 2, 0)])
     @pytest.mark.parametrize("dtype", [float, complex])
@@ -243,8 +236,8 @@ class TestValueFormat:
         save_table_csv(p, [], [], vals)
         rows = int(np.prod(shape[:-1]))
         assert _value_lines(p) == (["\n"] * rows if shape[-1] == 0 else [])
-        _, back = load_table_csv(p)
-        assert back.shape == shape and back.dtype == vals.dtype
+        assert csv_header(p) == {"shape": ",".join(str(n) for n in shape),
+                                 "dtype": "complex" if vals.dtype.kind == "c" else "real"}
 
 
 class TestPgm:
@@ -253,9 +246,9 @@ class TestPgm:
         # value grows with y: top row of the image must be the bright one
         vals = g.mesh()[1].reshape(-1)
         save_pgm(tmp_path / "img.pgm", ScalarField(grid=g, values=vals))
-        pix, lo, hi = load_pgm(tmp_path / "img.pgm")
+        header, pix = read_pgm(tmp_path / "img.pgm")
+        assert header == ["P2", "# min=0.0 max=1.0", "3 2", "255"]
         assert pix.shape == (2, 3)
-        assert lo == 0.0 and hi == 1.0
         assert np.all(pix[0] == 255) and np.all(pix[1] == 0)
 
     def test_3d_exports_middle_slice(self, tmp_path):
@@ -264,17 +257,17 @@ class TestPgm:
         vals[2] = np.arange(16.0).reshape(4, 4)  # middle z slice (counts // 2)
         f = ScalarField(grid=g, values=vals.reshape(-1))
         save_pgm(tmp_path / "v.pgm", f)
-        pix, lo, hi = load_pgm(tmp_path / "v.pgm")
+        header, pix = read_pgm(tmp_path / "v.pgm")
         assert pix.shape == (4, 4)
-        assert (lo, hi) == (0.0, 15.0)  # scale comes from the slice alone
+        assert header[1] == "# min=0.0 max=15.0"  # scale comes from the slice alone
         assert pix[-1, 0] == 0 and pix[0, -1] == 255  # y flipped, x kept
 
     def test_constant_field_is_finite(self, tmp_path):
         g = centered_grid(3, 2)
         save_pgm(tmp_path / "c.pgm", ScalarField(grid=g, values=np.full(9, 2.5)))
-        pix, lo, hi = load_pgm(tmp_path / "c.pgm")
-        assert lo == hi == 2.5
-        assert np.all(pix == 0)
+        header, pix = read_pgm(tmp_path / "c.pgm")
+        assert header[1] == "# min=2.5 max=2.5"
+        assert pix.shape == (3, 3) and np.all(pix == 0)
 
 
 class TestMetrics:
@@ -282,7 +275,7 @@ class TestMetrics:
         m = {"kernel_error": 0.04837291017, "n_pixels": 1024, "status": "ok"}
         p = tmp_path / "metrics.txt"
         save_metrics(p, m)
-        back = load_metrics(p)
+        back = read_metrics(tmp_path)
         assert float(back["kernel_error"]) == m["kernel_error"]
         assert int(back["n_pixels"]) == 1024
         assert back["status"] == "ok"
