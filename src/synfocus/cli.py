@@ -140,7 +140,7 @@ def parse_config(text):
 def _parse_items(text):
     """Raw values of the keys that `text` sets, each converted to the type
     of its default (a tuple default takes comma-separated ints)."""
-    data = {}
+    data, lines = {}, {}
     for num, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -152,6 +152,9 @@ def _parse_items(text):
             raise ValueError(f"line {num}: expected 'key = value', got {raw.strip()!r}")
         if key not in DEFAULTS:
             raise ValueError(f"line {num}: unknown key {key!r}")
+        if key in lines:
+            raise ValueError(f"line {num}: {key!r} already set on line {lines[key]}")
+        lines[key] = num
         default = DEFAULTS[key]
         try:
             if isinstance(default, tuple):

@@ -167,10 +167,16 @@ def invert_monochromatic_3d(data, out):
     Synthesizes the t-derivatives of the filtered time profiles from the
     frequency sweep on the default_radii time lattice of the output grid,
     then applies the same closed-form backprojection divergence as the
-    pulse route, with its own normalization.
+    pulse route, with its own normalization.  The band [0, lam[0]] is
+    closed by one trapezoid panel, so two or more frequencies must start
+    at most one spacing above zero (up to the relative _END_RTOL).
     """
     _require(data, MonochromaticData, "monochromatic")
     _check_inside_sphere(out, data.array, "monochromatic")
+    dl = _uniform_spacing(data.frequencies, "frequencies")
+    if data.frequencies.size > 1 and data.frequencies[0] > dl * (1.0 + _END_RTOL):
+        raise ValueError(f"frequencies start at {data.frequencies[0]:.6g}, more than one "
+                         f"spacing ({dl:.6g}) above zero")
     # sample the fastest oscillation cos(lam_max t) at 4 points/period
     t_end = _window_end(data.array, out)
     n_times = max(int(np.ceil(t_end * data.frequencies[-1] * 2.0 / np.pi)), 64)

@@ -64,6 +64,17 @@ def read_csv(path):
     return header, values
 
 
+def declared_shape(header):
+    """The value shape a record CSV's header declares: its '# shape:' for a
+    table, one row per electrode for a kernel and one value per line for a
+    field, over the grid's pixels."""
+    if "shape" in header:
+        return tuple(int(n) for n in header["shape"].split(","))
+    counts = header["grid"].split("counts=")[1]
+    pixels = math.prod(int(n) for n in counts.split(","))
+    return (int(header["electrodes"]), pixels) if "electrodes" in header else (pixels, 1)
+
+
 def read_pgm(path):
     """A plain (P2) PGM as (its four header lines, pixel rows from the top)."""
     with open(path) as f:

@@ -17,7 +17,7 @@ from synfocus import forward_eit
 from synfocus.cli import (DEFAULTS, ExperimentConfig, _centered_grid, _interior_grid,
                           default_phantom, main, parse_config)
 
-from conftest import count_calls, read_csv, read_metrics
+from conftest import count_calls, declared_shape, read_csv, read_metrics
 
 
 def run_cli(args, out_dir):
@@ -54,6 +54,11 @@ class TestParseConfig:
     def test_unknown_key_reports_line_number(self):
         with pytest.raises(ValueError, match="line 2"):
             parse_config("radii = 5\nwavelength = 3")
+
+    def test_repeated_key_names_both_lines(self):
+        # a second setting must not silently override the first
+        with pytest.raises(ValueError, match=r"^line 2: 'radii' already set on line 1$"):
+            parse_config("radii = 96\nradii = 32")
 
     def test_malformed_line_reports_line_number(self):
         with pytest.raises(ValueError, match="line 1"):
@@ -336,6 +341,15 @@ ENDTOEND_METRIC_KEYS = [
 CONFIG_KEYS = ENDTOEND_METRIC_KEYS[:ENDTOEND_METRIC_KEYS.index("scipy_version") + 1]
 
 SMALL_CHAIN = "grid = 12\npixels = 6\n"
+
+
+def _focus(axes):
+    """Files and metric keys of a focus run whose data has these axes."""
+    return (["kernel.csv", "kernel_e000.pgm", "data.csv", "recon.csv", "recon_e000.pgm"],
+            ["time_kernel", *(f"axis_{axis}" for axis in axes), "time_measure",
+             "kernel_error", "time_focus"])
+
+
 CHAIN_MODES = {
     # mode: (files written besides metrics.txt, metric keys after the config echo)
     "phantom": (["phantom.csv", "phantom.pgm"], ["time_phantom"]),
@@ -346,46 +360,45 @@ CHAIN_MODES = {
                ["time_phantom", "time_kernel", "adjoint_vs_bruteforce", "time_kernel_adjoint"]),
     "measure": (["kernel.csv", "kernel_e000.pgm", "data.csv"],
                 ["time_kernel", "axis_k0", "axis_k1", "time_measure"]),
-    "focus": (["kernel.csv", "kernel_e000.pgm", "data.csv", "recon.csv", "recon_e000.pgm"],
-              ["time_kernel", "axis_k0", "axis_k1", "time_measure", "kernel_error",
-               "time_focus"]),
+    "focus": _focus(["k0", "k1"]),
     "validate": ([], ["forward_linear_error", "check_forward", "time_validate_forward",
                       "fourier_roundtrip_error", "check_fourier", "time_validate_fourier",
                       "spherical_closed_form_error", "check_spherical",
                       "time_validate_spherical", "status"]),
 }
-
-
-def _declared_shape(header):
-    """The value shape a record CSV's header declares: its '# shape:' for a
-    table, one row per electrode for a kernel and one value per line for a
-    field, over the grid's pixels."""
-    if "shape" in header:
-        return tuple(int(n) for n in header["shape"].split(","))
-    counts = header["grid"].split("counts=")[1]
-    pixels = math.prod(int(n) for n in counts.split(","))
-    return (int(header["electrodes"]), pixels) if "electrodes" in header else (pixels, 1)
+FOCUS_FAMILIES = {
+    # the other families' focus chains on the same grid: (config lines, data axes)
+    "xray": ("family = xray\nangles = 24\n", ["angle", "offset"]),
+    "spherical": ("family = spherical\ntransducers = 32\nradii = 64\n", ["radius"]),
+    "monochromatic": ("family = monochromatic\ntransducers = 32\nfrequencies = 16\n",
+                      ["frequency"]),
+}
+# test id: (mode, config text, files, metric keys)
+CHAIN_CASES = {mode: (mode, SMALL_CHAIN, *CHAIN_MODES[mode]) for mode in CHAIN_MODES}
+CHAIN_CASES.update({f"focus-{family}": ("focus", SMALL_CHAIN + lines, *_focus(axes))
+                    for family, (lines, axes) in FOCUS_FAMILIES.items()})
 
 
 class TestChainModes:
-    @pytest.mark.parametrize("mode", sorted(CHAIN_MODES))
-    def test_mode_writes_its_files_and_metrics(self, mode, tmp_path):
+    @pytest.mark.parametrize("case", sorted(CHAIN_CASES))
+    def test_mode_writes_its_files_and_metrics(self, case, tmp_path):
+        mode, config, files, keys = CHAIN_CASES[case]
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text(SMALL_CHAIN)
+        cfg.write_text(config)
         out = tmp_path / "out"
         assert run_cli([mode, "--config", str(cfg)], out) == 0
-        files, keys = CHAIN_MODES[mode]
         for name in files + ["metrics.txt"]:
             assert (out / name).stat().st_size > 0, name
         metrics = read_metrics(out)
         assert list(metrics) == CONFIG_KEYS + keys
-        # every CSV reads back through numpy with the value count its own
-        # header declares (a table's read checks its '# shape:' itself)
+        # every CSV the run writes reads back through numpy with the value
+        # shape its own header declares (a table's read checks its '# shape:')
+        csvs = sorted(name for name in files if name.endswith(".csv"))
+        assert sorted(path.name for path in out.glob("*.csv")) == csvs
         headers = {}
-        for name in files:
-            if name.endswith(".csv"):
-                headers[name], values = read_csv(out / name)
-                assert values.shape == _declared_shape(headers[name]), name
+        for name in csvs:
+            headers[name], values = read_csv(out / name)
+            assert values.shape == declared_shape(headers[name]), name
         if "data.csv" in headers:
             axes = {name[len("axis "):]: len(text.split(","))
                     for name, text in headers["data.csv"].items() if name.startswith("axis ")}
