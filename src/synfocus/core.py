@@ -327,11 +327,12 @@ class BoundaryElectrodes:
         return float(np.sum(self.current * self.segment_length))
 
 
-def square_boundary_electrodes(grid, left=0.0, right=0.0, bottom=0.0, top=0.0):
+def square_boundary_electrodes(grid, left=0.0, right=0.0):
     """Electrodes on every boundary face of a 2d grid, with a constant
-    current density on each edge (ordered as in BoundaryElectrodes)."""
+    current density on the left and on the right edge and none on the
+    bottom and top edges (ordered as in BoundaryElectrodes)."""
     nx, ny = (int(c) for c in grid.counts[:2])
-    current = np.repeat([left, right, bottom, top], [ny, ny, nx, nx])
+    current = np.repeat([left, right, 0.0], [ny, ny, 2 * nx])
     return BoundaryElectrodes(grid=grid, current=current)
 
 

@@ -90,8 +90,9 @@ def _digits(a):
 
     Zeros and finite values with decimal exponent in [-6, 16] get here
     the exact product |a| * 10**k rounded to an integer.  Inf, nan, other
-    exponents, exact products that lie on a half, and those that round up
-    to the next decade are left to '%.16e' itself, listed in slow.
+    exponents, values a few ulps from a power of ten whose log10 names the
+    wrong decade, exact products that lie on a half, and those that round
+    up to the next decade are left to '%.16e' itself, listed in slow.
     """
     x = np.abs(a)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -102,14 +103,10 @@ def _digits(a):
     y, err = _times_pow10(x, k)
     # log10 can be off by one next to a power of ten.  The exact product
     # y + err, not the rounded digits, says which decade x lies in: 1e-06
-    # is 9.99999999999999954748e-07, whose y rounds up to 1e16.
-    low = (y < 1e16) | ((y == 1e16) & (err < 0))
-    high = (y > 1e17) | ((y == 1e17) & (err >= 0))
-    i = np.flatnonzero(low | high)
-    if i.size:
-        k[i] += np.where(low[i], 1, -1)
-        fast[i] &= (k[i] >= 0) & (k[i] <= 22)
-        y[i], err[i] = _times_pow10(x[i], np.clip(k[i], 0, 22))
+    # is 9.99999999999999954748e-07, whose y rounds up to 1e16.  A product
+    # below the decade is left to '%.16e'; one at or above 1e17 fails the
+    # d < 10**17 test below.
+    fast &= (y > 1e16) | ((y == 1e16) & (err >= 0))
     # y is an integer (its ulp is 2 or more above 2**53), so the rounded
     # product is y + rint(err), unless err lies on a half
     r = np.rint(err)
@@ -236,8 +233,9 @@ def save_pgm(path, field):
 
 
 def save_metrics(path, metrics):
-    """`name = value` lines; floats via repr, everything else via str."""
+    """`name = value` lines; floats, numpy's too, via repr(float(value)),
+    everything else via str."""
     with open(path, "w") as f:
         for name, value in metrics.items():
-            text = repr(value) if isinstance(value, float) else str(value)
+            text = repr(float(value)) if isinstance(value, (float, np.floating)) else str(value)
             f.write(f"{name} = {text}\n")

@@ -505,7 +505,6 @@ def measure_line_integrals(kernel, angles, offsets):
         P = scipy.sparse.csr_matrix(
             (dtau * weight.ravel(), (np.repeat(near // n_tau, index.shape[1]), index.ravel())),
             shape=(ang.size * offsets.size, rows.shape[0]))
-        P.eliminate_zeros()
         values[a0:a0 + ang.size] = (P @ rows).reshape(ang.size, offsets.size, -1)
     return Sinogram(angles=angles, offsets=offsets, values=values)
 

@@ -156,14 +156,17 @@ class TestNoiseTransfer:
 
 class TestInvariantSuite:
     def test_all_invariant_properties_pass(self):
+        """The marker still selects at least 10 invariant tests, and they
+        collect cleanly.  The full suite runs each of them once, in its own
+        session, so this only counts them: running only this file checks
+        the count, not the properties."""
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-m", "invariant", "-q", "--no-header"],
+            [sys.executable, "-m", "pytest", "--collect-only", "-q", "-m", "invariant"],
             capture_output=True,
             text=True,
             cwd=Path(__file__).resolve().parent.parent,
         )
         tail = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "passed" in tail
-        n_passed = int(tail.split(" passed")[0].split()[-1])
-        assert n_passed >= 10
+        # "22/449 tests collected (427 deselected) in 1.06s"
+        assert int(tail.split("/")[0]) >= 10, tail

@@ -272,10 +272,13 @@ class TestPgm:
 
 class TestMetrics:
     def test_roundtrip(self, tmp_path):
-        m = {"kernel_error": 0.04837291017, "n_pixels": 1024, "status": "ok"}
+        # a numpy float (a config's noise may be one) is written as a plain float
+        m = {"kernel_error": 0.04837291017, "config_noise": np.float64(0.01),
+             "n_pixels": 1024, "status": "ok"}
         p = tmp_path / "metrics.txt"
         save_metrics(p, m)
         back = read_metrics(tmp_path)
         assert float(back["kernel_error"]) == m["kernel_error"]
+        assert back["config_noise"] == "0.01"
         assert int(back["n_pixels"]) == 1024
         assert back["status"] == "ok"
