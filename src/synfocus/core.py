@@ -11,8 +11,10 @@ Conventions shared by every module in the package:
   coordinate-major, shape (dim, n_points), so each axis is one contiguous
   row (see _stencil)
 * containers are frozen after construction and their arrays are read-only
-  and finite, both enforced by _frozen_array; a Grid compares by value,
-  every container holding an array by identity
+  and finite, both enforced by _frozen_array; a container copies an array
+  it is given, unless a producer in the package hands over one it has
+  just made (see _Handover); a Grid compares by value, every container
+  holding an array by identity
 """
 
 from __future__ import annotations
@@ -29,11 +31,31 @@ _GATHER_BLOCK = 1 << 15   # points per stencil in _interp, bounding its memory
 _MAX_APERTURE_RADIUS = 1e150   # squares of coordinates and 4 pi R^2 stay finite
 
 
+class _Handover:
+    """An array that a producer in the package has just made and holds
+    nowhere else, passed to a container in its place: _frozen_array then
+    freezes that array itself instead of a copy.  A caller's own array is
+    never wrapped, so it is copied and stays writable."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array):
+        self.array = array
+
+
 def _frozen_array(a, name, dtype=float, ndim=None):
-    """C-ordered, read-only copy of ``a`` as ``dtype`` (of rank ``ndim`` if given),
-    rejected under ``name`` unless every entry is finite, and whole for integers."""
+    """C-ordered, read-only array of ``a`` as ``dtype`` (of rank ``ndim`` if
+    given), rejected under ``name`` unless every entry is finite, and whole
+    for integers.  It is a copy, unless ``a`` is a _Handover of an array
+    that already has the dtype and C order and owns its data (a view's base
+    may be held elsewhere): that array is frozen in place."""
     integer = np.issubdtype(dtype, np.integer)
-    out = np.array(a, dtype=float if integer else dtype, copy=True, order="C")
+    if isinstance(a, _Handover):
+        out = np.asarray(a.array, dtype=float if integer else dtype, order="C")
+        if not out.flags.owndata:
+            out = out.copy()
+    else:
+        out = np.array(a, dtype=float if integer else dtype, copy=True, order="C")
     if ndim is not None and out.ndim != ndim:
         raise ValueError(f"expected a {ndim}-d array, got shape {out.shape}")
     if not np.all(np.isfinite(out)):

@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import scipy.sparse
 
-from .core import KernelMatrix
+from .core import KernelMatrix, _Handover
 from .wavegen import (FourierData, MonochromaticData, Sinogram, SphericalMeanData, _END_RTOL,
                       _LATTICE_RTOL, _check_offsets_cover, _inverse_dft, _uniform_spacing,
                       _window_end, default_radii)
@@ -121,7 +121,7 @@ def invert_spherical_means_3d(data, out):
     dprof = np.gradient(prof, dt, axis=1, edge_order=2)
     recs = _backproject_divergence(data.array, data.radii, dprof.transpose(2, 0, 1),
                                    out, PULSE_CONSTANT)
-    return KernelMatrix(grid=out, values=recs)
+    return KernelMatrix(grid=out, values=_Handover(recs))
 
 
 def _detector_profiles(data, t):
@@ -183,7 +183,7 @@ def invert_monochromatic_3d(data, out):
     t = default_radii(data.array, out, n_times)
     profiles = _detector_profiles(data, t)
     recs = _backproject_divergence(data.array, t, profiles, out, MONO_CONSTANT)
-    return KernelMatrix(grid=out, values=recs)
+    return KernelMatrix(grid=out, values=_Handover(recs))
 
 
 def invert_fourier(data, out, return_residue=False):
@@ -202,7 +202,7 @@ def invert_fourier(data, out, return_residue=False):
             "output grid (counts, spacing, or origin differ)"
         )
     cols = _inverse_dft(data.values, out)
-    kernel = KernelMatrix(grid=out, values=cols.real)
+    kernel = KernelMatrix(grid=out, values=_Handover(cols.real))
     if return_residue:
         scale = np.linalg.norm(cols, axis=1)
         imag = np.linalg.norm(cols.imag, axis=1)
@@ -268,7 +268,9 @@ def invert_xray_2d(data, out):
             (w.ravel(), j.ravel(), np.arange(0, 2 * m * n_pix + 1, 2 * m, dtype=np.int32)),
             shape=(n_pix, m * n_off))
         recs += B @ q.reshape(m * n_off, n_el)
-    return KernelMatrix(grid=out, values=recs.T * (np.pi / n_angles))
+    # scaled into C order, so the kernel takes it over without a copy
+    values = np.multiply(recs.T, np.pi / n_angles, order="C")
+    return KernelMatrix(grid=out, values=_Handover(values))
 
 
 _METHODS = {

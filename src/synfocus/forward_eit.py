@@ -45,7 +45,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .core import KernelMatrix, ScalarField, square_boundary_electrodes, _frozen_array
+from .core import KernelMatrix, ScalarField, square_boundary_electrodes, _Handover, _frozen_array
 
 DEFAULT_EPS = 1e-3
 # relative residual above which a conduction solve is reported as failed
@@ -415,8 +415,8 @@ def _kernels(phantom, electrodes, interior, epss):
         zx = Z.T @ x
         for i, v in enumerate(values):
             np.negative(zx[i * n_pix:(i + 1) * n_pix].T, out=v[j0:j0 + x.shape[1]])
-    # the column block, its product and the S_k^-1 go before the copies
-    # the kernels make of values
+    # the column block, its product and the S_k^-1 go; the kernels take
+    # values over as they are, without a copy
     del x, zx, elim
 
     # direct term (h/2) g / sigma of the electrodes whose cell lies in the
@@ -430,7 +430,7 @@ def _kernels(phantom, electrodes, interior, epss):
         v[on, pix[on]] -= direct * (np.exp(-eps) * growth)
         v -= v.mean(axis=0, keepdims=True)
         v /= interior.pixel_measure
-        kernels.append(KernelMatrix(grid=interior, values=v))
+        kernels.append(KernelMatrix(grid=interior, values=_Handover(v)))
     return kernels
 
 

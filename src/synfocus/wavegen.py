@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse
 
-from .core import Grid, _frozen_array, _interp, _padded_rows, _stencil, _support_box, _unit_lattice
+from .core import (Grid, _Handover, _frozen_array, _interp, _padded_rows, _stencil, _support_box,
+                   _unit_lattice)
 
 _LATTICE_RTOL = 1e-9   # relative tolerance of a lattice's uniform spacing and symmetry
 _END_RTOL = 1e-12   # relative slack of a lattice end for the rounding of the reach it covers
@@ -305,7 +306,7 @@ def measure_spherical_pulse(kernel, array, radii):
             sums = np.add.reduceat(cols, offsets, axis=0)
             values[i, ks, :] = weights[ks, None] * sums
             start = stop
-    return SphericalMeanData(array=array, radii=radii, values=values)
+    return SphericalMeanData(array=array, radii=radii, values=_Handover(values))
 
 
 def measure_monochromatic(kernel, array, frequencies):
@@ -346,7 +347,7 @@ def measure_monochromatic(kernel, array, frequencies):
         raise ValueError("singular kernel: transducers must lie strictly outside "
                          "the interior grid support")
     values = _green_sums(kernel, array.positions, freqs[0], dlam, freqs.size)
-    return MonochromaticData(array=array, frequencies=freqs, values=values)
+    return MonochromaticData(array=array, frequencies=freqs, values=_Handover(values))
 
 
 def _green_sums(kernel, positions, lam0, dlam, n_f):
@@ -464,7 +465,8 @@ def _inverse_dft(values, grid):
 def measure_plane_waves(kernel):
     """Fourier samples of each kernel column on the conjugate DFT lattice:
     values[m, j] ~ integral exp(i k_m . x) kernel_j(x) dx."""
-    return FourierData(grid=kernel.grid, values=_forward_dft(kernel.values, kernel.grid))
+    return FourierData(grid=kernel.grid,
+                       values=_Handover(_forward_dft(kernel.values, kernel.grid)))
 
 
 def measure_line_integrals(kernel, angles, offsets):
@@ -506,7 +508,7 @@ def measure_line_integrals(kernel, angles, offsets):
             (dtau * weight.ravel(), (np.repeat(near // n_tau, index.shape[1]), index.ravel())),
             shape=(ang.size * offsets.size, rows.shape[0]))
         values[a0:a0 + ang.size] = (P @ rows).reshape(ang.size, offsets.size, -1)
-    return Sinogram(angles=angles, offsets=offsets, values=values)
+    return Sinogram(angles=angles, offsets=offsets, values=_Handover(values))
 
 
 def add_noise(data, level, seed):
@@ -530,12 +532,18 @@ def add_noise(data, level, seed):
         # transform as the measurement
         source = data.grid
         w = rng.standard_normal((v.shape[1], source.n_pixels))
-        eta = _forward_dft(w, source)
-        scale = level * rms / (source.pixel_measure * np.sqrt(source.n_pixels))
-        noisy = v + scale * eta
+        noisy = _forward_dft(w, source)
+        noisy *= level * rms / (source.pixel_measure * np.sqrt(source.n_pixels))
     elif np.iscomplexobj(v):
-        noise = (rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape))
-        noisy = v + level * rms * noise / np.sqrt(2.0)
+        noisy = np.empty(v.shape, dtype=complex)
+        noisy.real = rng.standard_normal(v.shape)
+        noisy.imag = rng.standard_normal(v.shape)
+        noisy *= level * rms
+        noisy /= np.sqrt(2.0)
     else:
-        noisy = v + level * rms * rng.standard_normal(v.shape)
-    return replace(data, values=noisy)
+        noisy = rng.standard_normal(v.shape)
+        noisy *= level * rms
+    # the noise is this call's own array, so v is added in place and the
+    # sum handed over, not copied
+    noisy += v
+    return replace(data, values=_Handover(noisy))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -96,6 +97,33 @@ class TestGrid:
         assert a != "grid" and a != a.origin.tolist()
 
 
+# every array field a container freezes, with the name it is rejected under
+_ARRAY_FIELDS = [
+    (Grid, "origin", "grid origin"),
+    (Grid, "spacing", "grid spacing"),
+    (Grid, "counts", "grid counts"),
+    (ScalarField, "values", "field values"),
+    (Disk, "center", "disk center"),
+    (TransducerArray, "positions", "transducer positions"),
+    (TransducerArray, "weights", "transducer weights"),
+    (BoundaryElectrodes, "current", "electrode current"),
+    (KernelMatrix, "values", "kernel entries"),
+    (ConductionSolution, "boundary_trace", "boundary trace"),
+    (SphericalMeanData, "radii", "radii"),
+    (SphericalMeanData, "values", "values"),
+    (MonochromaticData, "frequencies", "frequencies"),
+    (MonochromaticData, "values", "values"),
+    (FourierData, "values", "values"),
+    (Sinogram, "angles", "angles"),
+    (Sinogram, "offsets", "offsets"),
+    (Sinogram, "values", "values"),
+]
+
+
+def _ids(v):
+    return v.__name__ if isinstance(v, type) else v
+
+
 class TestArrayContainers:
     def test_compare_by_identity(self):
         # containers holding arrays never compare their arrays: == is
@@ -140,26 +168,7 @@ class TestArrayContainers:
                            values=np.zeros((2, 3, 1))),
         }[container]
 
-    @pytest.mark.parametrize("container, field, name", [
-        (Grid, "origin", "grid origin"),
-        (Grid, "spacing", "grid spacing"),
-        (Grid, "counts", "grid counts"),
-        (ScalarField, "values", "field values"),
-        (Disk, "center", "disk center"),
-        (TransducerArray, "positions", "transducer positions"),
-        (TransducerArray, "weights", "transducer weights"),
-        (BoundaryElectrodes, "current", "electrode current"),
-        (KernelMatrix, "values", "kernel entries"),
-        (ConductionSolution, "boundary_trace", "boundary trace"),
-        (SphericalMeanData, "radii", "radii"),
-        (SphericalMeanData, "values", "values"),
-        (MonochromaticData, "frequencies", "frequencies"),
-        (MonochromaticData, "values", "values"),
-        (FourierData, "values", "values"),
-        (Sinogram, "angles", "angles"),
-        (Sinogram, "offsets", "offsets"),
-        (Sinogram, "values", "values"),
-    ], ids=lambda v: v.__name__ if isinstance(v, type) else v)
+    @pytest.mark.parametrize("container, field, name", _ARRAY_FIELDS, ids=_ids)
     def test_non_finite_array_rejected_by_name(self, container, field, name):
         args = self._valid_args(container)
         container(**args)
@@ -172,6 +181,33 @@ class TestArrayContainers:
             values.flat[-1] = bad
             with pytest.raises(ValueError, match=f"^{name} must be finite$"):
                 container(**{**args, field: values})
+
+    @staticmethod
+    def _check_copied(make, mine, field):
+        """``make(mine)`` holds a frozen copy in ``field``: ``mine`` stays
+        writable, and writing to it afterwards leaves the container unchanged."""
+        made = make(mine)
+        held = getattr(made, field)
+        before = held.copy()
+        assert mine.flags.writeable
+        mine += 1
+        assert not np.shares_memory(held, mine)
+        assert np.array_equal(getattr(made, field), before)
+
+    @pytest.mark.parametrize("container, field", [f[:2] for f in _ARRAY_FIELDS], ids=_ids)
+    def test_construction_copies_the_callers_array(self, container, field):
+        # a C-ordered array of the held dtype, which a container could
+        # otherwise freeze in place
+        args = self._valid_args(container)
+        mine = getattr(container(**args), field).copy()
+        self._check_copied(lambda a: container(**{**args, field: a}), mine, field)
+
+    @pytest.mark.parametrize("container", [SphericalMeanData, MonochromaticData, FourierData,
+                                           Sinogram], ids=_ids)
+    def test_replace_copies_the_callers_values(self, container):
+        data = container(**self._valid_args(container))
+        mine = data.values.copy()
+        self._check_copied(lambda a: dataclasses.replace(data, values=a), mine, "values")
 
 
 class TestScalarField:
