@@ -15,11 +15,10 @@ import sys
 import time
 import warnings
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import focusing, io, wavegen
 from .core import (
@@ -277,6 +276,15 @@ def _config_echo(cfg):
     return out
 
 
+@cache
+def _scipy_version():
+    """The installed scipy's version, read from its metadata once per
+    process: a run that solves no conduction problem and inverts no x-ray
+    data never imports scipy itself."""
+    from importlib.metadata import version
+    return version("scipy")
+
+
 class _Run:
     """State shared by the stages of one chain.  Each piece is built on
     first use, inside the stage that first needs it."""
@@ -460,7 +468,7 @@ def main(argv=None):
     logger.addHandler(handler)
     metrics = _config_echo(cfg)
     metrics["numpy_version"] = np.__version__
-    metrics["scipy_version"] = scipy.__version__
+    metrics["scipy_version"] = _scipy_version()
     try:
         try:
             run_chain(cfg, out_dir, metrics)

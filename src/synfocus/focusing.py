@@ -12,7 +12,6 @@ data, so they commute with noise and superposition.
 import warnings
 
 import numpy as np
-import scipy.sparse
 
 from .core import KernelMatrix, _Handover
 from .wavegen import (FourierData, MonochromaticData, Sinogram, SphericalMeanData, _END_RTOL,
@@ -225,6 +224,8 @@ def invert_xray_2d(data, out):
     and a*n_off + j + 1 for a pixel's offset index j + f at angle a.  The coverage check keeps j + f in
     [0, n_off - 1] up to rounding, so no pixel needs an outside mask.
     """
+    import scipy.sparse
+
     _require(data, Sinogram, "x-ray")
     if out.dim != 2:
         raise ValueError("x-ray inversion requires a 2D output grid")

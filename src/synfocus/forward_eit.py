@@ -42,8 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .core import KernelMatrix, ScalarField, square_boundary_electrodes, _Handover, _frozen_array
 
@@ -58,6 +56,13 @@ _SLAB_ROWS = 8
 # (phantom, electrodes, interior, exact kernel) of the last successful
 # kernel_bruteforce call, until the next kernel_adjoint takes it out
 _adjoint_memo = None
+
+
+def splu(*args, **kwargs):
+    """scipy.sparse.linalg.splu, imported on the first factorization so
+    that runs without a conduction solve never load scipy."""
+    from scipy.sparse.linalg import splu
+    return splu(*args, **kwargs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,6 +110,8 @@ def _faces(grid, sigma):
 
 def _assemble(grid, faces):
     """Conduction matrix of the face lists (a, b, cond) of _faces."""
+    import scipy.sparse as sp
+
     a, b, c = faces
     n = grid.n_pixels
     rows = np.concatenate([a, b, a, b])
@@ -368,6 +375,8 @@ def _kernels(phantom, electrodes, interior, epss):
     change of the face conductances depends on it; the z stacks are the
     column groups of one sparse Z, so each column block takes one product.
     """
+    import scipy.sparse as sp
+
     grid = phantom.grid
     n_pix = interior.n_pixels
     cell2pix = _interior_map(grid, interior)

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse
 
 from .core import (Grid, _Handover, _frozen_array, _interp, _padded_rows, _stencil, _support_box,
                    _unit_lattice)
@@ -439,15 +438,18 @@ def _kgrid_phase(kgrid, origin):
 
 def _forward_dft(columns, grid):
     """Fourier samples Delta * sum_p l_p exp(i k . x_p) for each column,
-    returned in the ascending k-lattice layout, shape (n_k, n_el)."""
+    returned in the ascending k-lattice layout, shape (n_k, n_el), as a new
+    C-ordered array: the last product is written through a view with the
+    electrode axis last, so a container takes the result without a copy."""
     n_el = columns.shape[0]
-    shaped = columns.reshape((n_el,) + tuple(grid.counts[::-1]))
+    shape = (n_el,) + tuple(grid.counts[::-1])
     axes = tuple(range(1, grid.dim + 1))
-    ft = np.fft.ifftn(shaped, axes=axes) * grid.n_pixels
+    ft = np.fft.ifftn(columns.reshape(shape), axes=axes) * grid.n_pixels
     ft = np.fft.fftshift(ft, axes=axes)
-    phase = _kgrid_phase(conjugate_lattice(grid), grid.origin)
-    ft = ft * phase[None, ...] * grid.pixel_measure
-    return ft.reshape(n_el, -1).T
+    ft *= _kgrid_phase(conjugate_lattice(grid), grid.origin)
+    out = np.empty((grid.n_pixels, n_el), dtype=complex)
+    np.multiply(ft, grid.pixel_measure, out=out.T.reshape(shape))
+    return out
 
 
 def _inverse_dft(values, grid):
@@ -481,6 +483,8 @@ def measure_line_integrals(kernel, angles, offsets):
     pixel, entries dtau times the summed stencil weights.  P is built and applied in row blocks of
     whole angles, about 5e4 line points each, so memory stays bounded.
     """
+    import scipy.sparse
+
     grid = kernel.grid
     if grid.dim != 2:
         raise ValueError("line integrals support 2d kernels only")

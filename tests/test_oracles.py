@@ -237,3 +237,45 @@ class TestIndependence:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=env, check=True)
         assert proc.stdout.strip() == "[]"
+
+
+# (program, its cfg.txt, whether it loads scipy), each run in a fresh
+# interpreter; the 3-d families' focus chains use neither the conduction
+# solve nor the x-ray operators
+_FOCUS_3D = ("from synfocus.cli import main\n"
+             "assert main(['focus', '--config', 'cfg.txt', '--out', 'out', '--quiet']) == 0\n")
+_RUNS = {
+    "import": ("import synfocus\n", "", False),
+    "focus-spherical": (_FOCUS_3D, "family = spherical\npixels = 6\ntransducers = 8\nradii = 16\n",
+                        False),
+    "focus-monochromatic": (_FOCUS_3D, "family = monochromatic\npixels = 6\ntransducers = 8\n"
+                            "frequencies = 4\n", False),
+    # positive controls: the conduction solve, and the x-ray operators on a
+    # kernel that no solve made
+    "kernel": ("from synfocus.cli import main\n"
+               "assert main(['kernel', '--config', 'cfg.txt', '--out', 'out', '--quiet']) == 0\n",
+               "grid = 12\npixels = 6\n", True),
+    "xray": ("import numpy as np\n"
+             "from synfocus import KernelMatrix, Grid, default_angles, default_offsets\n"
+             "from synfocus import measure_line_integrals, invert_xray_2d\n"
+             "g = Grid(origin=(-0.375, -0.375), spacing=(0.25, 0.25), counts=(4, 4))\n"
+             "k = KernelMatrix(grid=g, values=np.ones((1, 16)))\n"
+             "invert_xray_2d(measure_line_integrals(k, default_angles(8), default_offsets(g)), g)\n",
+             "", True),
+}
+
+
+class TestScipyImports:
+    """Only the conduction solve and the x-ray operators load scipy, each
+    checked in a fresh interpreter."""
+
+    @pytest.mark.parametrize("run", sorted(_RUNS))
+    def test_only_sparse_operators_load_scipy(self, run, tmp_path):
+        code, config, loads = _RUNS[run]
+        (tmp_path / "cfg.txt").write_text(config)
+        src = str(Path(synfocus.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = code + "import sys; print('scipy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=env, cwd=tmp_path, check=True)
+        assert proc.stdout.splitlines()[-1] == str(loads)

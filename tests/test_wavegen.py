@@ -881,6 +881,36 @@ class TestHandover:
         assert not np.shares_memory(noisy.values, data.values)
         assert not noisy.values.flags.writeable
 
+    @pytest.mark.parametrize("counts", [(16, 16), (12, 20), (6, 8, 10)])
+    def test_forward_dft_makes_an_owned_array_with_the_same_bits(self, counts, rng):
+        g = Grid(origin=rng.uniform(-0.6, -0.4, len(counts)), spacing=1.0 / np.array(counts),
+                 counts=counts)
+        cols = rng.standard_normal((3, g.n_pixels))
+        values = synfocus.wavegen._forward_dft(cols, g)
+        assert values.flags.c_contiguous and values.flags.owndata
+        # the bits of the product (ft * phase) * pixel_measure, taken on
+        # the electrode-first layout and transposed
+        axes = tuple(range(1, g.dim + 1))
+        ft = np.fft.fftshift(np.fft.ifftn(cols.reshape((3,) + counts[::-1]), axes=axes)
+                             * g.n_pixels, axes=axes)
+        phase = synfocus.wavegen._kgrid_phase(conjugate_lattice(g), g.origin)
+        assert np.array_equal(values, (ft * phase * g.pixel_measure).reshape(3, -1).T)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    def test_plane_data_keep_the_transforms_array(self, noise, rng, monkeypatch):
+        made = []
+
+        def recording(*args):
+            made.append(forward_dft(*args))
+            return made[-1]
+
+        forward_dft = synfocus.wavegen._forward_dft
+        monkeypatch.setattr(synfocus.wavegen, "_forward_dft", recording)
+        g = centered_grid(8, 2)
+        data = add_noise(measure_plane_waves(_kernel(g, rng.standard_normal((2, g.n_pixels)))),
+                         noise, seed=5)
+        assert np.shares_memory(data.values, made[-1])
+
     @staticmethod
     def _traced(call):
         """call()'s result and the peak of the memory it traced."""
