@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
-_GATHER_BLOCK = 1 << 15   # points per stencil in _interp, bounding its memory
 _MAX_APERTURE_RADIUS = 1e150   # squares of coordinates and 4 pi R^2 stay finite
 
 
@@ -274,23 +273,16 @@ class TransducerArray:
         return self.positions / self.radius
 
 
-def _unit_lattice(n, size=None):
-    """The first ``size`` (default all n) points of the n-point Fibonacci
-    lattice on the unit sphere, equally weighted."""
-    k = np.arange(n if size is None else size)
-    z = 1.0 - (2.0 * k + 1.0) / n
-    rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    phi = GOLDEN_ANGLE * k
-    return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
-
-
 def make_transducer_array(n, radius):
-    """Equal-weight transducer layout on the unit lattice (see _unit_lattice)."""
+    """Equal-weight transducers on the n-point Fibonacci lattice of that radius."""
     if n < 4:
         raise ValueError("need at least 4 transducers")
     radius = TransducerArray._checked_radius(radius)
-    weights = np.full(n, 4 * np.pi * radius ** 2 / n)
-    return TransducerArray(positions=radius * _unit_lattice(n), weights=weights, radius=radius)
+    k = np.arange(n)
+    z = 1.0 - (2.0 * k + 1.0) / n
+    rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    unit = np.stack([rho * np.cos(GOLDEN_ANGLE * k), rho * np.sin(GOLDEN_ANGLE * k), z], axis=1)
+    return TransducerArray(radius * unit, np.full(n, 4 * np.pi * radius ** 2 / n), radius)
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,21 +384,15 @@ class KernelMatrix:
         return ScalarField(self.grid, self.values[j])
 
 
-def _support_box(grid):
-    """Corners (lo, hi) of _stencil's support, the pixel-center hull
-    padded by one spacing (-1 < u < counts); points outside read zero."""
-    return grid.origin - grid.spacing, grid.origin + grid.counts * grid.spacing
-
-
 def _stencil(grid, u):
     """Multilinear interpolation stencil at index coordinates ``u``
     (dim, n_points), u = (x - origin) / spacing, on the grid padded by one
     zero layer on every side (see _padded_rows).
 
     Returns (near, index, weight): the indices of the points inside the
-    support box (-1 < u < counts, see _support_box) and, for each, the
-    flat padded-grid indices and weights of its 2^dim corners, shape
-    (n_near, 2^dim), in itertools.product((0, 1), repeat=dim) order.
+    support box -1 < u < counts (the pixel-center hull padded by one
+    spacing) and, for each, the flat padded-grid indices and weights of its
+    2^dim corners, shape (n_near, 2^dim), in product((0, 1), repeat=dim) order.
     Corners outside the grid land on the zero layer, so the hull rolls off
     linearly."""
     inside = (u > -1.0) & (u < grid.counts[:, None])
@@ -433,17 +419,3 @@ def _padded_rows(grid, columns):
     rows = np.zeros(tuple(np.add(shape, 2)) + (columns.shape[0],))
     rows[(slice(1, -1),) * grid.dim] = np.moveaxis(columns.reshape((-1,) + shape), 0, -1)
     return rows.reshape(-1, columns.shape[0])
-
-
-def _interp(grid, rows, u):
-    """Multilinear interpolation at index coordinates ``u`` (dim, n_points)
-    of the columns that ``rows = _padded_rows(grid, columns)`` holds,
-    returned as (n_points, n_cols): the weighted gather of the stencil
-    from the zero-padded rows (see _stencil for the roll-off).  The caller
-    pads once and passes the same rows to every call."""
-    out = np.zeros((u.shape[1], rows.shape[1]))
-    for p0 in range(0, u.shape[1], _GATHER_BLOCK):
-        near, index, weight = _stencil(grid, u[:, p0:p0 + _GATHER_BLOCK])
-        out[p0 + near] = sum(weight[:, c, None] * np.take(rows, index[:, c], axis=0)
-                             for c in range(index.shape[1]))
-    return out

@@ -11,13 +11,13 @@ so time samples and radii are interchangeable.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (Grid, _Handover, _frozen_array, _interp, _padded_rows, _stencil, _support_box,
-                   _unit_lattice)
+from .core import Grid, _Handover, _frozen_array, _padded_rows, _stencil
 
 _LATTICE_RTOL = 1e-9   # relative tolerance of a lattice's uniform spacing and symmetry
 _END_RTOL = 1e-12   # relative slack of a lattice end for the rounding of the reach it covers
@@ -200,57 +200,81 @@ def _check_offsets_cover(offsets, grid):
                          f"the grid's circumscribed disk (radius {rho:.6g})")
 
 
-def _cap_frame(z, c):
-    """Orthonormal rows, shape (..., 3, 3), turning the unit lattice's pole
-    +z from each point z (..., 3) toward c, and the distances |c - z|;
-    z = c keeps the lattice."""
-    d = c - z
-    dist = np.linalg.norm(d, axis=-1)
-    turned = dist > 0.0
-    # the pole stands in for the direction where z = c, so nothing divides by 0
-    a = np.where(turned[..., None], d, (0.0, 0.0, 1.0)) / np.where(turned, dist, 1.0)[..., None]
-    e1 = np.cross(a, np.eye(3)[np.argmin(np.abs(a), axis=-1)])
-    e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
-    frame = np.stack([e1, np.cross(a, e1), a], axis=-2)
-    frame[~turned] = np.eye(3)
-    return frame, dist
+def _i_series(nu, z):
+    """sum_k z^k / (k! Gamma(k + nu + 1)) by Horner's rule, so I_nu(x) =
+    (x/2)^nu _i_series(nu, x^2/4), to double precision for x <= alpha."""
+    s = 0.0 * z   # a float for a float z, as at import
+    for k in range(_SERIES_TERMS - 1, -1, -1):
+        s = s * z + 1.0 / (math.factorial(k) * math.gamma(k + nu + 1.0))
+    return s
 
 
-def _cap_sizes(n, t, dist, rho):
-    """Point counts, one per sphere (arrays n, t and distances ``dist``,
-    broadcast), of the caps of the n-point lattices turned by _cap_frame
-    whose points at radius t can lie within rho of c (see
-    measure_spherical_pulse), widened by one index; a cap is the lattice
-    prefix of that many points, the whole lattice at dist = 0."""
-    turned = dist != 0.0
-    b = (dist * dist + t * t - rho * rho) / (2.0 * np.where(turned, dist, 1.0) * t)
-    # Fibonacci heights 1 - (2k + 1) / n fall with k, so the cap is k < k_max;
-    # bounded in floats, so no huge ceiling reaches int64
-    size = np.minimum(n, np.maximum(0.0, np.ceil(0.5 * n * (1.0 - b))) + 1.0)
-    return np.where(turned, size, n).astype(np.int64)
+# The radial Kaiser-Bessel blob of measure_spherical_pulse (Lewitt, JOSA A
+# 7, 1990; Matej & Lewitt, IEEE TMI 15, 1996): b(s) = w^m I_m(alpha w) /
+# I_m(alpha), w = sqrt(1 - s^2/a^2), m = 2.  alpha = sqrt((4 pi)^2 - j^2),
+# j the first zero of J_{7/2}, puts the first zero of its 3-d transform at
+# the lattice frequency 1/h when a = 2h; that transform at 0 gives its
+# volume (integral over R^3, per a^3) and second moment per axis (per a^2).
+_KB_ORDER = 2
+_KB_ALPHA = math.sqrt((4.0 * math.pi) ** 2 - 6.987932000500520 ** 2)
+_KB_Z = 0.25 * _KB_ALPHA ** 2   # the series argument at w = 1
+_SERIES_TERMS = 40
+_KB_NORM = float(_i_series(_KB_ORDER, _KB_Z))   # I_m(alpha) / (alpha/2)^m
+_KB_VOLUME = math.pi ** 1.5 * float(_i_series(_KB_ORDER + 1.5, _KB_Z)) / _KB_NORM
+_KB_MU2 = 0.5 * float(_i_series(_KB_ORDER + 2.5, _KB_Z) / _i_series(_KB_ORDER + 1.5, _KB_Z))
+_BINS_PER_RADIUS = 16   # distance-bin spacing a / 16, h / 8 on a cubic grid
+# cubic Lagrange weights of the nodes b - 1, b, b + 1, b + 2 at b + f, one
+# row per node, as coefficients of 1, f, f^2, f^3; only node b has f^0
+_LAGRANGE = np.array([[0.0, -1.0 / 3.0, 0.5, -1.0 / 6.0], [1.0, -0.5, -1.0, 0.5],
+                      [0.0, 1.0, 0.5, -0.5], [0.0, -1.0 / 6.0, 0.0, 1.0 / 6.0]])
+
+
+def _kb_blob(s, a, nu=_KB_ORDER):
+    """The blob b(s) of radius a, zero for s >= a, as a series in w^2; nu =
+    m + 1 gives w^(m+1) I_(m+1)(alpha w) / I_m(alpha) instead."""
+    y = 1.0 - (np.asarray(s, dtype=float) / a) ** 2
+    out = np.zeros_like(y)
+    inside = y > 0.0
+    out[inside] = y[inside] ** nu * _i_series(nu, _KB_Z * y[inside]) / _KB_NORM
+    return out
+
+
+def _kb_shell(u, a):
+    """B(u) = integral_u^a s b(s) ds = a^2 w^(m+1) I_(m+1)(alpha w) / (alpha I_m(alpha))."""
+    return 0.5 * a * a * _kb_blob(u, a, _KB_ORDER + 1)
+
+
+def _blob_coefficients(kernel, a):
+    """Blob coefficients (n_electrodes, n_pixels) of the kernel columns k:
+    k - (mu2 / 2) Lap_h k with edge-replicated padding, mu2 the blob's
+    second moment per axis, times pixel_measure / integral(b)."""
+    grid = kernel.grid
+    k = kernel.values.reshape((-1,) + tuple(grid.counts[::-1]))
+    lap = sum(np.diff(np.pad(k, [(0, 0)] * (3 - d) + [(1, 1)] + [(0, 0)] * d, mode="edge"),
+                      2, axis=3 - d) / h ** 2 for d, h in enumerate(grid.spacing))
+    scale = grid.pixel_measure / (_KB_VOLUME * a ** 3)
+    return ((k - 0.5 * _KB_MU2 * a * a * lap) * scale).reshape(k.shape[0], -1)
 
 
 def measure_spherical_pulse(kernel, array, radii):
     """Surface integrals of each kernel column over the spheres
     |x - z_i| = t_k on a 3d grid.
 
-    Uniform angular quadrature with ceil(2 pi t / dx) points per great
-    circle, one per pixel spacing, and multilinear interpolation; samples
-    outside the grid contribute zero.  One point per spacing is enough:
-    the second-order interpolant sets the error, and against the closed
-    form it was the same to 2% with 1, 2 and 4 points per spacing.  Each
-    lattice is turned so that its pole points from z_i at the centre c of
-    the support box (half-diagonal rho).  By the law of cosines only
-    points with cos(theta) >= (D^2 + t^2 - rho^2) / (2 D t), D = |c - z_i|,
-    can reach the box; only that cap (a Fibonacci index prefix) is
-    evaluated.  One lattice is generated per radius, as long as the
-    longest cap any transducer takes there, and each sphere takes its
-    prefix.  The turned points go to the stencil in coordinate-major index
-    coordinates, one product and one add (frame / spacing)^T @ block +
-    (z_i - origin) / spacing per (3, size) block of caps, and the grid's
-    zero layer gives the roll-off outside it (see core._stencil).  The
-    kernel rows are padded once per call and every chunk gathers from
-    them.
+    The column is one radial Kaiser-Bessel blob b of radius a = 2
+    max(spacing) per pixel (see _KB_ALPHA), with the coefficients c of
+    _blob_coefficients.  A blob at distance r from z_i integrates over the
+    sphere of radius t to (2 pi t / r) g(t, r), g(t, r) = B(|t - r|) -
+    B(t + r) with B in closed form (_kb_shell), or 4 pi t^2 b(t) at r = 0.
+    So per transducer c_p / r_p is binned at r_p on nodes delta = a / 16
+    apart with cubic Lagrange weights, node -1 folded onto node 1 with a
+    flipped sign (g is odd in r), and one product with the profile
+    2 pi t g(t, rho) on the nodes gives every radius of every electrode.
+    In cell b = floor(x), x = r / delta, the weights are cubics in
+    f = x - b: each pair adds c f^d / r, d = 0..3, to four moment
+    histograms, one bincount each per block of transducers, which
+    _LAGRANGE spreads onto the nodes.  At r = 0 these take their limits
+    r -> 0+ (c / r falls on node 0, where g vanishes), which give
+    4 pi t^2 b(t) to fourth order in delta.  No scipy is loaded.
     """
     grid = kernel.grid
     if grid.dim != 3:
@@ -259,53 +283,46 @@ def measure_spherical_pulse(kernel, array, radii):
     _positive_spacing(radii, "radii")
     if radii[-1] > _window_end(array, grid) * (1 + _END_RTOL):
         raise ValueError("radii must lie within (0, R + domain diameter]")
-    dx = float(np.min(grid.spacing))
-    # per radius: quadrature point count and weight; the points themselves
-    # are generated chunk by chunk to keep memory bounded
-    m = np.ceil(2.0 * np.pi * radii / dx).astype(np.int64)
-    n_points = np.maximum(np.ceil(m * m / np.pi).astype(np.int64), 32)
-    weights = 4.0 * np.pi * radii * radii / n_points
-
-    values = np.zeros((array.n, radii.size, kernel.n_electrodes))
-    box_lo, box_hi = _support_box(grid)
-    center = 0.5 * (box_lo + box_hi)
-    rho = 0.5 * float(np.linalg.norm(box_hi - box_lo))
-    budget = 2_000_000 // kernel.n_electrodes   # 2 M gathered values per chunk
-    z = array.positions
-    frames, dist = _cap_frame(z, center)
-    # points per sphere; 0 skips the spheres that miss the support box or
-    # enclose it, which integrate to zero
-    d_min = np.linalg.norm(z - np.clip(z, box_lo, box_hi), axis=1)
-    d_max = np.linalg.norm(np.maximum(np.abs(z - box_lo), np.abs(z - box_hi)), axis=1)
-    sizes = np.where((radii >= d_min[:, None]) & (radii <= d_max[:, None]),
-                     _cap_sizes(n_points, radii, dist[:, None], rho), 0)
-    # one lattice radii[k] * lattice[:size] per radius, coordinate-major,
-    # as long as its longest cap; each sphere's block is a prefix
-    caps = {k: np.ascontiguousarray(radii[k] * _unit_lattice(int(n_points[k]), size).T)
-            for k, size in enumerate(sizes.max(axis=0).tolist()) if size}
-    rows = _padded_rows(grid, kernel.values)
-    # index coordinates of z + frame^T block, as one product and one add
-    scaled = np.swapaxes(frames / grid.spacing, 1, 2)
-    shifts = ((z - grid.origin) / grid.spacing)[:, :, None]
-    for i in range(array.n):
-        active = np.flatnonzero(sizes[i])
-        begins = np.concatenate([[0], np.cumsum(sizes[i, active])])
-        start = 0
-        while start < active.size:
-            # greedy chunks of at most budget points (at least one sphere)
-            stop = max(start + 1, int(np.searchsorted(
-                begins, begins[start] + budget, side="right")) - 1)
-            ks = active[start:stop]
-            block = np.concatenate(
-                [caps[k][:, :size] for k, size in zip(ks.tolist(), sizes[i, ks].tolist())], axis=1)
-            offsets = begins[start:stop] - begins[start]
-            u = scaled[i] @ block
-            u += shifts[i]
-            cols = _interp(grid, rows, u)
-            sums = np.add.reduceat(cols, offsets, axis=0)
-            values[i, ks, :] = weights[ks, None] * sums
-            start = stop
-    return SphericalMeanData(array=array, radii=radii, values=_Handover(values))
+    a = 2.0 * float(np.max(grid.spacing))
+    delta = a / _BINS_PER_RADIUS
+    q = _blob_coefficients(kernel, a) / delta   # c / r = q / x
+    (n_el, n_px), n_t, shape = q.shape, array.n, tuple(grid.counts[::-1])
+    # squared per-axis distances in bin units, (n_transducers, counts[d]); the
+    # floor 1e-200 bins x = 0 as x -> 0+, and cells lo + 2 .. int(x_max), one to
+    # spare at each end, hold every pair: no node below lo + 1 unless lo = 0
+    sq = [((ax - array.positions[:, d, None]) / delta) ** 2 for d, ax in enumerate(grid.axes())]
+    sq[0] += 1e-200
+    lo = max(int(np.sqrt(np.min(sum(np.min(s, axis=1) for s in sq)))) - 3, 0)
+    n_bins = int(np.sqrt(np.max(sum(np.max(s, axis=1) for s in sq)))) + 2 - lo
+    block = max(1, min(n_t, (1 << 16) // n_px))   # (transducer, pixel) pairs at once
+    x, f, w = np.empty((3, block * n_px))
+    base = np.empty(block * n_px, dtype=np.intp)
+    moments = np.empty((4, n_t, n_bins, n_el))
+    for i0 in range(0, n_t, block):
+        n = min(block, n_t - i0)
+        xs, fs, ws, bs = (v[:n * n_px].reshape(n, n_px) for v in (x, f, w, base))
+        cube = xs.reshape((n,) + shape)   # x^2 = dx^2 + dy^2 + dz^2 from the per-axis rows
+        np.add(sq[2][i0:i0 + n, :, None, None], sq[1][i0:i0 + n, None, :, None], out=cube[..., :1])
+        np.add(cube[..., :1], sq[0][i0:i0 + n, None, None, :], out=cube)
+        np.sqrt(xs, out=xs)
+        np.copyto(bs, xs, casting="unsafe")   # floor, as x >= 0
+        np.subtract(xs, bs, out=fs)
+        np.reciprocal(xs, out=xs)
+        bs += n_bins * np.arange(n)[:, None] - lo
+        for j in range(n_el):
+            np.multiply(xs, q[j], out=ws)
+            for d in range(4):
+                if d:
+                    ws *= fs
+                moments[d, i0:i0 + n, :, j] = np.bincount(
+                    bs.ravel(), ws.ravel(), minlength=n * n_bins).reshape(n, n_bins)
+    hist = np.zeros((n_t, n_bins + 3, n_el))   # nodes lo - 1 .. lo + n_bins + 1
+    for o in range(4):
+        hist[:, o:o + n_bins] += np.tensordot(_LAGRANGE[o], moments, axes=1)
+    hist[:, 2] -= hist[:, 0]
+    rho = delta * np.arange(lo + 1, lo + n_bins + 2)[:, None]
+    profile = 2.0 * np.pi * radii * (_kb_shell(np.abs(radii - rho), a) - _kb_shell(radii + rho, a))
+    return SphericalMeanData(array=array, radii=radii, values=_Handover(profile.T @ hist[:, 2:]))
 
 
 def measure_monochromatic(kernel, array, frequencies):

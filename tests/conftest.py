@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from synfocus.core import Grid
+from synfocus.core import Grid, _padded_rows, _stencil
 
 
 def rel_l2(a, b):
@@ -16,6 +16,17 @@ def centered_grid(n, dim, half=0.5):
     """n^dim pixel grid with centers filling (-half, half)^dim."""
     h = 2.0 * half / n
     return Grid(origin=(-half + h / 2,) * dim, spacing=(h,) * dim, counts=(n,) * dim)
+
+
+def stencil_gather(grid, columns, u):
+    """Multilinear interpolation of ``columns`` (n_cols, n_pixels) at index
+    coordinates ``u`` (dim, n_points), shape (n_points, n_cols): the
+    weighted gather of core._stencil from the zero-padded rows, zero
+    outside its support."""
+    near, index, weight = _stencil(grid, u)
+    out = np.zeros((u.shape[1], columns.shape[0]))
+    out[near] = np.einsum("pc,pcj->pj", weight, _padded_rows(grid, columns)[index])
+    return out
 
 
 def count_calls(monkeypatch, module, names):

@@ -333,6 +333,8 @@ ENDTOEND_METRIC_KEYS = [
     "axis_k1",
     "time_measure",
     "kernel_error",
+    "kernel_error_interior",
+    "kernel_error_rim",
     "time_focus",
 ]
 
@@ -347,7 +349,7 @@ def _focus(axes):
     """Files and metric keys of a focus run whose data has these axes."""
     return (["kernel.csv", "kernel_e000.pgm", "data.csv", "recon.csv", "recon_e000.pgm"],
             ["time_kernel", *(f"axis_{axis}" for axis in axes), "time_measure",
-             "kernel_error", "time_focus"])
+             "kernel_error", "kernel_error_interior", "kernel_error_rim", "time_focus"])
 
 
 CHAIN_MODES = {

@@ -5,10 +5,7 @@ import numpy as np
 import pytest
 
 from synfocus.core import (
-    _interp,
-    _padded_rows,
     _stencil,
-    _support_box,
     BoundaryElectrodes,
     Disk,
     Grid,
@@ -22,7 +19,7 @@ from synfocus.core import (
 from synfocus.forward_eit import ConductionSolution, left_right_current_pattern
 from synfocus.wavegen import FourierData, MonochromaticData, Sinogram, SphericalMeanData
 
-from conftest import centered_grid
+from conftest import centered_grid, stencil_gather
 
 
 class TestGrid:
@@ -408,12 +405,13 @@ class TestKernelMatrix:
 
 
 def _index(grid, points):
-    """Index coordinates (points - origin) / spacing, as _interp takes them."""
+    """Index coordinates (points - origin) / spacing, as _stencil takes them."""
     return ((points - grid.origin) / grid.spacing).T
 
 
 class TestInterpField:
-    """_interp of one field in index coordinates."""
+    """The weighted gather of _stencil (conftest.stencil_gather) of one field
+    in index coordinates."""
 
     @pytest.mark.invariant
     def test_multilinear_reproduces_linear_functions(self):
@@ -423,22 +421,22 @@ class TestInterpField:
         rng = np.random.default_rng(3)
         q = rng.uniform(-0.35, 0.35, size=(50, 2))  # inside the center hull
         expect = 1.5 + 2.0 * q[:, 0] - 0.5 * q[:, 1]
-        assert np.allclose(_interp(g, _padded_rows(g, vals[None]), _index(g, q))[:, 0], expect, atol=1e-13)
+        assert np.allclose(stencil_gather(g, vals[None], _index(g, q))[:, 0], expect, atol=1e-13)
 
     def test_exact_at_centers(self):
         g = centered_grid(5, 3)
         vals = np.sin(np.arange(g.n_pixels, dtype=float))
-        got = _interp(g, _padded_rows(g, vals[None]), _index(g, g.centers()))[:, 0]
+        got = stencil_gather(g, vals[None], _index(g, g.centers()))[:, 0]
         assert np.allclose(got, vals, atol=1e-14)
 
     def test_zero_outside_support(self):
         g = centered_grid(4, 2)
         ones = np.ones((1, 16))
         far = np.array([[2.0, 0.0], [0.0, -3.0]])
-        assert np.allclose(_interp(g, _padded_rows(g, ones), _index(g, far)), 0.0)
+        assert np.allclose(stencil_gather(g, ones, _index(g, far)), 0.0)
         # rolls off linearly: half a spacing beyond the last center -> 1/2
         edge = np.array([[0.375 + 0.125, 0.0]])
-        assert _interp(g, _padded_rows(g, ones), _index(g, edge))[0, 0] == pytest.approx(0.5)
+        assert stencil_gather(g, ones, _index(g, edge))[0, 0] == pytest.approx(0.5)
 
     @pytest.mark.invariant
     @pytest.mark.parametrize("dim", [2, 3])
@@ -461,12 +459,13 @@ class TestInterpField:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_support_box_bounds_the_stencil(self, dim):
-        # each face of _support_box, one axis at a time from the box's
-        # centre: a billionth of a spacing inside it the stencil reaches the
-        # point, as far outside it does not
+        # each face of the support box, the pixel-center hull padded by one
+        # spacing, one axis at a time from the box's centre: a billionth of
+        # a spacing inside it the stencil reaches the point, as far outside
+        # it does not
         g = Grid(origin=(-0.4, 0.1, -0.2)[:dim], spacing=(0.3, 0.2, 0.25)[:dim],
                  counts=(5, 4, 3)[:dim])
-        lo, hi = _support_box(g)
+        lo, hi = g.origin - g.spacing, g.origin + g.counts * g.spacing
         pts, inside = [], []
         for d, (face, inward) in itertools.product(range(dim), ((lo, 1.0), (hi, -1.0))):
             for sign in (1.0, -1.0):
@@ -532,4 +531,4 @@ class TestInterpRollOff:
         pts = np.concatenate(pts)
         expect = _multilinear_loop(g, columns, pts)
         assert np.count_nonzero(expect) == expect.size
-        assert np.max(np.abs(_interp(g, _padded_rows(g, columns), _index(g, pts)) - expect)) <= 1e-13
+        assert np.max(np.abs(stencil_gather(g, columns, _index(g, pts)) - expect)) <= 1e-13

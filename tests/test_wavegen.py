@@ -4,17 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
-import synfocus.core
 import synfocus.wavegen
 from synfocus.core import (
     Grid,
     KernelMatrix,
     TransducerArray,
-    _interp,
-    _padded_rows,
-    _stencil,
-    _support_box,
-    _unit_lattice,
     make_transducer_array,
 )
 from synfocus.wavegen import (
@@ -22,9 +16,15 @@ from synfocus.wavegen import (
     MonochromaticData,
     Sinogram,
     SphericalMeanData,
-    _cap_frame,
-    _cap_sizes,
+    _KB_ALPHA,
+    _KB_MU2,
+    _KB_ORDER,
+    _KB_VOLUME,
+    _blob_coefficients,
     _check_offsets_cover,
+    _i_series,
+    _kb_blob,
+    _kb_shell,
     _positive_spacing,
     _uniform_spacing,
     add_noise,
@@ -39,7 +39,7 @@ from synfocus.wavegen import (
     measure_spherical_pulse,
 )
 
-from conftest import centered_grid, count_calls, gaussian_column, rel_l2
+from conftest import centered_grid, gaussian_column, rel_l2, stencil_gather
 from oracles import (
     AnalyticPhantom,
     line_integral,
@@ -54,44 +54,6 @@ def _kernel(grid, columns):
     return KernelMatrix(grid=grid, values=cols)
 
 
-def _support_center(grid):
-    """Centre of the interpolation support box, as measure_spherical_pulse
-    takes it from core._support_box."""
-    lo, hi = _support_box(grid)
-    return 0.5 * (lo + hi)
-
-
-def _sphere_rule(grid, t):
-    """Point count and per-point weight of measure_spherical_pulse's
-    quadrature rule at radius t."""
-    m = int(np.ceil(2.0 * np.pi * t / float(np.min(grid.spacing))))
-    n = max(int(np.ceil(m * m / np.pi)), 32)
-    return n, 4.0 * np.pi * t * t / n
-
-
-def _reference_cap(n, t, dist, rho):
-    """Per-sphere cap indices of the n-point lattice at radius t, computed
-    with Python scalars: the points whose cos(theta) can reach
-    (D^2 + t^2 - rho^2) / (2 D t), widened by one index."""
-    if dist == 0.0:
-        return np.arange(n)
-    b = (dist * dist + t * t - rho * rho) / (2.0 * dist * t)
-    return np.arange(min(n, max(0, int(np.ceil(0.5 * n * (1.0 - b)))) + 1))
-
-
-def _cap(n, t, dist, rho):
-    """measure_spherical_pulse's cap of one sphere, through _cap_sizes:
-    the lattice prefix of that many points."""
-    return np.arange(_cap_sizes(np.array([n]), np.array([float(t)]), dist, rho)[0])
-
-
-def _turned_sphere(grid, z, t, frame):
-    """The full turned quadrature lattice of measure_spherical_pulse at
-    radius t about z and its per-point weight."""
-    n, weight = _sphere_rule(grid, t)
-    return z + t * _unit_lattice(n) @ frame, weight
-
-
 def _tau_lattice(grid):
     """The line samples of measure_line_integrals: midpoints of uniform
     steps of at most half a spacing over [-half, half], half = rho + step."""
@@ -100,6 +62,20 @@ def _tau_lattice(grid):
     n = int(np.ceil(2.0 * half / step))
     dtau = 2.0 * half / n
     return -half + (np.arange(n) + 0.5) * dtau, dtau
+
+
+def _direct_blob_sum(kernel, array, radii):
+    """measure_spherical_pulse without distance bins: each pixel's blob
+    integrates over each sphere as (2 pi t / r_p) [B(|t - r_p|) - B(t + r_p)]
+    at its own distance r_p from the transducer, 4 pi t^2 b(t) at r_p = 0."""
+    g = kernel.grid
+    a = 2.0 * float(np.max(g.spacing))
+    r = np.linalg.norm(g.centers()[None] - array.positions[:, None], axis=2)[:, None, :]
+    t = radii[None, :, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shell = 2.0 * np.pi * t / r * (_kb_shell(np.abs(t - r), a) - _kb_shell(t + r, a))
+    shell = np.where(r > 0.0, shell, 4.0 * np.pi * t * t * _kb_blob(t, a))
+    return shell @ _blob_coefficients(kernel, a).T
 
 
 class TestSphericalPulse:
@@ -116,6 +92,31 @@ class TestSphericalPulse:
             assert np.allclose(data.values[:, k, 0], 4.0 * np.pi * t * t,
                                rtol=1e-4)
 
+    @pytest.mark.parametrize("case, bound", [("chain", 1e-5), ("constant", 1e-5), ("centre", 3e-5)])
+    def test_bins_match_the_direct_blob_sum(self, case, bound):
+        # the binning error alone, at bins of h / 8: measured 5.5e-6 on the
+        # synthetic kernel's geometry (transducers outside the grid), 8.6e-6
+        # on the constant column's (inside it) and 2.2e-5 with a transducer
+        # on a pixel centre, whose bins give the limit 4 pi t^2 b(t) to
+        # fourth order; bins of h / 4 read 9.0e-5, 2.6e-4 and 3.0e-4
+        if case == "chain":
+            g = centered_grid(16, 3)
+            kern = _kernel(g, gaussian_column(g, 0.12, (0.08, -0.05, 0.03)))
+            arr = make_transducer_array(16, radius=1.0)
+            radii = default_radii(arr, g, 64)
+        else:
+            g = centered_grid(16, 3, half=3.0)
+            kern = _kernel(g, np.ones(g.n_pixels) if case == "constant" else gaussian_column(g, 1.0))
+            arr = make_transducer_array(6, radius=2.0)
+            radii = np.array([0.15, 0.25, 0.35])
+        if case == "centre":
+            centre = g.centers()[7 + 16 * (9 + 16 * 5)]
+            R = float(np.linalg.norm(centre))
+            arr = TransducerArray(positions=np.vstack([centre, make_transducer_array(5, R).positions]),
+                                  weights=np.full(6, 4.0 * np.pi * R * R / 6), radius=R)
+        binned = measure_spherical_pulse(kern, arr, radii).values
+        assert rel_l2(binned, _direct_blob_sum(kern, arr, radii)) <= bound
+
     def test_zero_column(self):
         g = centered_grid(16, 3)
         arr = make_transducer_array(6, radius=2.0)
@@ -124,8 +125,7 @@ class TestSphericalPulse:
         assert np.all(data.values == 0.0)
 
     def test_gaussian_against_quadrature_oracle_3d(self):
-        # off-axis transducer outside the support's bounding sphere, so each
-        # sphere is measured on a cap of its turned lattice
+        # off-axis transducer outside the grid's bounding sphere
         g = centered_grid(128, 3, half=1.0)
         kern = _kernel(g, gaussian_column(g, s=0.2))
         phantom = AnalyticPhantom(kind="gaussian", center=(0.0, 0.0, 0.0),
@@ -143,9 +143,10 @@ class TestSphericalPulse:
     def test_observed_order_against_closed_form(self):
         # code verification by observed order (Roache 1998): the off-centre
         # gaussian of the CLI's synthetic kernel on the centred unit cube,
-        # 16 transducers, 64 default radii.  Measured errors 7.52e-2,
-        # 1.95e-2, 4.95e-3 (orders 1.95, 1.98); the bounds sit 10% above
-        # them, and multilinear interpolation gives order 2
+        # 16 transducers, 64 default radii.  The Kaiser-Bessel blobs measure
+        # errors 2.97e-2, 2.62e-3, 3.72e-4 (orders 3.50, 2.81).  The bounds
+        # sit 10% above the errors of the former multilinear quadrature
+        # (7.52e-2, 1.95e-2, 4.95e-3, orders 1.95, 1.98) and stay as they were
         c, s = np.array([0.08, -0.05, 0.03]), 0.12
         phantom = AnalyticPhantom(kind="gaussian", center=c, scale=s)
         arr = make_transducer_array(16, radius=1.0)
@@ -161,29 +162,6 @@ class TestSphericalPulse:
         assert errs[32] <= 0.0055
         assert np.log2(errs[8] / errs[16]) >= 1.8
         assert np.log2(errs[16] / errs[32]) >= 1.8
-
-    def test_chunks_count_gathered_values(self, rng, monkeypatch):
-        # 128 electrodes: each gather holds at most 2 M values (points x
-        # electrodes) although the transducer needs 4.8 M in all
-        g = centered_grid(16, 3)
-        kern = _kernel(g, rng.standard_normal((128, g.n_pixels)))
-        z = np.array([2.0, 0.0, 0.0])
-        one = TransducerArray(positions=z[None, :],
-                              weights=np.array([16.0 * np.pi]), radius=2.0)
-        radii = default_radii(one, g, 200)
-        gathered = []
-
-        def counting(grid, rows, u):
-            gathered.append(u.shape[1] * rows.shape[1])
-            return _interp(grid, rows, u)
-
-        monkeypatch.setattr(synfocus.wavegen, "_interp", counting)
-        data = measure_spherical_pulse(kern, one, radii)
-        assert sum(gathered) > 2_000_000
-        assert max(gathered) <= 2_000_000
-        # chunks hold whole spheres, so each column is measured as alone
-        alone = measure_spherical_pulse(_kernel(g, kern.values[5]), one, radii)
-        assert np.array_equal(data.values[..., 5], alone.values[..., 0])
 
     def test_radius_validation(self):
         g = centered_grid(8, 3)
@@ -215,163 +193,47 @@ class TestSphericalPulse:
         assert np.max(np.abs(data.values)) <= 1e-12
 
 
-class TestSphericalCap:
-    """The cap of a turned lattice keeps every point that can reach the
-    open interpolation support box (pixel-center hull padded by one
-    spacing)."""
+class TestKaiserBesselBlob:
+    """The blob's Bessel series and the constants read from its Fourier
+    transform, against scipy and quadrature."""
 
-    # the volumetric measures are 3-d; dim stays a parameter to keep the
-    # case ids
-    @pytest.mark.parametrize("dim", [3])
-    def test_dropped_points_lie_outside_the_support(self, dim):
-        rng = np.random.default_rng(40 + dim)
-        g = Grid(origin=(-0.4, 0.1, -0.3), spacing=(0.1, 0.08, 0.12), counts=(9, 12, 7))
-        lo, hi = g.origin - g.spacing, g.origin + g.counts * g.spacing
-        c, rho = 0.5 * (lo + hi), 0.5 * float(np.linalg.norm(hi - lo))
-        dirs = rng.standard_normal((6, dim))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        pole = np.eye(dim)[-1]
-        cases = {
-            "center": [c],
-            "inside": [c + 0.6 * rho * d for d in dirs[:3]],
-            "outside": [c + 1.8 * rho * d for d in dirs[3:]]
-                       + [c - 1.5 * rho * pole, c + 1.5 * rho * pole],
-        }
-        kept_total = {name: [0, 0] for name in cases}
-        for name, zs in cases.items():
-            for z in zs:
-                frame, dist = _cap_frame(z, c)
-                for t in rng.uniform(0.02, dist + rho, 6):
-                    n = int(rng.integers(40, 4000))
-                    full = z + t * _unit_lattice(n) @ frame
-                    kept = _cap(n, t, dist, rho)
-                    assert np.array_equal(kept, _reference_cap(n, t, dist, rho))
-                    dropped = np.setdiff1d(np.arange(n), kept)
-                    reach = np.all((full[dropped] > lo) & (full[dropped] < hi), axis=1)
-                    assert not np.any(reach)
-                    pts = z + t * _unit_lattice(n, kept.size) @ frame
-                    assert np.max(np.abs(pts - full[kept])) <= 1e-12
-                    kept_total[name][0] += kept.size
-                    kept_total[name][1] += n
-        assert kept_total["center"][0] == kept_total["center"][1]
-        assert kept_total["outside"][0] < 0.5 * kept_total["outside"][1]
+    def test_series_against_scipy(self):
+        from scipy.special import iv
 
-    @pytest.mark.parametrize("dim", [3])
-    def test_sizes_of_many_spheres_match_the_per_sphere_reference(self, dim):
-        # one _cap_sizes call over many radii and point counts, with caps
-        # wider than the sphere, one-index caps that miss the box, and D = 0
-        rng = np.random.default_rng(50 + dim)
-        rho = 0.7
-        t = np.concatenate([rng.uniform(1e-3, 3.0, 400), [1e-6, 1e-9]])
-        n = rng.integers(8, 20000, t.size)
-        for dist in (0.0, 0.3 * rho, rho, 2.5 * rho):
-            sizes = _cap_sizes(n, t, dist, rho)
-            for nk, tk, size in zip(n.tolist(), t.tolist(), sizes.tolist()):
-                assert size == _reference_cap(nk, tk, dist, rho).size
+        x = np.linspace(0.0, _KB_ALPHA, 401)[1:]
+        for nu in (_KB_ORDER, _KB_ORDER + 1):
+            got = (0.5 * x) ** nu * _i_series(nu, 0.25 * x * x)
+            assert np.max(np.abs(got / iv(nu, x) - 1.0)) <= 1e-14
 
+    @staticmethod
+    def _legendre(lo, hi, n=64):
+        """Gauss-Legendre nodes and weights on [lo, hi]."""
+        node, weight = np.polynomial.legendre.leggauss(n)
+        return lo + 0.5 * (hi - lo) * (node + 1.0), 0.5 * (hi - lo) * weight
 
-    @pytest.mark.parametrize("dim", [3])
-    def test_measure_equals_full_turned_lattice(self, dim, rng):
-        # the full turned lattice at the documented point count and weight
-        # measure / n; the points the cap leaves out add exact zeros
-        half = 0.5
-        g = Grid(origin=(0.4 + half / 8,) + (-half + half / 8,) * (dim - 1),
-                 spacing=(half / 4,) * dim, counts=(8,) * dim)
-        kern = _kernel(g, rng.standard_normal((2, g.n_pixels)))
-        c = _support_center(g)
-        R = float(np.linalg.norm(c))
-        base = make_transducer_array(6, radius=R)
-        pos = np.array(base.positions)
-        pos[0] = c  # D = 0; the others lie inside or outside the bounding sphere
-        arr = TransducerArray(positions=pos, weights=base.weights, radius=R)
-        radii = np.linspace(0.1, 2.2, 12)
-        data = measure_spherical_pulse(kern, arr, radii)
-        expect = np.zeros_like(data.values)
-        for i, z in enumerate(arr.positions):
-            frame, _ = _cap_frame(z, c)
-            for k, t in enumerate(radii):
-                pts, weight = _turned_sphere(g, z, t, frame)
-                u = ((pts - g.origin) / g.spacing).T
-                expect[i, k] = weight * np.sum(_interp(g, _padded_rows(g, kern.values), u), axis=0)
-        assert np.max(np.abs(data.values - expect)) <= 1e-12 * np.max(np.abs(expect))
+    def test_transform_vanishes_at_the_lattice_frequency(self):
+        from scipy.optimize import brentq
+        from scipy.special import jv
 
-    @pytest.mark.parametrize("dim", [3])
-    def test_off_centre_aperture_equals_per_sphere_caps(self, dim, rng):
-        # the grid is shifted off the aperture centre, so the transducers
-        # see different distances D to the support centre and different
-        # cap sizes at one radius; each sphere's cap must still be its own
-        g = Grid(origin=(0.1, -0.2, 0.05), spacing=(0.1, 0.08, 0.12), counts=(7, 6, 5))
-        kern = _kernel(g, rng.standard_normal((2, g.n_pixels)))
-        lo, hi = g.origin - g.spacing, g.origin + g.counts * g.spacing
-        c, rho = 0.5 * (lo + hi), 0.5 * float(np.linalg.norm(hi - lo))
-        # on the aperture |z| = R: one transducer at D = 0.2 rho (full
-        # lattices at small radii), one at D = 1.5 rho (caps at the same
-        # radii), and six spread around
-        u, dc = c / np.linalg.norm(c), float(np.linalg.norm(c))
-        R = dc + 0.2 * rho
-        cos = (R * R + dc * dc - (1.5 * rho) ** 2) / (2.0 * R * dc)
-        v = np.zeros(dim)
-        v[:2] = (-u[1], u[0])
-        v /= np.linalg.norm(v)
-        base = make_transducer_array(6, radius=R)
-        pos = np.vstack([R * u, R * (cos * u + np.sqrt(1.0 - cos * cos) * v),
-                         base.positions])
-        arr = TransducerArray(positions=pos, radius=R,
-                              weights=np.full(len(pos), base.weights.sum() / len(pos)))
-        radii = np.linspace(0.05, 1.0, 20) * (R + g.diameter)
-        data = measure_spherical_pulse(kern, arr, radii)
-        expect = np.zeros_like(data.values)
-        sizes = np.zeros(data.values.shape[:2], dtype=int)
-        for i, z in enumerate(arr.positions):
-            frame, dist = _cap_frame(z, c)
-            for k, t in enumerate(radii):
-                n, weight = _sphere_rule(g, t)
-                cap = _reference_cap(n, t, dist, rho)
-                pts = z + t * _unit_lattice(n, cap.size) @ frame
-                u = ((pts - g.origin) / g.spacing).T
-                expect[i, k] = weight * np.sum(_interp(g, _padded_rows(g, kern.values), u), axis=0)
-                sizes[i, k] = cap.size - n   # 0 for the full lattice
-        # the case one lattice per radius must serve: one transducer takes
-        # the full lattice at a radius where another takes a strict prefix
-        both = (sizes[0] == 0) & (sizes[1] < 0) & (data.values[1, :, 0] != 0)
-        assert np.any(both)
-        assert np.max(np.abs(data.values - expect)) <= 1e-13 * np.max(np.abs(expect))
+        j = brentq(lambda v: jv(3.5, v), 6.0, 7.5)
+        assert _KB_ALPHA == pytest.approx(np.sqrt((4.0 * np.pi) ** 2 - j * j), rel=1e-14)
+        # radius a = 2h with h = 1: the radial transform
+        # 4 pi int s^2 b(s) sinc(2 omega s) ds at omega = 0 and 1 / h
+        a = 2.0
+        s, w = self._legendre(0.0, a)
+        b = _kb_blob(s, a)
+        volume = 4.0 * np.pi * np.sum(w * s ** 2 * b)
+        assert volume == pytest.approx(_KB_VOLUME * a ** 3, rel=1e-13)
+        mu2 = 4.0 * np.pi * np.sum(w * s ** 4 * b) / (3.0 * volume)
+        assert mu2 == pytest.approx(_KB_MU2 * a * a, rel=1e-13)
+        assert abs(4.0 * np.pi * np.sum(w * s ** 2 * b * np.sinc(2.0 * s))) <= 1e-12 * volume
 
-    def test_one_lattice_per_radius_and_cap_size(self, monkeypatch):
-        # on a centred aperture every transducer sees the same D, so each
-        # radius has one cap size and one lattice serves all transducers
-        g = centered_grid(8, 3)
-        kern = _kernel(g, gaussian_column(g, s=0.15))
-        arr = make_transducer_array(24, radius=1.0)
-        radii = default_radii(arr, g, 30)
-        calls = []
-
-        def counting(n, size=None):
-            calls.append(n)
-            return _unit_lattice(n, size)
-
-        monkeypatch.setattr(synfocus.wavegen, "_unit_lattice", counting)
-        measure_spherical_pulse(kern, arr, radii)
-        assert 0 < len(calls) <= radii.size
-
-    def test_off_centre_aperture_builds_each_input_once(self, rng, monkeypatch):
-        # off centre, one radius has many cap sizes across the transducers;
-        # still one lattice per radius that any sphere hits, and one padded
-        # copy of the kernel rows per call
-        g = Grid(origin=(0.1, -0.2, 0.05), spacing=(0.05, 0.04, 0.06), counts=(14, 12, 10))
-        kern = _kernel(g, rng.standard_normal((3, g.n_pixels)))
-        arr = make_transducer_array(64, radius=1.5)
-        radii = default_radii(arr, g, 64)
-        lo, hi = g.origin - g.spacing, g.origin + g.counts * g.spacing
-        z = arr.positions
-        d_min = np.linalg.norm(z - np.clip(z, lo, hi), axis=1)
-        d_max = np.linalg.norm(np.maximum(np.abs(z - lo), np.abs(z - hi)), axis=1)
-        hit = np.any((radii >= d_min[:, None]) & (radii <= d_max[:, None]), axis=0)
-        calls = count_calls(monkeypatch, synfocus.wavegen, ("_unit_lattice", "_padded_rows"))
-        padded = count_calls(monkeypatch, synfocus.core, ("_padded_rows",))
-        measure_spherical_pulse(kern, arr, radii)
-        assert 0 < calls["_unit_lattice"] <= np.count_nonzero(hit)
-        assert calls["_padded_rows"] + padded["_padded_rows"] == 1
+    @pytest.mark.parametrize("u", [0.0, 0.3, 1.1, 1.9])
+    def test_shell_primitive_against_quadrature(self, u):
+        # B(u) = int_u^a s b(s) ds
+        a = 2.0
+        s, w = self._legendre(u, a)
+        assert float(_kb_shell(u, a)) == pytest.approx(np.sum(w * s * _kb_blob(s, a)), rel=1e-13)
 
 
 def _green(grid, positions, freqs):
@@ -616,7 +478,7 @@ class TestAxisValidation:
         def no_interp(*args):
             raise AssertionError("the measure interpolated")
 
-        monkeypatch.setattr(synfocus.wavegen, "_interp", no_interp)
+        monkeypatch.setattr(synfocus.wavegen, "_blob_coefficients", no_interp)
         monkeypatch.setattr(synfocus.wavegen, "_stencil", no_interp)
         monkeypatch.setattr(synfocus.wavegen, "_padded_rows", no_interp)
         g2, g3 = centered_grid(8, 2), centered_grid(8, 3)
@@ -784,7 +646,7 @@ class TestLineIntegrals:
                 w = np.array([np.cos(ang), np.sin(ang)])
                 d = np.array([-np.sin(ang), np.cos(ang)])
                 pts = offsets[:, None, None] * w + tau[None, :, None] * d
-                cols = _interp(g, _padded_rows(g, kern.values), ((pts.reshape(-1, 2) - g.origin) / g.spacing).T)
+                cols = stencil_gather(g, kern.values, ((pts.reshape(-1, 2) - g.origin) / g.spacing).T)
                 expect[a] = dtau * cols.reshape(offsets.size, tau.size, n_el).sum(axis=1)
             assert np.all(expect[:, [0, -1]] == 0.0)
             assert (np.max(np.abs(sino.values - expect))
@@ -1017,26 +879,69 @@ class TestTransposes:
     # case ids
     @pytest.mark.parametrize("dim", [3])
     def test_spherical(self, dim, rng):
-        # the transpose spreads each weighted sample back onto its stencil;
-        # the full turned lattice adds zeros where the measured cap stops
+        # A = P W S, written out: S sharpens k to k - (mu2 / 2) Lap_h k with
+        # edge-replicated padding and scales by pixel_measure / int(b); W
+        # bins c_p / r_p at r_p on nodes n delta, delta = a / 16, with cubic
+        # Lagrange weights, node -1 folded onto node 1 with a flipped sign;
+        # P is the profile 2 pi t [B(|t - n delta|) - B(t + n delta)], which
+        # vanishes at node 0.  Inside the grid, transducer 0 sits on a pixel
+        # centre, binned at the limit x -> 0+ of the weights over r, and
+        # transducer 1 within delta of it, so its weights fold; outside, no
+        # pair comes near the lowest nodes
         g = Grid(origin=(0.1, -0.2, 0.05), spacing=(0.1, 0.08, 0.12), counts=(7, 6, 5))
-        arr = make_transducer_array(5, radius=1.2)
-        radii = default_radii(arr, g, 10)
-        k = rng.standard_normal((2, g.n_pixels))
-        ak = measure_spherical_pulse(_kernel(g, k), arr, radii).values
-        y = rng.standard_normal(ak.shape)
-        aty = np.zeros_like(k)
-        padded, inner = tuple(g.counts[::-1] + 2), (slice(1, -1),) * dim
-        for i, z in enumerate(arr.positions):
-            frame, _ = _cap_frame(z, _support_center(g))
-            for r, t in enumerate(radii):
-                pts, weight = _turned_sphere(g, z, t, frame)
-                _, index, w = _stencil(g, ((pts - g.origin) / g.spacing).T)
-                # binned over the padded grid, the zero layer cropped off
-                spread = np.bincount(index.ravel(), weights=w.ravel(),
-                                     minlength=np.prod(padded)).reshape(padded)[inner].ravel()
-                aty += weight * y[i, r][:, None] * spread[None, :]
-        assert _dot_gap(ak, y, k, aty) <= 1e-13
+        a = 2.0 * float(np.max(g.spacing))
+        delta = a / 16
+        n_px = g.n_pixels
+        mu2 = _KB_MU2 * a * a
+        S = np.diag(np.full(n_px, 1.0 + mu2 * np.sum(g.spacing ** -2.0)))
+        flat = np.arange(n_px).reshape(tuple(g.counts[::-1]))
+        for d in range(dim):
+            for step in (-1, 1):
+                ends = np.clip(np.arange(g.counts[d]) + step, 0, g.counts[d] - 1)
+                S[flat.ravel(), np.take(flat, ends, axis=dim - 1 - d).ravel()] -= (
+                    0.5 * mu2 / g.spacing[d] ** 2)
+        S *= g.pixel_measure / (_KB_VOLUME * a ** 3)
+
+        centre = g.centers()[100]
+        R = float(np.linalg.norm(centre))
+        near = centre + 0.5 * delta * np.cross(centre / R, (0.0, 0.0, 1.0))
+        inside = TransducerArray(
+            positions=np.vstack([centre, R * near / np.linalg.norm(near),
+                                 make_transducer_array(4, radius=R).positions]),
+            weights=np.full(6, 4.0 * np.pi * R * R / 6), radius=R)
+        outside = make_transducer_array(5, radius=2.5)
+        for arr in (inside, outside):
+            radii = default_radii(arr, g, 10)
+            k = rng.standard_normal((2, n_px))
+            ak = measure_spherical_pulse(_kernel(g, k), arr, radii).values
+            y = rng.standard_normal(ak.shape)
+            r = np.linalg.norm(g.centers()[None] - arr.positions[:, None], axis=2)
+            n_nodes = int(np.max(r) / delta) + 3
+            nodes = delta * np.arange(1, n_nodes + 1)[:, None]
+            P = 2.0 * np.pi * radii * (_kb_shell(np.abs(radii - nodes), a)
+                                       - _kb_shell(radii + nodes, a))
+            M = np.zeros((arr.n, radii.size, n_px))
+            for i in range(arr.n):
+                W = np.zeros((n_nodes + 1, n_px))   # nodes 0 .. n_nodes
+                for p in range(n_px):
+                    x = r[i, p] / delta
+                    base = int(np.floor(x))
+                    for node in range(base - 1, base + 3):
+                        others = [m for m in range(base - 1, base + 3) if m != node]
+                        if x > 0.0:
+                            weight = np.prod([(x - m) / (node - m) for m in others]) / r[i, p]
+                        elif node == 0:
+                            continue   # the profile vanishes there
+                        else:   # the limit x -> 0+ of the weight over r
+                            weight = (np.prod([(x - m) / (node - m) for m in others if m])
+                                      / (node * delta))
+                        W[abs(node), p] += np.sign(node) * weight
+                M[i] = P.T @ W[1:]
+            aty = np.einsum("ikp,ikj->jp", M, y) @ S
+            assert _dot_gap(ak, y, k, aty) <= 1e-13
+        assert np.count_nonzero(r > 1.0) == r.size   # the outside aperture
+        r = np.linalg.norm(g.centers()[None] - inside.positions[:, None], axis=2)
+        assert np.count_nonzero(r == 0.0) == 1 and np.count_nonzero(r < delta) == 2
 
     def test_monochromatic(self, rng):
         g = centered_grid(6, 3)
